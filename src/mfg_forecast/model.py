@@ -134,13 +134,13 @@ def make_problem_spec(grid: Grid, u0, m0, kernel: KernelSpec,
 def apply_interaction(kernel: KernelSpec, grid: Grid, m_values: np.ndarray) -> np.ndarray:
     """int K(x_i, y) m(y, t_j) dy for all nodes, trapezoid in y.
 
-    Returns an (nx, nt) array; for a constant kernel each column is the
-    kernel constant times the total mass at that time.
+    Returns an array that broadcasts against (nx, nt): the full (nx, nt)
+    array for a tabulated kernel, and for a constant kernel the (1, nt)
+    row of the kernel constant times the total mass at each time.
     """
     wx = calculus.weights_x(grid)
     if kernel.constant is not None:
-        mass = wx @ m_values  # (nt,)
-        return np.broadcast_to(kernel.constant * mass, (grid.nx, grid.nt)).copy()
+        return kernel.constant * (wx @ m_values)[None, :]
     return kernel.table @ (wx[:, None] * m_values)
 
 
@@ -156,7 +156,7 @@ def interaction_term(kernel: KernelSpec, grid: Grid, m: Field, j: int) -> np.nda
     """The kernel integral at one time node, as a vector over x-nodes."""
     if not 0 <= j < grid.nt:
         raise ValueError(f"time index {j} outside [0, {grid.nt})")
-    return apply_interaction(kernel, grid, m.values)[:, j]
+    return np.broadcast_to(apply_interaction(kernel, grid, m.values)[:, j], (grid.nx,))
 
 
 def hjb_residual_values(u: np.ndarray, m: np.ndarray, spec: ProblemSpec) -> np.ndarray:

@@ -38,7 +38,6 @@ class OptimizerConfig:
     max_backtracks: int = 60
     method: str = "gd"  # "gd" (reference scheme) or "lbfgs" (accelerator)
     lbfgs_memory: int = 10
-    seed: int = 0  # reserved for randomized tie-breaking; unused by default
 
     def __post_init__(self):
         if self.step0 <= 0 or self.tol <= 0:

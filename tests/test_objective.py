@@ -207,3 +207,67 @@ def test_non_finite_intermediate_identifies_term(grid, params, zero_spec):
     huge = np.full((grid.nx, grid.nt), 1e200)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="j1"):
         obj.value_arrays(huge, np.zeros((grid.nx, grid.nt)))
+
+
+@pytest.fixture()
+def fine_grid():
+    """A non-square 41x21 grid, so the x and t Gram factors differ in size."""
+    return make_grid(-1, 1, 1, 0.05, 0.05, 0.6)
+
+
+def test_h2_gram_form_matches_norm_oracle(fine_grid, params):
+    spec = make_problem_spec(fine_grid, np.zeros(fine_grid.nx),
+                             np.zeros(fine_grid.nx), KernelSpec(constant=1.0))
+    obj = Objective(spec, params)
+    rng = np.random.default_rng(13)
+    for amplitude in (1e-3, 1.0, 1e3):
+        f = sample_neumann_field(fine_grid, rng, amplitude=amplitude)
+        f += amplitude * rng.standard_normal(f.shape)  # rough, not only smooth
+        expected = calculus.h2_norm_discrete(Field(fine_grid, f)) ** 2
+        assert obj._h2_quadratic(f) == pytest.approx(expected, rel=1e-12)
+
+
+def test_hessian_diag_regularizer_matches_four_term_formula(fine_grid, params):
+    # residual_weight=0 leaves only the regularizer block in both diagonals
+    spec = make_problem_spec(fine_grid, np.zeros(fine_grid.nx),
+                             np.full(fine_grid.nx, 0.5), KernelSpec(constant=1.0))
+    obj = Objective(spec, params, residual_weight=0.0)
+    rng = np.random.default_rng(14)
+    state = _random_state(fine_grid, rng)
+    diag_u, diag_m = obj.hessian_diag(state.u.values, state.m.values)
+    dtm, dxm, dxxm = calculus.diff_matrices(fine_grid)
+    wq = np.outer(calculus.weights_x(fine_grid), calculus.weights_t(fine_grid))
+    expected = 2.0 * params.alpha * (wq + wq @ dtm**2 + (dxm**2).T @ wq +
+                                     (dxxm**2).T @ wq)
+    np.testing.assert_allclose(diag_u, expected, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(diag_m, expected, rtol=1e-12, atol=0)
+
+
+def test_gradient_fd_tabulated_kernel_on_fine_grid(fine_grid, params):
+    rng = np.random.default_rng(15)
+    table = rng.uniform(-1.0, 1.0, (fine_grid.nx, fine_grid.nx))
+    spec = make_problem_spec(fine_grid, np.zeros(fine_grid.nx),
+                             np.full(fine_grid.nx, 0.5), KernelSpec(table=table))
+    report = gradient_fd_check(spec, params, n_states=2, n_directions=8, seed=4)
+    assert report["max_rel_error"] < 1e-6
+
+
+def test_fd_oracle_reports_a_planted_gradient_error(params, t11_case, monkeypatch):
+    # The five-point rule is exact on the quartic J, so a clean gradient
+    # reads far below the 1e-6 gate and a 1e-5 relative error in gu reads
+    # above it.
+    clean = gradient_fd_check(t11_case.spec, params, n_states=3, n_directions=12,
+                              seed=7)
+    assert clean["max_rel_error"] < 1e-8
+    exact = Objective.value_and_gradient_arrays
+    grid = t11_case.spec.grid
+    pattern = np.random.default_rng(16).choice([-1.0, 1.0], (grid.nx, grid.nt))
+
+    def planted(self, u, m, masked=True):
+        breakdown, gu, gm = exact(self, u, m, masked)
+        return breakdown, gu * (1.0 + 1e-5 * pattern), gm
+
+    monkeypatch.setattr(Objective, "value_and_gradient_arrays", planted)
+    report = gradient_fd_check(t11_case.spec, params, n_states=3, n_directions=12,
+                               seed=7)
+    assert report["max_rel_error"] > 1e-6
