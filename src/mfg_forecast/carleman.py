@@ -24,6 +24,9 @@ from mfg_forecast.grid import Field, Grid
 
 # exp() overflows just above 709; route through ratios beyond this.
 _EXP_LIMIT = 700.0
+# Random test fields: cosine modes 0..4 in x times powers 0..3 of t.
+_N_MODES = 4
+_T_DEGREE = 3
 
 
 def min_c(t_max: float) -> float:
@@ -183,7 +186,7 @@ class EstimateCheckReport:
 
 
 def sample_neumann_field(grid: Grid, rng: np.random.Generator,
-                         n_modes: int = 4, t_degree: int = 3,
+                         n_modes: int = _N_MODES, t_degree: int = _T_DEGREE,
                          amplitude: float = 1.0) -> np.ndarray:
     """Random smooth field with exact zero-slope spatial boundaries.
 
@@ -202,14 +205,51 @@ def sample_neumann_field(grid: Grid, rng: np.random.Generator,
     return vals
 
 
+def _neumann_field_stack(grid: Grid, rng: np.random.Generator, samples: int,
+                         fields_per_sample: int = 1) -> np.ndarray:
+    """``samples`` draws of ``fields_per_sample`` Neumann fields, as one stack.
+
+    Returns shape (samples, fields_per_sample, nx, nt).  One ``rng.uniform``
+    call draws every coefficient, in the order that ``samples *
+    fields_per_sample`` sequential ``sample_neumann_field`` calls would, so
+    field k of the stack is the k-th sequential draw (up to round-off).  A
+    sample with any field below 1e-12 in max norm is degenerate; all of its
+    fields are redrawn, after the batch, until no sample is degenerate.
+    """
+    xs = grid.x_nodes()
+    ts = grid.t_nodes()
+    length = grid.x_max - grid.x_min
+    modes = np.cos(np.multiply.outer(np.arange(_N_MODES + 1) * math.pi,
+                                     xs - grid.x_min) / length)  # (modes, nx)
+    tpow = np.vstack([ts**p for p in range(_T_DEGREE + 1)])  # (deg+1, nt)
+
+    def draw(count):
+        coeffs = rng.uniform(-1.0, 1.0, size=(count, fields_per_sample,
+                                             _N_MODES + 1, _T_DEGREE + 1))
+        return modes.T @ (coeffs @ tpow)
+
+    def degenerate(stack):
+        return np.abs(stack).max(axis=(2, 3)).min(axis=1) < 1e-12
+
+    fields = draw(samples)
+    bad = degenerate(fields)
+    while bad.any():
+        fields[bad] = draw(int(bad.sum()))
+        bad = degenerate(fields)
+    return fields
+
+
 def _rescaled_weight_sq(grid: Grid, lam: float, c: float) -> np.ndarray:
     """cwf(t)^2 divided by its peak value at t=0; in (0, 1], never overflows."""
     logw = log_cwf(grid.t_nodes(), lam, c, grid.t_max)
     return np.exp(2.0 * (logw - logw[0]))
 
 
-def _weighted_qt(grid: Grid, dens: np.ndarray, wsq: np.ndarray) -> float:
-    return float(calculus.weights_x(grid) @ dens @ (calculus.weights_t(grid) * wsq))
+def _check_inputs(samples: int, lam: float) -> None:
+    if samples < 1:
+        raise ValueError(f"checker needs samples >= 1, got {samples}")
+    if lam < 1:
+        raise ValueError(f"checker expects lam >= 1, got {lam}")
 
 
 def check_carleman_estimate(samples: int, lam: float, c: float, grid: Grid,
@@ -225,38 +265,32 @@ def check_carleman_estimate(samples: int, lam: float, c: float, grid: Grid,
                       - boundary terms at t=t_max and t=0 ]
 
     The report carries the largest C1 for which LHS >= RHS across all
-    samples and the residual gap at that constant.
+    samples and the residual gap at that constant.  The fields are drawn
+    as one batch whose coefficient stream is that of ``samples``
+    sequential ``sample_neumann_field`` calls from ``default_rng(seed)``;
+    degenerate (all but zero) draws are redrawn.
     """
-    if lam < 1:
-        raise ValueError(f"checker expects lam >= 1, got {lam}")
+    _check_inputs(samples, lam)
     rng = np.random.default_rng(seed)
     dtm, dxm, dxxm = calculus.diff_matrices(grid)
     wx = calculus.weights_x(grid)
-    wsq = _rescaled_weight_sq(grid, lam, c)
+    wtw = calculus.weights_t(grid) * _rescaled_weight_sq(grid, lam, c)  # t quadrature
     t_max = grid.t_max
     # Boundary-term prefactors after rescaling by exp(2*(T+c)^lam).
     log_peak = log_cwf(0.0, lam, c, t_max)
     end_factor = math.exp(2.0 * (c**lam - log_peak))
     init_factor = lam * (t_max + c) ** lam
 
-    lhs_list, s_list = [], []
-    for _ in range(samples):
-        u = sample_neumann_field(grid, rng)
-        while np.abs(u).max() < 1e-12:
-            u = sample_neumann_field(grid, rng)
-        ut = u @ dtm.T
-        ux = dxm @ u
-        uxx = dxxm @ u
-        lhs = _weighted_qt(grid, (ut + uxx) ** 2, wsq)
-        s = math.sqrt(lam) * _weighted_qt(grid, ux**2, wsq)
-        s += lam**2 * c**lam * _weighted_qt(grid, u**2, wsq)
-        s -= end_factor * float(wx @ (ux[:, -1] ** 2 + u[:, -1] ** 2))
-        s -= init_factor * float(wx @ (u[:, 0] ** 2))
-        lhs_list.append(lhs)
-        s_list.append(s)
-
-    return _fit_lower_constant(lhs_list, s_list, lam, samples, seed, tol,
-                               kind="carleman")
+    u = _neumann_field_stack(grid, rng, samples)[:, 0]  # (samples, nx, nt)
+    ut = u @ dtm.T
+    ux = dxm @ u
+    uxx = dxxm @ u
+    lhs = (wx @ (ut + uxx) ** 2) @ wtw
+    s = math.sqrt(lam) * ((wx @ ux**2) @ wtw)
+    s += lam**2 * c**lam * ((wx @ u**2) @ wtw)
+    s -= end_factor * ((ux[:, :, -1] ** 2 + u[:, :, -1] ** 2) @ wx)
+    s -= init_factor * (u[:, :, 0] ** 2 @ wx)
+    return _fit_lower_constant(lhs, s, lam, samples, seed, tol, kind="carleman")
 
 
 def check_quasi_carleman(samples: int, g: Field, lam: float, c: float,
@@ -272,74 +306,75 @@ def check_quasi_carleman(samples: int, g: Field, lam: float, c: float,
     The two positive right-hand terms carry explicit constants
     (lam*c^(lam-1) and lam^2 c^(2lam-2)/4); only the negative v-gradient
     and initial-data terms carry the fitted constant C2, here the smallest
-    C2 >= 0 restoring the inequality across all samples.
+    C2 >= 0 restoring the inequality across all samples.  The pairs are
+    drawn as one batch whose coefficient stream is that of sequential
+    ``sample_neumann_field`` calls u, v, u, v, ... from
+    ``default_rng(seed)``; a pair with a degenerate field is redrawn.
     """
-    if lam < 1:
-        raise ValueError(f"checker expects lam >= 1, got {lam}")
+    _check_inputs(samples, lam)
     if g.grid != grid:
         raise ValueError("g must live on the checker grid")
     rng = np.random.default_rng(seed)
     dtm, dxm, dxxm = calculus.diff_matrices(grid)
     wx = calculus.weights_x(grid)
-    wsq = _rescaled_weight_sq(grid, lam, c)
+    wtw = calculus.weights_t(grid) * _rescaled_weight_sq(grid, lam, c)  # t quadrature
     t_max = grid.t_max
     init_factor = lam * (t_max + c) ** lam
     vgrad_factor = lam * (t_max + c) ** lam
 
-    deficits = []
-    records = []
-    for _ in range(samples):
-        u = sample_neumann_field(grid, rng)
-        v = sample_neumann_field(grid, rng)
-        while np.abs(u).max() < 1e-12 or np.abs(v).max() < 1e-12:
-            u = sample_neumann_field(grid, rng)
-            v = sample_neumann_field(grid, rng)
-        ut = u @ dtm.T
-        ux = dxm @ u
-        uxx = dxxm @ u
-        vx = dxm @ v
-        vxx = dxxm @ v
-        lhs = _weighted_qt(grid, (ut - uxx + g.values * vxx) ** 2, wsq)
-        explicit = lam * c ** (lam - 1.0) * _weighted_qt(grid, ux**2, wsq)
-        explicit += 0.25 * lam**2 * c ** (2.0 * lam - 2.0) * _weighted_qt(grid, u**2, wsq)
-        d_term = vgrad_factor * _weighted_qt(grid, vx**2, wsq)
-        d_term += init_factor * float(wx @ (u[:, 0] ** 2))
-        records.append((lhs, explicit, d_term))
-        if d_term > 0:
-            deficits.append((explicit - lhs) / d_term)
+    pairs = _neumann_field_stack(grid, rng, samples, fields_per_sample=2)
+    u, v = pairs[:, 0], pairs[:, 1]
+    ut = u @ dtm.T
+    ux = dxm @ u
+    uxx = dxxm @ u
+    vx = dxm @ v
+    vxx = dxxm @ v
+    lhs = (wx @ (ut - uxx + g.values * vxx) ** 2) @ wtw
+    explicit = lam * c ** (lam - 1.0) * ((wx @ ux**2) @ wtw)
+    explicit += 0.25 * lam**2 * c ** (2.0 * lam - 2.0) * ((wx @ u**2) @ wtw)
+    d_term = vgrad_factor * ((wx @ vx**2) @ wtw)
+    d_term += init_factor * (u[:, :, 0] ** 2 @ wx)
 
+    rescue = d_term > 0
+    deficits = (explicit[rescue] - lhs[rescue]) / d_term[rescue]
     # Back off the tight constant by a hair so the reported gap is
     # nonnegative despite rounding (a larger rescue constant only helps).
-    fitted = max(0.0, max(deficits)) * (1.0 + 1e-9) if deficits else 0.0
-    gaps = [lhs - explicit + fitted * d for lhs, explicit, d in records]
-    scale = max(1.0, max(abs(lhs) for lhs, _, _ in records))
-    min_gap = min(gaps)
+    fitted = max(0.0, float(deficits.max())) * (1.0 + 1e-9) if deficits.size else 0.0
+    min_gap = float((lhs - explicit + fitted * d_term).min())
+    scale = max(1.0, float(np.abs(lhs).max()))
     passed = min_gap >= -tol * scale
-    return EstimateCheckReport(lam, samples, float(min_gap), float(fitted),
-                               passed, "quasi_carleman", seed)
+    return EstimateCheckReport(lam, samples, min_gap, fitted, passed,
+                               "quasi_carleman", seed)
 
 
-def _fit_lower_constant(lhs_list, s_list, lam, samples, seed, tol, kind):
-    ratios = [lhs / s for lhs, s in zip(lhs_list, s_list) if s > 0]
-    scale = max(1.0, max(abs(v) for v in lhs_list))
-    if ratios:
+def _fit_lower_constant(lhs: np.ndarray, s: np.ndarray, lam, samples, seed,
+                        tol, kind) -> EstimateCheckReport:
+    """Largest C with lhs >= C * s over all samples, from per-sample arrays."""
+    scale = max(1.0, float(np.abs(lhs).max()))
+    constrains = s > 0
+    if constrains.any():
         # Back off the tight constant by a hair so the reported gap is
         # nonnegative despite rounding.
-        fitted = min(ratios) * (1.0 - 1e-9)
-        min_gap = min(lhs - fitted * s for lhs, s in zip(lhs_list, s_list))
+        fitted = float((lhs[constrains] / s[constrains]).min()) * (1.0 - 1e-9)
+        min_gap = float((lhs - fitted * s).min())
         passed = fitted > 0 and min_gap >= -tol * scale
-        return EstimateCheckReport(lam, samples, float(min_gap), float(fitted),
-                                   passed, kind, seed)
+        return EstimateCheckReport(lam, samples, min_gap, fitted, passed,
+                                   kind, seed)
     # No sample constrains the constant: the negative terms dominate and
     # the inequality holds with room for any C > 0.
-    min_gap = min(lhs - s for lhs, s in zip(lhs_list, s_list))
-    return EstimateCheckReport(lam, samples, float(min_gap), None,
+    min_gap = float((lhs - s).min())
+    return EstimateCheckReport(lam, samples, min_gap, None,
                                min_gap >= -tol * scale, kind, seed)
 
 
 def lambda_sweep(grid: Grid, c: float, lambdas, samples: int = 100,
                  seed: int = 0, quasi_g: Field | None = None) -> list[EstimateCheckReport]:
-    """Run the estimate checker over a list of weight exponents."""
+    """Run the estimate checker over a list of weight exponents.
+
+    Each exponent is one checker call on the same seed, so every exponent
+    sees the same sample fields, drawn afresh as one batch per call
+    (degenerate draws redrawn) in the stream of the sequential sampler.
+    """
     reports = []
     for lam in lambdas:
         if quasi_g is None:

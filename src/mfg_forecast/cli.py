@@ -237,6 +237,8 @@ def _cmd_sweep(options: dict) -> int:
 
 
 def _cmd_check_gradient(options: dict) -> int:
+    if options["states"] < 1 or options["directions"] < 1:
+        raise UsageError("--states and --directions must be at least 1")
     overrides = _overrides_from(options)
     cfg = experiments.resolve_config(options["test"], overrides)
     _, spec, _ = experiments._build_problem(options["test"], cfg)
@@ -258,6 +260,13 @@ def _cmd_check_gradient(options: dict) -> int:
 
 
 def _cmd_check_carleman(options: dict) -> int:
+    if options["samples"] < 1:
+        raise UsageError(f"--samples must be at least 1, got {options['samples']}")
+    if options["lambda_min"] < 1:
+        raise UsageError(f"--lambda-min must be at least 1, got {options['lambda_min']}")
+    if options["lambda_min"] > options["lambda_max"]:
+        raise UsageError(f"--lambda-min {options['lambda_min']} exceeds "
+                         f"--lambda-max {options['lambda_max']}")
     overrides = _overrides_from(options)
     cfg = experiments.resolve_config("T1_1", overrides)
     grid = make_grid(cfg["x_min"], cfg["x_max"], cfg["t_max"], cfg["dx"],

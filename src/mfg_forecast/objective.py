@@ -302,8 +302,12 @@ def gradient_fd_check(spec: ProblemSpec, params: ConvexParams,
     (u, m), so J is a quartic polynomial along any line and the five-point
     derivative (8(J(h) - J(-h)) - (J(2h) - J(-2h))) / (12h) carries no
     truncation error; the large step keeps round-off small.  Returns the
-    worst relative disagreement over all (state, direction) pairs.
+    worst relative disagreement over all (state, direction) pairs; with no
+    pair to check it raises ValueError rather than report a vacuous pass.
     """
+    if n_states < 1 or n_directions < 1:
+        raise ValueError(f"gradient check needs n_states >= 1 and n_directions "
+                         f">= 1, got {n_states} and {n_directions}")
     rng = np.random.default_rng(seed)
     grid = spec.grid
     obj = Objective(spec, params)

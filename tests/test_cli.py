@@ -131,6 +131,32 @@ def test_check_gradient_cli(tmp_path):
     assert payload["max_rel_error"] < 1e-6
 
 
+@pytest.mark.parametrize("counts", [("0", "6"), ("2", "0"), ("-1", "6")])
+def test_check_gradient_without_work_is_usage_error(tmp_path, capsys, counts):
+    out = tmp_path / "grad"
+    code = main(["check-gradient", "--states", counts[0], "--directions",
+                 counts[1], "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "at least 1" in capsys.readouterr().err
+    assert not (out / "gradient_check.json").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--samples", "0"], "--samples"),
+    (["--samples", "-4"], "--samples"),
+    (["--lambda-min", "0"], "--lambda-min"),
+    (["--lambda-min", "5", "--lambda-max", "2"], "exceeds"),
+])
+def test_check_carleman_bad_inputs_are_usage_errors(tmp_path, capsys, flags,
+                                                    message):
+    for quasi in ([], ["--quasi"]):
+        out = tmp_path / "carl"
+        code = main(["check-carleman", *quasi, *flags, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_check_carleman_cli(tmp_path):
     out = tmp_path / "carl"
     code = main(["check-carleman", "--samples", "30", "--lambda-min", "1",

@@ -73,6 +73,13 @@ def test_gradient_matches_finite_differences(grid, params, t11_case):
     assert report["max_rel_error"] < 1e-6
 
 
+def test_gradient_fd_check_without_work_raises(params, t11_case):
+    for states, directions in ((0, 12), (3, 0)):
+        with pytest.raises(ValueError, match="n_states >= 1"):
+            gradient_fd_check(t11_case.spec, params, n_states=states,
+                              n_directions=directions)
+
+
 def test_gradient_fd_with_tabulated_kernel(grid, params):
     # the table path has its own adjoint; verify it the same way
     rng = np.random.default_rng(12)
