@@ -3,7 +3,7 @@
 from mfg_forecast.calculus import d2_dx2, d_dt, d_dx, h2_norm_discrete, \
     h10_norm_gamma, integrate_x, l2_norm_qt
 from mfg_forecast.carleman import ConvexParams, alpha_min, check_carleman_estimate, \
-    check_quasi_carleman, cwf, cwf_field, min_c, q_factor
+    check_quasi_carleman, cwf, min_c, q_factor
 from mfg_forecast.experiments import NoiseSpec, RunReport, add_noise, \
     recovery_errors, relative_cost_curve, run_test
 from mfg_forecast.grid import Field, Grid, field_from_function, make_grid, \
@@ -11,8 +11,7 @@ from mfg_forecast.grid import Field, Grid, field_from_function, make_grid, \
 from mfg_forecast.model import KernelSpec, ManufacturedCase, ProblemSpec, \
     build_manufactured_case, fp_residual, hjb_residual, manufactured_source, \
     solve_fokker_planck
-from mfg_forecast.objective import ObjectiveBreakdown, StatePair, convexity_probe, \
-    eval_objective, first_order_optimality, objective_gradient
+from mfg_forecast.objective import ObjectiveBreakdown, StatePair, convexity_probe
 from mfg_forecast.optimizer import IterationTrace, MinimizeResult, OptimizerConfig, \
     make_start, minimize, project
 

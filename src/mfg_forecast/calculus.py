@@ -14,28 +14,11 @@ second-order stencils.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from mfg_forecast.grid import Field, Grid
-
-
-@dataclass(frozen=True)
-class StencilConfig:
-    """Record of the discretization choices baked into this module."""
-
-    interior_order: int = 2
-    boundary_time_scheme: str = "one_sided_second_order"
-    neumann_mode: str = "ghost_reflection"
-
-    def __post_init__(self):
-        if self.interior_order != 2:
-            raise ValueError("only second-order interior stencils are supported")
-
-
-STENCILS = StencilConfig()
 
 
 @lru_cache(maxsize=None)

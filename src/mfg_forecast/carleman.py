@@ -58,12 +58,6 @@ def cwf(t: float, lam: float, c: float, t_max: float) -> float:
     return math.exp(e)
 
 
-def cwf_field(grid: Grid, lam: float, c: float) -> Field:
-    """The weight sampled on the grid; constant across x."""
-    row = np.array([cwf(t, lam, c, grid.t_max) for t in grid.t_nodes()])
-    return Field(grid, np.tile(row, (grid.nx, 1)))
-
-
 def q_factor(lam: float, c: float, t_max: float) -> float:
     """Balancing factor 1 / (lam * (t_max + c)^(lam - 1)) for the density term."""
     return 1.0 / (lam * (t_max + c) ** (lam - 1.0))
@@ -84,9 +78,8 @@ def alpha_min(lam: float, c: float, a: float) -> float:
 class ConvexParams:
     """Parameters of the weighted convex functional.
 
-    Derived quantities (q, balance, the Sobolev index diagnostic) are
-    recomputed on access, never stored.  ``radius`` is the optional search
-    ball diagnostic; it is monitored, not enforced.
+    Derived quantities (q, balance, the alpha floor) are recomputed on
+    access, never stored.
     """
 
     lam: float
@@ -96,7 +89,6 @@ class ConvexParams:
     alpha: float
     gamma: float
     t_max: float
-    radius: float | None = None
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -127,11 +119,6 @@ class ConvexParams:
         return -2.0 * self.a * self.c**self.lam
 
     @property
-    def sobolev_index(self) -> int:
-        # Diagnostic only: the regularity index the 1-D theory asks for.
-        return int(math.floor((1 + 1) / 2)) + 4
-
-    @property
     def alpha_floor(self) -> float:
         return alpha_min(self.lam, self.c, self.a)
 
@@ -151,11 +138,6 @@ class ConvexParams:
                 f"combined weight exponent reaches {exponent.max():.3g}; the "
                 f"functional is not representable at lam={self.lam}")
         return np.exp(exponent)
-
-    def to_dict(self) -> dict:
-        return {"lam": self.lam, "c": self.c, "a": self.a, "d": self.d,
-                "alpha": self.alpha, "gamma": self.gamma, "t_max": self.t_max,
-                "radius": self.radius}
 
 
 @dataclass(frozen=True)
@@ -384,16 +366,14 @@ def lambda_sweep(grid: Grid, c: float, lambdas, samples: int = 100,
     return reports
 
 
-def first_passing_lambda(reports: list[EstimateCheckReport],
-                         require_positive: bool = False) -> float | None:
-    """Smallest tested exponent whose report passed.
+def first_passing_lambda(reports: list[EstimateCheckReport]) -> float | None:
+    """Smallest tested exponent whose report passed with a positive constant.
 
-    With ``require_positive`` the fitted constant must be strictly
-    positive; an unbounded fit (None) counts, since the inequality then
-    holds with room for every positive constant.
+    The fitted constant must be strictly positive; an unbounded fit (None)
+    counts, since the inequality then holds with room for every positive
+    constant.
     """
     for rep in reports:
-        if rep.passed and (not require_positive or rep.fitted_c is None
-                           or rep.fitted_c > 0):
+        if rep.passed and (rep.fitted_c is None or rep.fitted_c > 0):
             return rep.lambda_tested
     return None

@@ -150,8 +150,7 @@ def relative_cost_curve(state: StatePair, spec: ProblemSpec) -> tuple[np.ndarray
     if state.grid != grid:
         raise ValueError("state must live on the spec grid")
     u, m = state.u.values, state.m.values
-    r1 = model.hjb_residual_values(u, m, spec)
-    r2 = model.fp_residual_values(u, m, spec)
+    r1, r2, _ = model.residuals(u, m, spec, calculus.diff_matrices(grid))
     wx = calculus.weights_x(grid)
     numerator = wx @ (r1**2 + r2**2)  # (nt,)
     denominator = float(wx @ (u[:, 0] ** 2 + m[:, 0] ** 2))

@@ -10,6 +10,11 @@ Sign conventions, with r = -1 recovering the 1-D working form:
     hjb residual:  u_t + u_xx - r*(u_x)^2/2 + int K(x,y) m(y,t) dy + f*m
     fp residual:   m_t - m_xx - d/dx( r * m * u_x )
 
+``residuals`` is the one place these two are stated.  The objective, the
+relative-cost diagnostic, the Field wrappers ``hjb_residual`` /
+``fp_residual``, the manufactured-case builder and the manufactured source
+(-R1/m with f = 0) all call it.
+
 The whole coupled system is never time-marched: the u-equation is unstable
 forward in time, which is exactly why the convexification route exists.
 The forward solver here integrates only the Fokker-Planck half for a
@@ -62,10 +67,6 @@ class KernelSpec:
         if self.constant is not None:
             return abs(self.constant)
         return float(np.abs(self.table).max())
-
-    def check_bound(self, bound: float) -> bool:
-        """Diagnostic sup-norm check against a given constant."""
-        return self.max_abs() <= bound
 
     def to_dict(self) -> dict:
         if self.constant is not None:
@@ -152,45 +153,37 @@ def interaction_adjoint(kernel: KernelSpec, grid: Grid, g_values: np.ndarray) ->
     return wx[:, None] * (kernel.table.T @ g_values)
 
 
-def interaction_term(kernel: KernelSpec, grid: Grid, m: Field, j: int) -> np.ndarray:
-    """The kernel integral at one time node, as a vector over x-nodes."""
-    if not 0 <= j < grid.nt:
-        raise ValueError(f"time index {j} outside [0, {grid.nt})")
-    return np.broadcast_to(apply_interaction(kernel, grid, m.values)[:, j], (grid.nx,))
+def residuals(u: np.ndarray, m: np.ndarray, spec: ProblemSpec, stencils):
+    """The two system residuals (R1, R2) and u_x at every node.
 
-
-def hjb_residual_values(u: np.ndarray, m: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    grid = spec.grid
-    dtm, dxm, dxxm = calculus.diff_matrices(grid)
+    ``stencils`` is the (Dt, Dx, Dxx) triple of ``calculus.diff_matrices``
+    for the spec grid, passed in so callers that hold it pay nothing extra.
+    """
+    dtm, dxm, dxxm = stencils
+    r = spec.r_field.values
     ux = dxm @ u
-    res = u @ dtm.T + dxxm @ u - 0.5 * spec.r_field.values * ux * ux
-    res += apply_interaction(spec.kernel, grid, m)
-    res += spec.f_field.values * m
-    return res
+    r1 = u @ dtm.T + dxxm @ u - 0.5 * r * ux * ux
+    r1 += apply_interaction(spec.kernel, spec.grid, m)
+    r1 += spec.f_field.values * m
+    flux = r * m * ux
+    r2 = m @ dtm.T - dxxm @ m - dxm @ flux
+    return r1, r2, ux
 
 
-def fp_residual_values(u: np.ndarray, m: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    grid = spec.grid
-    dtm, dxm, dxxm = calculus.diff_matrices(grid)
-    flux = spec.r_field.values * m * (dxm @ u)
-    return m @ dtm.T - dxxm @ m - dxm @ flux
-
-
-def _check_shapes(u: Field, m: Field, spec: ProblemSpec) -> None:
+def _field_residuals(u: Field, m: Field, spec: ProblemSpec):
     if u.grid != spec.grid or m.grid != spec.grid:
         raise ValueError("fields must live on the spec grid")
+    return residuals(u.values, m.values, spec, calculus.diff_matrices(spec.grid))
 
 
 def hjb_residual(u: Field, m: Field, spec: ProblemSpec) -> Field:
     """Pointwise residual of the value-function equation."""
-    _check_shapes(u, m, spec)
-    return Field(spec.grid, hjb_residual_values(u.values, m.values, spec))
+    return Field(spec.grid, _field_residuals(u, m, spec)[0])
 
 
 def fp_residual(u: Field, m: Field, spec: ProblemSpec) -> Field:
     """Pointwise residual of the density equation, divergence in flux form."""
-    _check_shapes(u, m, spec)
-    return Field(spec.grid, fp_residual_values(u.values, m.values, spec))
+    return Field(spec.grid, _field_residuals(u, m, spec)[1])
 
 
 def solve_fokker_planck(u: Field, m0: np.ndarray, spec: ProblemSpec) -> Field:
@@ -239,11 +232,11 @@ def manufactured_source(u: Field, m: Field, kernel: KernelSpec,
                         r_field: Field | None = None) -> Field:
     """Source f making the hjb residual vanish identically at the nodes.
 
-        f = -(1/m) * [ u_t + u_xx - r*(u_x)^2/2 + int K m dy ]
+        f = -(1/m) * [ u_t + u_xx - r*(u_x)^2/2 + int K m dy ],
 
-    Requires m strictly positive (min above 1e-8).  With the default
-    r = -1 this is the working-form construction f = -(1/m)[u_t + u_xx +
-    u_x^2/2 + int K m dy].
+    that is -R1/m for the source-free problem.  Requires m strictly
+    positive (min above 1e-8).  With the default r = -1 this is the
+    working-form construction f = -(1/m)[u_t + u_xx + u_x^2/2 + int K m dy].
     """
     grid = u.grid
     if m.grid != grid:
@@ -253,15 +246,9 @@ def manufactured_source(u: Field, m: Field, kernel: KernelSpec,
         raise ValueError(
             f"density touches {mmin:.3e} (floor {POSITIVITY_FLOOR:.0e}); "
             "source construction would divide by a vanishing density")
-    if r_field is None:
-        r_vals = np.full((grid.nx, grid.nt), -1.0)
-    else:
-        r_vals = r_field.values
-    dtm, dxm, dxxm = calculus.diff_matrices(grid)
-    ux = dxm @ u.values
-    base = u.values @ dtm.T + dxxm @ u.values - 0.5 * r_vals * ux * ux
-    base += apply_interaction(kernel, grid, m.values)
-    return Field(grid, -base / m.values)
+    source_free = make_problem_spec(grid, time_slice(u, 0), time_slice(m, 0),
+                                    kernel, r_field=r_field)
+    return Field(grid, -hjb_residual(u, m, source_free).values / m.values)
 
 
 @dataclass(frozen=True)
@@ -326,9 +313,10 @@ def build_manufactured_case(u_fn: Callable[[float, float], float],
     spec = ProblemSpec(grid, base_spec.r_field, kernel, f_field,
                        time_slice(u_true, 0), time_slice(m_true, 0),
                        density_data=False)
-    r1 = calculus.l2_norm_qt(hjb_residual(u_true, m_true, spec))
-    r2 = calculus.l2_norm_qt(fp_residual(u_true, m_true, spec))
-    return ManufacturedCase(u_true, m_true, f_field, spec, r1, r2, label)
+    r1, r2, _ = _field_residuals(u_true, m_true, spec)
+    return ManufacturedCase(u_true, m_true, f_field, spec,
+                            calculus.l2_norm_qt(Field(grid, r1)),
+                            calculus.l2_norm_qt(Field(grid, r2)), label)
 
 
 def write_case(case: ManufacturedCase, outdir) -> None:

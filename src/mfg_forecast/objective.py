@@ -5,7 +5,8 @@ The scalar being minimized is
     J(u, m) = balance * int [ R1^2 + q*d*R2^2 ] * cwf^2
               + alpha * ( |u|_H2^2 + |m|_H2^2 )
 
-with R1, R2 the two system residuals, cwf the time-decaying exponential
+with R1, R2 the two system residuals (stated once, in
+``model.residuals``), cwf the time-decaying exponential
 weight, balance = exp(-2*a*c^lam), and the discrete-H2 regularizer from
 the calculus module.  The gradient differentiates this discrete expression
 exactly (reverse accumulation through every stencil), so the optimizer's
@@ -24,8 +25,8 @@ field serves all three uses: alpha*<f, H f> is the regularizer's value,
 2*alpha*H f its gradient, and 2*alpha*diag(H) its block of the
 preconditioner diagonal.
 
-States carry a constraint mask over the t=0 plane: those nodes hold the
-given initial data and the gradient is projected to zero there.
+The t=0 plane (column 0 of both fields) holds the given initial data: the
+masked gradient is zero there and the optimizer never moves it.
 """
 
 from __future__ import annotations
@@ -41,46 +42,20 @@ from mfg_forecast.grid import Field, Grid
 from mfg_forecast.model import ProblemSpec
 
 
-def pinned_mask(grid: Grid) -> np.ndarray:
-    """Boolean (nx, nt) mask, True on the fixed t=0 plane."""
-    mask = np.zeros((grid.nx, grid.nt), dtype=bool)
-    mask[:, 0] = True
-    mask.setflags(write=False)
-    return mask
-
-
 @dataclass(frozen=True)
 class StatePair:
-    """A candidate (u, m) pair sharing one grid.
-
-    ``constraint_mask`` marks nodes whose values are fixed during
-    optimization; by construction this is the whole t=0 plane of both
-    fields.
-    """
+    """A candidate (u, m) pair sharing one grid."""
 
     u: Field
     m: Field
-    constraint_mask: np.ndarray | None = None
 
     def __post_init__(self):
         if self.u.grid != self.m.grid:
             raise ValueError("u and m must share a grid")
-        mask = self.constraint_mask
-        if mask is None:
-            mask = pinned_mask(self.u.grid)
-        else:
-            mask = np.array(mask, dtype=bool)
-            if mask.shape != self.u.values.shape:
-                raise ValueError("constraint mask shape must match the fields")
-            mask.setflags(write=False)
-        object.__setattr__(self, "constraint_mask", mask)
 
     @property
     def grid(self) -> Grid:
         return self.u.grid
-
-    def nodal_norm(self) -> float:
-        return math.sqrt(float(np.sum(self.u.values**2) + np.sum(self.m.values**2)))
 
 
 @dataclass(frozen=True)
@@ -101,13 +76,9 @@ class Objective:
 
     Precomputes stencil matrices and combined quadrature-times-weight
     arrays; evaluations are then a handful of small dense products.
-    ``residual_weight`` scales the two residual terms and exists so tests
-    can isolate the quadratic regularizer (residual_weight=0); it is 1 in
-    production use.
     """
 
-    def __init__(self, spec: ProblemSpec, params: ConvexParams,
-                 residual_weight: float = 1.0):
+    def __init__(self, spec: ProblemSpec, params: ConvexParams):
         grid = spec.grid
         if abs(params.t_max - grid.t_max) > 1e-12:
             raise ValueError(
@@ -115,11 +86,12 @@ class Objective:
         self.spec = spec
         self.params = params
         self.grid = grid
-        self.dtm, self.dxm, self.dxxm = calculus.diff_matrices(grid)
+        self.stencils = calculus.diff_matrices(grid)
+        self.dtm, self.dxm, self.dxxm = self.stencils
         wx, wt = calculus.weights_x(grid), calculus.weights_t(grid)
         wq = np.outer(wx, wt)
         profile = params.weight_profile(grid.t_nodes())
-        self.w1 = wq * profile[None, :] * residual_weight
+        self.w1 = wq * profile[None, :]
         self.w2 = self.w1 * (params.q * params.d)
         self.r = spec.r_field.values
         self.f = spec.f_field.values
@@ -133,15 +105,6 @@ class Objective:
                    self.dxxm.T @ (self.wx_col * self.dxxm))
 
     # -- pieces ---------------------------------------------------------
-
-    def residual_arrays(self, u: np.ndarray, m: np.ndarray):
-        ux = self.dxm @ u
-        r1 = u @ self.dtm.T + self.dxxm @ u - 0.5 * self.r * ux * ux
-        r1 += model.apply_interaction(self.kernel, self.grid, m)
-        r1 += self.f * m
-        flux = self.r * m * ux
-        r2 = m @ self.dtm.T - self.dxxm @ m - self.dxm @ flux
-        return r1, r2, ux
 
     def _h2_apply(self, f: np.ndarray) -> np.ndarray:
         """H f, so that |f|_H2^2 = <f, H f> and its gradient is 2 H f."""
@@ -158,7 +121,7 @@ class Objective:
         Returns (breakdown, ux, w1*r1, w2*r2, H u, H m); the value and the
         value-and-gradient paths share it, so both report identical parts.
         """
-        r1, r2, ux = self.residual_arrays(u, m)
+        r1, r2, ux = model.residuals(u, m, self.spec, self.stencils)
         wr1, wr2 = self.w1 * r1, self.w2 * r2
         hu, hm = self._h2_apply(u), self._h2_apply(m)
         j1 = float(np.vdot(wr1, r1))
@@ -227,39 +190,6 @@ class Objective:
         return breakdown, gu, gm
 
 
-def eval_objective(state: StatePair, params: ConvexParams, spec: ProblemSpec,
-                   residual_weight: float = 1.0) -> ObjectiveBreakdown:
-    obj = Objective(spec, params, residual_weight)
-    return obj.value_arrays(state.u.values, state.m.values)
-
-
-def objective_gradient(state: StatePair, params: ConvexParams, spec: ProblemSpec,
-                       masked: bool = True,
-                       residual_weight: float = 1.0) -> StatePair:
-    """Exact gradient, returned in state shape (masked entries zeroed)."""
-    obj = Objective(spec, params, residual_weight)
-    _, gu, gm = obj.value_and_gradient_arrays(state.u.values, state.m.values,
-                                              masked=masked)
-    return StatePair(Field(spec.grid, gu), Field(spec.grid, gm),
-                     state.constraint_mask)
-
-
-def first_order_optimality(grad_now: StatePair, grad_start: StatePair) -> float:
-    """Norm of the projected current gradient over the initial full-gradient norm.
-
-    Raises if the starting gradient vanishes; callers treat that start as
-    already optimal.
-    """
-    mask = grad_now.constraint_mask
-    gu = np.where(mask, 0.0, grad_now.u.values)
-    gm = np.where(mask, 0.0, grad_now.m.values)
-    num = math.sqrt(float(np.sum(gu**2) + np.sum(gm**2)))
-    den = grad_start.nodal_norm()
-    if den == 0.0:
-        raise ValueError("starting gradient is zero; the start is already optimal")
-    return num / den
-
-
 @dataclass(frozen=True)
 class ConvexityGap:
     """Bregman gap between two states and its theoretical floor."""
@@ -269,7 +199,7 @@ class ConvexityGap:
 
 
 def convexity_probe(state1: StatePair, state2: StatePair, params: ConvexParams,
-                    spec: ProblemSpec, residual_weight: float = 1.0) -> ConvexityGap:
+                    spec: ProblemSpec) -> ConvexityGap:
     """J(s2) - J(s1) - <J'(s1), s2 - s1>, with floor (alpha/2)*|s2 - s1|^2.
 
     Both states must share the grid and carry identical pinned t=0 data;
@@ -280,7 +210,7 @@ def convexity_probe(state1: StatePair, state2: StatePair, params: ConvexParams,
     if not (np.array_equal(state1.u.values[:, 0], state2.u.values[:, 0]) and
             np.array_equal(state1.m.values[:, 0], state2.m.values[:, 0])):
         raise ValueError("states must carry identical pinned initial data")
-    obj = Objective(spec, params, residual_weight)
+    obj = Objective(spec, params)
     u1, m1 = state1.u.values, state1.m.values
     u2, m2 = state2.u.values, state2.m.values
     b1, gu, gm = obj.value_and_gradient_arrays(u1, m1, masked=True)

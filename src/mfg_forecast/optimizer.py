@@ -125,13 +125,11 @@ def project(state: StatePair, spec: ProblemSpec) -> StatePair:
     m = state.m.values.copy()
     u[:, 0] = spec.u0
     m[:, 0] = spec.m0
-    return StatePair(Field(spec.grid, u), Field(spec.grid, m),
-                     state.constraint_mask)
+    return StatePair(Field(spec.grid, u), Field(spec.grid, m))
 
 
 def minimize(spec: ProblemSpec, params: ConvexParams, config: OptimizerConfig,
-             start: StatePair | None = None,
-             residual_weight: float = 1.0) -> MinimizeResult:
+             start: StatePair | None = None) -> MinimizeResult:
     """Minimize the weighted objective over states with pinned t=0 data.
 
     Iterates s_n = project(s_{n-1} - xi_n * grad), with xi_n from Armijo
@@ -140,11 +138,10 @@ def minimize(spec: ProblemSpec, params: ConvexParams, config: OptimizerConfig,
     budget runs out (budget), or the line search cannot make progress
     within the backtrack limit (stalled, surfaced with a diagnostic).
     """
-    obj = Objective(spec, params, residual_weight)
+    obj = Objective(spec, params)
     state0 = project(start if start is not None else make_start(spec), spec)
     u = state0.u.values.copy()
     m = state0.m.values.copy()
-    nx, nt = spec.grid.nx, spec.grid.nt
 
     _, gu0, gm0 = obj.value_and_gradient_arrays(u, m, masked=False)
     g0_norm = math.sqrt(float(np.sum(gu0**2) + np.sum(gm0**2)))

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from mfg_forecast.carleman import ConvexParams
 from mfg_forecast.grid import make_grid
 from mfg_forecast.model import KernelSpec, build_manufactured_case
 import mfg_forecast.experiments as experiments
@@ -17,3 +19,13 @@ def t11_case(working_grid):
     return build_manufactured_case(experiments._u_t11, experiments._m0_t11,
                                    KernelSpec(constant=1.0), working_grid,
                                    label="T1_1")
+
+
+@pytest.fixture()
+def residuals_off(monkeypatch):
+    """Zero the Carleman weight profile, so w1 = w2 = 0 and only the H2
+    regularizer is left in the objective, its gradient and its diagonal."""
+    def zero_profile(self, t_nodes):
+        return np.zeros(np.shape(t_nodes))
+
+    monkeypatch.setattr(ConvexParams, "weight_profile", zero_profile)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from mfg_forecast import calculus
-from mfg_forecast.calculus import STENCILS, StencilConfig, d2_dx2, d_dt, d_dx, \
-    h2_norm_discrete, h10_norm_gamma, integrate_x, l2_norm_qt
+from mfg_forecast.calculus import d2_dx2, d_dt, d_dx, h2_norm_discrete, h10_norm_gamma, integrate_x, l2_norm_qt
 from mfg_forecast.grid import Field, field_from_function, make_grid
 
 
@@ -15,9 +14,24 @@ def grid():
 
 
 def test_stencil_config_fixed_order():
-    assert STENCILS.interior_order == 2
-    with pytest.raises(ValueError):
-        StencilConfig(interior_order=4)
+    # every stencil is second order: halving both steps quarters the error
+    # of d/dt, d/dx and d2/dx2 on a smooth field that satisfies the
+    # Neumann condition the spatial stencils build in
+    def fn(x, t):
+        return math.cos(math.pi * x) * math.exp(t)
+
+    exact = {d_dt: lambda x, t: fn(x, t),
+             d_dx: lambda x, t: -math.pi * math.sin(math.pi * x) * math.exp(t),
+             d2_dx2: lambda x, t: -math.pi**2 * fn(x, t)}
+    for op, exact_fn in exact.items():
+        errors = []
+        for step in (0.1, 0.05):
+            g = make_grid(-1, 1, 1, step, step, 0.6)
+            err = op(field_from_function(g, fn)).values - \
+                field_from_function(g, exact_fn).values
+            errors.append(np.abs(err).max())
+        rate = math.log2(errors[0] / errors[1])
+        assert 1.8 <= rate <= 2.2, (op.__name__, rate)
 
 
 def test_d_dt_exact_for_affine(grid):

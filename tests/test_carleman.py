@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from mfg_forecast.carleman import ConvexParams, EstimateCheckReport, alpha_min, \
-    check_carleman_estimate, check_quasi_carleman, cwf, cwf_field, \
+    check_carleman_estimate, check_quasi_carleman, cwf, \
     first_passing_lambda, lambda_sweep, log_cwf, min_c, q_factor, \
     sample_neumann_field, _fit_lower_constant, _neumann_field_stack
 from mfg_forecast import calculus
@@ -127,9 +128,11 @@ def test_cwf_monotone_increasing_in_exponent():
 
 def test_cwf_peak_at_initial_time():
     g = make_grid(-1, 1, 1, 0.1, 0.1, 0.6)
-    f = cwf_field(g, 2.0, 3.0)
-    assert np.all(f.values[:, 0] == f.values.max())
-    assert np.allclose(f.values[0, :], f.values[5, :])  # t-dependent only
+    vals = np.array([cwf(t, 2.0, 3.0, g.t_max) for t in g.t_nodes()])
+    assert vals[0] == vals.max()
+    p = ConvexParams(lam=2, c=3, a=1.1, d=1, alpha=1e-5, gamma=0.6, t_max=1)
+    prof = p.weight_profile(g.t_nodes())
+    assert prof[0] == prof.max()
 
 
 def test_cwf_overflow_reported_not_fatal():
@@ -168,7 +171,6 @@ def test_derived_quantities_recomputed():
     p = ConvexParams(lam=2, c=3, a=1.1, d=1, alpha=1e-5, gamma=0.6, t_max=1)
     assert p.q == pytest.approx(0.125)
     assert p.balance == pytest.approx(math.exp(-2 * 1.1 * 9), rel=1e-12)
-    assert p.sobolev_index == 5
 
 
 def test_weight_profile_dynamic_range_bound():
@@ -342,7 +344,14 @@ def test_lambda_sweep_and_threshold():
     g = make_grid(-1, 1, 1, 0.1, 0.1, 0.6)
     reports = lambda_sweep(g, 3.0, [1, 2, 3], samples=40, seed=0)
     assert first_passing_lambda(reports) == 1
-    assert first_passing_lambda(reports, require_positive=True) == 1
+    # a passing report with fitted constant 0 needs no rescue constant, so
+    # it does not count; an unbounded fit (None) does
+    zero_c = dataclasses.replace(reports[0], fitted_c=0.0)
+    assert first_passing_lambda([zero_c] + reports[1:]) == 2
+    unbounded = dataclasses.replace(reports[0], fitted_c=None)
+    assert first_passing_lambda([unbounded]) == 1
+    failed = dataclasses.replace(reports[0], passed=False)
+    assert first_passing_lambda([failed]) is None
 
 
 def test_report_json_roundtrip():

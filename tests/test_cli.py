@@ -171,9 +171,25 @@ def test_check_carleman_quasi_cli(tmp_path):
     out = tmp_path / "quasi"
     code = main(["check-carleman", "--quasi", "--samples", "20",
                  "--lambda-min", "2", "--lambda-max", "2", "--out", str(out)])
-    assert code == EXIT_OK
+    # 20 samples fit the constant 0 at lambda 2: the sweep is written, but
+    # no lambda gives a positive constant, so the run fails numerically
+    assert code == EXIT_NUMERICAL
     payload = json.loads((out / "quasi_carleman_sweep.json").read_text())
     assert payload["reports"][0]["kind"] == "quasi_carleman"
+    assert payload["reports"][0]["fitted_c"] == 0.0
+    assert payload["threshold_lambda"] is None
+
+
+def test_check_carleman_quasi_threshold_matches_criterion_7(tmp_path):
+    # at lambda 1 the quasi check passes with fitted constant 0, which is no
+    # estimate; the first lambda with a positive constant is the recorded 2
+    out = tmp_path / "quasi"
+    code = main(["check-carleman", "--quasi", "--samples", "100",
+                 "--lambda-min", "1", "--lambda-max", "3", "--out", str(out)])
+    assert code == EXIT_OK
+    payload = json.loads((out / "quasi_carleman_sweep.json").read_text())
+    assert payload["reports"][0]["fitted_c"] == 0.0
+    assert payload["threshold_lambda"] == 2
 
 
 def test_export_case_ideal_without_optimizing(tmp_path):

@@ -7,7 +7,7 @@ from mfg_forecast import calculus
 from mfg_forecast.grid import Field, constant_field, field_from_function, \
     make_grid, time_slice
 from mfg_forecast.model import KernelSpec, ProblemSpec, build_manufactured_case, \
-    fp_residual, hjb_residual, interaction_term, make_problem_spec, \
+    apply_interaction, fp_residual, hjb_residual, make_problem_spec, \
     manufactured_source, read_case, solve_fokker_planck, write_case
 import mfg_forecast.experiments as experiments
 
@@ -15,6 +15,13 @@ import mfg_forecast.experiments as experiments
 @pytest.fixture()
 def grid():
     return make_grid(-1, 1, 1, 0.1, 0.1, 0.6)
+
+
+def _interaction_at(kernel, grid, m, j):
+    """The kernel integral at time node j, as a vector over x-nodes."""
+    full = np.broadcast_to(apply_interaction(kernel, grid, m.values),
+                           (grid.nx, grid.nt))
+    return full[:, j]
 
 
 def _const_spec(grid, kernel_value=1.0, m0=0.5):
@@ -32,22 +39,23 @@ def test_kernel_spec_requires_exactly_one_kind():
 
 
 def test_kernel_bound_check():
-    k = KernelSpec(constant=-1.0)
-    assert k.check_bound(1.0) and not k.check_bound(0.5)
+    assert KernelSpec(constant=-1.0).max_abs() == 1.0
+    table = np.array([[0.2, -0.7], [0.5, 0.1]])
+    assert KernelSpec(table=table).max_abs() == 0.7
 
 
 def test_interaction_term_constant_density(grid):
     m = constant_field(grid, 0.5)
-    out = interaction_term(KernelSpec(constant=1.0), grid, m, 0)
+    out = _interaction_at(KernelSpec(constant=1.0), grid, m, 0)
     assert np.allclose(out, 1.0, atol=1e-14)
-    out_neg = interaction_term(KernelSpec(constant=-1.0), grid, m, 0)
+    out_neg = _interaction_at(KernelSpec(constant=-1.0), grid, m, 0)
     assert np.allclose(out_neg, -1.0, atol=1e-14)
 
 
 def test_interaction_term_gaussian_bump_unit_mass(grid):
     m0 = np.array([experiments.compact_bump(x) for x in grid.x_nodes()])
     m = Field(grid, np.tile(m0[:, None], (1, grid.nt)))
-    out = interaction_term(KernelSpec(constant=1.0), grid, m, 0)
+    out = _interaction_at(KernelSpec(constant=1.0), grid, m, 0)
     assert np.allclose(out, out[0])  # x-independent for constant kernels
     assert out[0] == pytest.approx(1.0, abs=0.02)
 
@@ -58,8 +66,8 @@ def test_tabulated_kernel_matches_constant(grid):
     const = KernelSpec(constant=0.7)
     table = KernelSpec(table=np.full((grid.nx, grid.nx), 0.7))
     for j in (0, 5, grid.nt - 1):
-        a = interaction_term(const, grid, m, j)
-        b = interaction_term(table, grid, m, j)
+        a = _interaction_at(const, grid, m, j)
+        b = _interaction_at(table, grid, m, j)
         assert np.allclose(a, b, atol=1e-13)
 
 
@@ -150,16 +158,31 @@ def test_manufactured_source_closed_form(grid):
 
 
 def test_manufactured_source_cancels_hjb_residual(grid):
-    rng = np.random.default_rng(1)
+    # the default (constant kernel, r = -1) and the other branches of the
+    # residual: a tabulated kernel and a coefficient r varying in x and t
     from mfg_forecast.carleman import sample_neumann_field
-    u = Field(grid, sample_neumann_field(grid, rng))
-    m = Field(grid, 0.5 + 0.1 * np.abs(sample_neumann_field(grid, rng)))
-    kernel = KernelSpec(constant=1.0)
-    f = manufactured_source(u, m, kernel)
-    spec = ProblemSpec(grid, constant_field(grid, -1.0), kernel, f,
-                       time_slice(u, 0), time_slice(m, 0))
-    res = hjb_residual(u, m, spec)
-    assert np.abs(res.values).max() < 1e-12
+    xs = grid.x_nodes()
+    table = np.exp(-(xs[:, None] - xs[None, :]) ** 2)
+    varying_r = field_from_function(
+        grid, lambda x, t: -1.0 - 0.3 * math.cos(math.pi * x) * (1.0 + t))
+    cases = ((KernelSpec(constant=1.0), None),
+             (KernelSpec(table=table), varying_r))
+    for kernel, r_field in cases:
+        rng = np.random.default_rng(1)
+        u = Field(grid, sample_neumann_field(grid, rng))
+        m = Field(grid, 0.5 + 0.1 * np.abs(sample_neumann_field(grid, rng)))
+        f = manufactured_source(u, m, kernel, r_field=r_field)
+        r_spec = constant_field(grid, -1.0) if r_field is None else r_field
+        spec = ProblemSpec(grid, r_spec, kernel, f, time_slice(u, 0),
+                           time_slice(m, 0))
+        res = hjb_residual(u, m, spec)
+        assert np.abs(res.values).max() < 1e-12
+
+        case = build_manufactured_case(experiments._u_t12, lambda x: 0.5,
+                                       kernel, grid, r_field=r_field)
+        res = hjb_residual(case.u_true, case.m_true, case.spec)
+        assert np.abs(res.values).max() < 1e-12
+        assert case.hjb_residual_norm < 1e-12
 
 
 def test_manufactured_source_rejects_vanishing_density(grid):

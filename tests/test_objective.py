@@ -6,8 +6,8 @@ from mfg_forecast.carleman import ConvexParams, sample_neumann_field
 from mfg_forecast.grid import Field, constant_field, make_grid
 from mfg_forecast.model import KernelSpec, make_problem_spec
 from mfg_forecast.objective import Objective, StatePair, convexity_probe, \
-    eval_objective, first_order_optimality, gradient_fd_check, \
-    objective_gradient
+    gradient_fd_check
+from mfg_forecast.optimizer import OptimizerConfig, minimize, project
 
 
 @pytest.fixture()
@@ -32,15 +32,25 @@ def _random_state(grid, rng, amplitude=1.0):
     return StatePair(u, m)
 
 
+def _value(state, params, spec):
+    return Objective(spec, params).value_arrays(state.u.values, state.m.values)
+
+
+def _gradient(state, params, spec, masked=True):
+    _, gu, gm = Objective(spec, params).value_and_gradient_arrays(
+        state.u.values, state.m.values, masked=masked)
+    return gu, gm
+
+
 def test_zero_state_zero_objective(grid, params, zero_spec):
     state = StatePair(constant_field(grid, 0.0), constant_field(grid, 0.0))
-    bd = eval_objective(state, params, zero_spec)
+    bd = _value(state, params, zero_spec)
     assert bd.j1 == bd.j2 == bd.j3 == bd.total == 0.0
 
 
 def test_breakdown_parts_nonnegative_and_sum(grid, params, zero_spec):
     rng = np.random.default_rng(0)
-    bd = eval_objective(_random_state(grid, rng), params, zero_spec)
+    bd = _value(_random_state(grid, rng), params, zero_spec)
     assert bd.j1 >= 0 and bd.j2 >= 0 and bd.j3 >= 0
     assert bd.total == bd.j1 + bd.j2 + bd.j3
 
@@ -50,15 +60,15 @@ def test_doubling_d_doubles_only_j2(grid, zero_spec):
     state = _random_state(grid, rng)
     p1 = ConvexParams(lam=2, c=3, a=1.1, d=1, alpha=1e-5, gamma=0.6, t_max=1)
     p2 = ConvexParams(lam=2, c=3, a=1.1, d=2, alpha=1e-5, gamma=0.6, t_max=1)
-    b1 = eval_objective(state, p1, zero_spec)
-    b2 = eval_objective(state, p2, zero_spec)
+    b1 = _value(state, p1, zero_spec)
+    b2 = _value(state, p2, zero_spec)
     assert b2.j2 == pytest.approx(2 * b1.j2, rel=1e-12)
     assert b2.j1 == b1.j1 and b2.j3 == b1.j3
 
 
 def test_objective_at_manufactured_truth(t11_case, params):
     state = StatePair(t11_case.u_true, t11_case.m_true)
-    bd = eval_objective(state, params, t11_case.spec)
+    bd = _value(state, params, t11_case.spec)
     assert bd.j1 < 1e-20  # residual is machine-zero by construction
     assert bd.j2 > 0
     expected_j3 = params.alpha * (
@@ -93,17 +103,19 @@ def test_gradient_fd_with_tabulated_kernel(grid, params):
 def test_gradient_masked_entries_zero(grid, params, zero_spec):
     rng = np.random.default_rng(3)
     state = _random_state(grid, rng)
-    g = objective_gradient(state, params, zero_spec)
-    assert np.all(g.u.values[:, 0] == 0.0)
-    assert np.all(g.m.values[:, 0] == 0.0)
-    full = objective_gradient(state, params, zero_spec, masked=False)
-    assert np.abs(full.u.values[:, 0]).max() > 0.0
+    gu, gm = _gradient(state, params, zero_spec)
+    assert np.all(gu[:, 0] == 0.0)
+    assert np.all(gm[:, 0] == 0.0)
+    full_u, full_m = _gradient(state, params, zero_spec, masked=False)
+    assert np.abs(full_u[:, 0]).max() > 0.0
+    # the mask touches the pinned plane only
+    assert np.array_equal(gu[:, 1:], full_u[:, 1:])
+    assert np.array_equal(gm[:, 1:], full_m[:, 1:])
 
 
 def test_objective_constant_along_masked_directions(grid, params, zero_spec):
     # changing only the pinned plane and re-projecting returns the same
     # state, so the objective cannot move along masked directions
-    from mfg_forecast.optimizer import project
     rng = np.random.default_rng(4)
     state = _random_state(grid, rng)
     state = project(state, zero_spec)
@@ -111,23 +123,24 @@ def test_objective_constant_along_masked_directions(grid, params, zero_spec):
     u2[:, 0] += rng.standard_normal(grid.nx)
     corrupted = StatePair(Field(grid, u2), state.m)
     restored = project(corrupted, zero_spec)
-    b0 = eval_objective(state, params, zero_spec)
-    b1 = eval_objective(restored, params, zero_spec)
+    b0 = _value(state, params, zero_spec)
+    b1 = _value(restored, params, zero_spec)
     assert b0.total == b1.total
 
 
-def test_regularizer_gradient_against_norm_oracle(grid, params, zero_spec):
-    # isolate j3 (residual_weight=0) and compare the gradient with central
+def test_regularizer_gradient_against_norm_oracle(grid, params, zero_spec,
+                                                  residuals_off):
+    # isolate j3 (zero weight profile) and compare the gradient with central
     # differences of the calculus-module quadratic form
     rng = np.random.default_rng(5)
     state = _random_state(grid, rng)
-    g = objective_gradient(state, params, zero_spec, residual_weight=0.0)
+    gu, _ = _gradient(state, params, zero_spec)
     h = 1e-6
     for _ in range(8):
         du = rng.standard_normal((grid.nx, grid.nt))
         du[:, 0] = 0.0
         du /= np.linalg.norm(du)
-        analytic = float(np.sum(g.u.values * du))
+        analytic = float(np.sum(gu * du))
 
         def j3_u(vals):
             return params.alpha * calculus.h2_norm_discrete(Field(grid, vals)) ** 2
@@ -139,13 +152,16 @@ def test_regularizer_gradient_against_norm_oracle(grid, params, zero_spec):
 def test_eval_and_gradient_deterministic(grid, params, t11_case):
     rng = np.random.default_rng(6)
     state = _random_state(grid, rng)
-    b1 = eval_objective(state, params, t11_case.spec)
-    b2 = eval_objective(state, params, t11_case.spec)
+    b1 = _value(state, params, t11_case.spec)
+    b2 = _value(state, params, t11_case.spec)
     assert b1 == b2
-    g1 = objective_gradient(state, params, t11_case.spec)
-    g2 = objective_gradient(state, params, t11_case.spec)
-    assert np.array_equal(g1.u.values, g2.u.values)
-    assert np.array_equal(g1.m.values, g2.m.values)
+    obj = Objective(t11_case.spec, params)
+    b3, gu1, gm1 = obj.value_and_gradient_arrays(state.u.values, state.m.values)
+    b4, gu2, gm2 = obj.value_and_gradient_arrays(state.u.values, state.m.values)
+    assert b3 == b4 == b1
+    assert np.array_equal(gu1, gu2)
+    assert np.array_equal(gm1, gm2)
+    assert np.array_equal(gu1, _gradient(state, params, t11_case.spec)[0])
 
 
 def test_convexity_probe_identical_states(grid, params, zero_spec):
@@ -156,7 +172,8 @@ def test_convexity_probe_identical_states(grid, params, zero_spec):
     assert probe.floor == 0.0
 
 
-def test_convexity_probe_quadratic_identity(grid, params, zero_spec):
+def test_convexity_probe_quadratic_identity(grid, params, zero_spec,
+                                            residuals_off):
     # with the residual terms switched off the objective is the quadratic
     # alpha*|.|^2, whose Bregman gap is exactly alpha*|delta|^2 = 2*floor
     rng = np.random.default_rng(8)
@@ -166,7 +183,7 @@ def test_convexity_probe_quadratic_identity(grid, params, zero_spec):
     dm = sample_neumann_field(grid, rng) * ramp
     other = StatePair(Field(grid, base.u.values + du),
                       Field(grid, base.m.values + dm))
-    probe = convexity_probe(base, other, params, zero_spec, residual_weight=0.0)
+    probe = convexity_probe(base, other, params, zero_spec)
     assert probe.gap == pytest.approx(2 * probe.floor, rel=1e-10)
 
 
@@ -178,27 +195,40 @@ def test_convexity_probe_rejects_differing_pinned_data(grid, params, zero_spec):
         convexity_probe(s1, s2, params, zero_spec)
 
 
+def _first_row_ratio(spec, params, start, method):
+    config = OptimizerConfig(method=method, max_iters=1, tol=1e-30)
+    result = minimize(spec, params, config, start=start)
+    return result.trace.rows[0].foo_ratio
+
+
 def test_first_order_optimality_ratios(grid, params, zero_spec):
+    # trace row 0 reads |masked gradient| / |unmasked gradient| at the start
     rng = np.random.default_rng(10)
-    state = _random_state(grid, rng)
-    g_full = objective_gradient(state, params, zero_spec, masked=False)
-    g_masked = objective_gradient(state, params, zero_spec, masked=True)
-    ratio = first_order_optimality(g_masked, g_full)
-    assert 0 < ratio <= 1.0
-    half = StatePair(Field(grid, 0.5 * g_masked.u.values),
-                     Field(grid, 0.5 * g_masked.m.values))
-    assert first_order_optimality(half, g_full) == pytest.approx(0.5 * ratio, rel=1e-12)
-    zero = StatePair(constant_field(grid, 0.0), constant_field(grid, 0.0))
-    assert first_order_optimality(zero, g_full) == 0.0
-    with pytest.raises(ValueError, match="zero"):
-        first_order_optimality(g_masked, zero)
+    state = project(_random_state(grid, rng), zero_spec)
+    gu, gm = _gradient(state, params, zero_spec, masked=True)
+    full_u, full_m = _gradient(state, params, zero_spec, masked=False)
+    expected = (np.sqrt(np.sum(gu**2) + np.sum(gm**2)) /
+                np.sqrt(np.sum(full_u**2) + np.sum(full_m**2)))
+    assert 0 < expected < 1.0
+    for method in ("gd", "lbfgs"):
+        ratio = _first_row_ratio(zero_spec, params, state, method)
+        assert ratio == pytest.approx(expected, rel=1e-12)
 
 
-def test_same_gradients_give_unit_ratio(grid, params, zero_spec):
+def test_same_gradients_give_unit_ratio(grid, params, zero_spec, monkeypatch):
+    # numerator and denominator are the same norm: when the start gradient
+    # already vanishes on the pinned plane, row 0 reads exactly one
+    exact = Objective.value_and_gradient_arrays
+
+    def always_masked(self, u, m, masked=True):
+        return exact(self, u, m, True)
+
+    monkeypatch.setattr(Objective, "value_and_gradient_arrays", always_masked)
     rng = np.random.default_rng(11)
-    state = _random_state(grid, rng)
-    g = objective_gradient(state, params, zero_spec, masked=True)
-    assert first_order_optimality(g, g) == pytest.approx(1.0, rel=1e-12)
+    state = project(_random_state(grid, rng), zero_spec)
+    for method in ("gd", "lbfgs"):
+        ratio = _first_row_ratio(zero_spec, params, state, method)
+        assert ratio == pytest.approx(1.0, rel=1e-12)
 
 
 def test_t_max_mismatch_rejected(grid, zero_spec):
@@ -234,11 +264,13 @@ def test_h2_gram_form_matches_norm_oracle(fine_grid, params):
         assert obj._h2_quadratic(f) == pytest.approx(expected, rel=1e-12)
 
 
-def test_hessian_diag_regularizer_matches_four_term_formula(fine_grid, params):
-    # residual_weight=0 leaves only the regularizer block in both diagonals
+def test_hessian_diag_regularizer_matches_four_term_formula(fine_grid, params,
+                                                           residuals_off):
+    # a zero weight profile leaves only the regularizer block in both diagonals
     spec = make_problem_spec(fine_grid, np.zeros(fine_grid.nx),
                              np.full(fine_grid.nx, 0.5), KernelSpec(constant=1.0))
-    obj = Objective(spec, params, residual_weight=0.0)
+    obj = Objective(spec, params)
+    assert not obj.w1.any() and not obj.w2.any()
     rng = np.random.default_rng(14)
     state = _random_state(fine_grid, rng)
     diag_u, diag_m = obj.hessian_diag(state.u.values, state.m.values)
