@@ -136,14 +136,18 @@ def time_slice(field: Field, j: int) -> np.ndarray:
 
 
 def write_field_csv(field: Field, path) -> None:
-    """Write `x,t,value` rows, grouped by time slice, 17 significant digits."""
-    xs = field.grid.x_nodes()
-    ts = field.grid.t_nodes()
+    """Write `x,t,value` rows, grouped by time slice, 17 significant digits.
+
+    Each coordinate is formatted once per file and each time slice goes
+    out in one write.
+    """
+    xs = [f"{x:.17g}," for x in field.grid.x_nodes().tolist()]
+    ts = field.grid.t_nodes().tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,t,value\n")
-        for j, t in enumerate(ts):
-            for i, x in enumerate(xs):
-                fh.write(f"{x:.17g},{t:.17g},{field.values[i, j]:.17g}\n")
+        for t, column in zip(ts, field.values.T.tolist()):
+            tail = f"{t:.17g},"
+            fh.write("".join([f"{x}{tail}{v:.17g}\n" for x, v in zip(xs, column)]))
 
 
 def read_field_csv(path, gamma: float = 0.6) -> Field:

@@ -27,6 +27,15 @@ preconditioner diagonal.
 
 The t=0 plane (column 0 of both fields) holds the given initial data: the
 masked gradient is zero there and the optimizer never moves it.
+
+A line search evaluates J at trial points and then asks for the gradient
+at the one it accepts, which it has just evaluated.  So ``value_arrays``
+keeps the intermediates of its last evaluation (u_x, w1*R1, w2*R2, H u,
+H m) with copies of its inputs, and ``value_and_gradient_arrays`` takes
+them when its inputs have equal contents instead of recomputing both
+residuals and both H f products.  The stored entry is dropped by every
+gradient call, hit or miss, since the gradient doubles w*R in place.  The
+arithmetic is the same either way, so results are bit-identical.
 """
 
 from __future__ import annotations
@@ -76,6 +85,11 @@ class Objective:
 
     Precomputes stencil matrices and combined quadrature-times-weight
     arrays; evaluations are then a handful of small dense products.
+
+    The last ``value_arrays`` evaluation is kept, with copies of its
+    inputs, until the next ``value_and_gradient_arrays`` call; that call
+    reuses it when its (u, m) equal the stored copies, so the gradient at
+    an accepted line-search trial costs only the adjoint products.
     """
 
     def __init__(self, spec: ProblemSpec, params: ConvexParams):
@@ -103,6 +117,8 @@ class Objective:
         self.ct = np.diag(wt) + self.dtm.T @ (wt[:, None] * self.dtm)
         self.bx = (self.dxm.T @ (self.wx_col * self.dxm) +
                    self.dxxm.T @ (self.wx_col * self.dxxm))
+        # (u, m, _evaluate result) of the last value_arrays call, or None.
+        self._last = None
 
     # -- pieces ---------------------------------------------------------
 
@@ -135,7 +151,9 @@ class Objective:
     # -- public evaluations ---------------------------------------------
 
     def value_arrays(self, u: np.ndarray, m: np.ndarray) -> ObjectiveBreakdown:
-        return self._evaluate(u, m)[0]
+        evaluated = self._evaluate(u, m)
+        self._last = (u.copy(), m.copy(), evaluated)
+        return evaluated[0]
 
     def hessian_diag(self, u: np.ndarray, m: np.ndarray):
         """Gauss-Newton diagonal of the Hessian at (u, m).
@@ -167,7 +185,13 @@ class Objective:
     def value_and_gradient_arrays(self, u: np.ndarray, m: np.ndarray,
                                   masked: bool = True):
         """Objective breakdown plus exact partials for every node value."""
-        breakdown, ux, g1, g2, hu, hm = self._evaluate(u, m)
+        last, self._last = self._last, None
+        if (last is not None and np.array_equal(u, last[0]) and
+                np.array_equal(m, last[1])):
+            evaluated = last[2]
+        else:
+            evaluated = self._evaluate(u, m)
+        breakdown, ux, g1, g2, hu, hm = evaluated
         g1 *= 2.0  # dJ/dr1 = 2*w1*r1, doubled in place to spare an array
         g2 *= 2.0
         # Value-equation residual: adjoints of d_dt, d2_dx2, the gradient

@@ -237,6 +237,7 @@ def _run_lbfgs(obj: Objective, spec: ProblemSpec, config: OptimizerConfig,
     z = np.concatenate([u.ravel(), m.ravel()])
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
+    rho_hist: list[float] = []  # 1 / (y^T s) of each stored pair
     accepted_step = 0.0
     status, message = BUDGET, "iteration budget exhausted"
     bd, g = value_and_grad(z)
@@ -250,11 +251,12 @@ def _run_lbfgs(obj: Objective, spec: ProblemSpec, config: OptimizerConfig,
             status, message = CONVERGED, ""
             break
 
-        p = _two_loop_direction(g, s_hist, y_hist, h0)
+        p = _two_loop_direction(g, s_hist, y_hist, rho_hist, h0)
         slope = float(p @ g)
         if slope >= 0.0:  # not a descent direction; fall back to scaled steepest
             s_hist.clear()
             y_hist.clear()
+            rho_hist.clear()
             p = -h0 * g
             slope = float(p @ g)
 
@@ -284,9 +286,11 @@ def _run_lbfgs(obj: Objective, spec: ProblemSpec, config: OptimizerConfig,
         if sy > 1e-12 * math.sqrt(float(s @ s)) * math.sqrt(float(y @ y)):
             s_hist.append(s)
             y_hist.append(y)
+            rho_hist.append(1.0 / float(y @ s))
             if len(s_hist) > config.lbfgs_memory:
                 s_hist.pop(0)
                 y_hist.pop(0)
+                rho_hist.pop(0)
         z, bd, g = z_new, bd_new, g_new
         accepted_step = xi
     zu, zm = split(z)
@@ -294,12 +298,15 @@ def _run_lbfgs(obj: Objective, spec: ProblemSpec, config: OptimizerConfig,
                           trace, status, message)
 
 
-def _two_loop_direction(g, s_hist, y_hist, h0):
+def _two_loop_direction(g, s_hist, y_hist, rhos, h0):
+    """-H g by the two-loop recursion (Nocedal & Wright, Alg. 7.4).
+
+    ``rhos`` holds 1 / (y^T s) for each stored pair, kept with the pair.
+    """
     q = -g.copy()
     if not s_hist:
         return h0 * q
     alphas = []
-    rhos = [1.0 / float(y @ s) for s, y in zip(s_hist, y_hist)]
     for i in range(len(s_hist) - 1, -1, -1):
         a = rhos[i] * float(s_hist[i] @ q)
         alphas.append(a)

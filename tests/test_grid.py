@@ -141,6 +141,35 @@ def test_csv_roundtrip_bit_exact(tmp_path):
     assert header == "x,t,value"
 
 
+def _write_field_csv_per_row(field, path):
+    """The per-row formatter write_field_csv replaced, kept as a reference."""
+    xs = field.grid.x_nodes()
+    ts = field.grid.t_nodes()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("x,t,value\n")
+        for j, t in enumerate(ts):
+            for i, x in enumerate(xs):
+                fh.write(f"{x:.17g},{t:.17g},{field.values[i, j]:.17g}\n")
+
+
+def test_csv_bytes_match_per_row_formatter(tmp_path):
+    # dx = dt = 0.0125 has no exact binary form, so the coordinates carry
+    # 17-digit tails; the values mix signs, zeros and extreme magnitudes.
+    g = make_grid(-1, 1, 1, 0.0125, 0.0125, 0.6)
+    assert (g.nx, g.nt) == (161, 81)
+    rng = np.random.default_rng(11)
+    vals = rng.standard_normal((g.nx, g.nt)) * 10.0 ** rng.integers(-300, 300, (g.nx, g.nt))
+    vals[:3, :3] = [[0.0, -0.0, 1.0], [-1.0, 5e-324, 1e308], [0.1, 1 / 3, -2.5]]
+    f = Field(g, vals)
+    path, reference = tmp_path / "field.csv", tmp_path / "reference.csv"
+    write_field_csv(f, path)
+    _write_field_csv_per_row(f, reference)
+    assert path.read_bytes() == reference.read_bytes()
+    back = read_field_csv(path, gamma=0.6)
+    assert back.grid == g
+    assert np.array_equal(back.values, f.values)
+
+
 def test_csv_import_rejects_malformed_files(tmp_path):
     bad_cols = tmp_path / "cols.csv"
     bad_cols.write_text("x,t\n0,0\n")

@@ -310,3 +310,81 @@ def test_fd_oracle_reports_a_planted_gradient_error(params, t11_case, monkeypatc
     report = gradient_fd_check(t11_case.spec, params, n_states=3, n_directions=12,
                                seed=7)
     assert report["max_rel_error"] > 1e-6
+
+
+# -- reuse of the last value evaluation by the gradient ---------------------
+
+
+def _counting_objective(spec, params):
+    """An Objective whose residual evaluations are counted in ``.evaluations``."""
+    obj = Objective(spec, params)
+    obj.evaluations = 0
+    evaluate = obj._evaluate
+
+    def counted(u, m):
+        obj.evaluations += 1
+        return evaluate(u, m)
+
+    obj._evaluate = counted
+    return obj
+
+
+def _assert_matches_fresh(result, spec, params, u, m, masked=True):
+    breakdown, gu, gm = result
+    fresh_bd, fresh_gu, fresh_gm = Objective(spec, params).value_and_gradient_arrays(
+        u, m, masked=masked)
+    assert breakdown == fresh_bd
+    assert np.array_equal(gu, fresh_gu) and np.array_equal(gm, fresh_gm)
+
+
+def _two_states(grid, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _random_state(grid, rng), _random_state(grid, rng)
+    return (a.u.values.copy(), a.m.values.copy()), (b.u.values.copy(), b.m.values.copy())
+
+
+@pytest.mark.parametrize("masked", [True, False])
+def test_gradient_reuses_value_at_same_state(grid, params, t11_case, masked):
+    spec = t11_case.spec
+    (u, m), _ = _two_states(grid, 20)
+    obj = _counting_objective(spec, params)
+    obj.value_arrays(u, m)
+    result = obj.value_and_gradient_arrays(u.copy(), m.copy(), masked=masked)
+    assert obj.evaluations == 1  # hit: contents match, the residuals are reused
+    _assert_matches_fresh(result, spec, params, u, m, masked)
+
+
+def test_gradient_after_in_place_edit_recomputes(grid, params, t11_case):
+    spec = t11_case.spec
+    (u, m), _ = _two_states(grid, 21)
+    obj = _counting_objective(spec, params)
+    obj.value_arrays(u, m)
+    m[3, 4] += 1e-3  # the same array objects, new contents
+    result = obj.value_and_gradient_arrays(u, m)
+    assert obj.evaluations == 2
+    _assert_matches_fresh(result, spec, params, u, m)
+
+
+def test_gradient_after_other_value_recomputes(grid, params, t11_case):
+    spec = t11_case.spec
+    (ua, ma), (ub, mb) = _two_states(grid, 22)
+    obj = _counting_objective(spec, params)
+    obj.value_arrays(ua, ma)
+    obj.value_arrays(ub, mb)  # only the last evaluation is kept
+    result = obj.value_and_gradient_arrays(ua, ma)
+    assert obj.evaluations == 3
+    _assert_matches_fresh(result, spec, params, ua, ma)
+
+
+def test_stored_evaluation_serves_one_gradient(grid, params, t11_case):
+    # the gradient doubles w*R in place, so a second call must not see the
+    # doubled arrays again
+    spec = t11_case.spec
+    (u, m), _ = _two_states(grid, 23)
+    obj = _counting_objective(spec, params)
+    obj.value_arrays(u, m)
+    first = obj.value_and_gradient_arrays(u, m)
+    second = obj.value_and_gradient_arrays(u, m)
+    assert obj.evaluations == 2
+    _assert_matches_fresh(first, spec, params, u, m)
+    _assert_matches_fresh(second, spec, params, u, m)

@@ -8,6 +8,7 @@ from mfg_forecast.model import KernelSpec, make_problem_spec
 from mfg_forecast.objective import Objective, StatePair
 from mfg_forecast.optimizer import BUDGET, CONVERGED, STALLED, OptimizerConfig, \
     make_start, minimize, project
+import mfg_forecast.optimizer as optimizer
 import mfg_forecast.experiments as experiments
 
 
@@ -203,3 +204,119 @@ def test_trace_csv_layout(tmp_path, params):
     assert len(lines) == 1 + len(result.trace.rows)
     summary = result.trace.summary_dict()
     assert summary["iterations"] == len(result.trace.rows)
+
+
+def _rho_checked(two_loop, ascent_at=None):
+    """Wrap the two-loop recursion to assert that each stored 1/(y^T s)
+    stays with its pair; call number ``ascent_at`` returns an ascent
+    direction, which makes the optimizer clear its history."""
+    calls = []
+
+    def checked(g, s_hist, y_hist, rhos, h0):
+        assert rhos == [1.0 / float(y @ s) for s, y in zip(s_hist, y_hist)]
+        calls.append(len(s_hist))
+        p = two_loop(g, s_hist, y_hist, rhos, h0)
+        return -p if len(calls) == ascent_at else p
+
+    checked.calls = calls
+    return checked
+
+
+def test_lbfgs_run_bit_identical_without_evaluation_reuse(params, monkeypatch):
+    # The gradient at each accepted trial reuses the trial's residuals;
+    # defeating the reuse must change nothing in the run.
+    cfg = experiments.resolve_config("T1_2", {})
+    _, spec, _ = experiments._build_problem("T1_2", cfg)
+    config = OptimizerConfig(method="lbfgs")
+    calls = {"value": 0, "evaluate": 0}
+    value_arrays, evaluate = Objective.value_arrays, Objective._evaluate
+
+    def counted_value(self, u, m):
+        calls["value"] += 1
+        return value_arrays(self, u, m)
+
+    def counted_evaluate(self, u, m):
+        calls["evaluate"] += 1
+        return evaluate(self, u, m)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Objective, "value_arrays", counted_value)
+        mp.setattr(Objective, "_evaluate", counted_evaluate)
+        mp.setattr(optimizer, "_two_loop_direction",
+                   _rho_checked(optimizer._two_loop_direction))
+        reused = minimize(spec, params, config)
+    # one evaluation per trial, plus the start state's two gradient calls
+    assert calls["evaluate"] == calls["value"] + 2
+
+    def forgetful_value(self, u, m):
+        breakdown = value_arrays(self, u, m)
+        self._last = None
+        return breakdown
+
+    monkeypatch.setattr(Objective, "value_arrays", forgetful_value)
+    recomputed = minimize(spec, params, config)
+    assert len(reused.trace.rows) == 338
+    assert reused.status == recomputed.status == CONVERGED
+    assert reused.trace.rows == recomputed.trace.rows
+    assert np.array_equal(reused.state.u.values, recomputed.state.u.values)
+    assert np.array_equal(reused.state.m.values, recomputed.state.m.values)
+
+
+def test_lbfgs_clears_rho_with_its_history(params, monkeypatch):
+    cfg = experiments.resolve_config("T1_2", {})
+    _, spec, _ = experiments._build_problem("T1_2", cfg)
+    checked = _rho_checked(optimizer._two_loop_direction, ascent_at=20)
+    monkeypatch.setattr(optimizer, "_two_loop_direction", checked)
+    minimize(spec, params, OptimizerConfig(method="lbfgs", max_iters=40,
+                                           lbfgs_memory=5))
+    assert len(checked.calls) > 21
+    assert checked.calls[19] == 5  # full, evicting history before the clear
+    assert checked.calls[20] == 1  # cleared, then one new pair stored
+
+
+def _two_loop_recomputing_rho(g, s_hist, y_hist, h0):
+    """The two-loop recursion with every rho rebuilt from its (s, y) pair."""
+    q = -g.copy()
+    if not s_hist:
+        return h0 * q
+    alphas = []
+    rhos = [1.0 / float(y @ s) for s, y in zip(s_hist, y_hist)]
+    for i in range(len(s_hist) - 1, -1, -1):
+        a = rhos[i] * float(s_hist[i] @ q)
+        alphas.append(a)
+        q -= a * y_hist[i]
+    alphas.reverse()
+    q = h0 * q
+    for i in range(len(s_hist)):
+        b = rhos[i] * float(y_hist[i] @ q)
+        q += (alphas[i] - b) * s_hist[i]
+    return q
+
+
+def test_two_loop_with_stored_rho_matches_recomputed_rho():
+    rng = np.random.default_rng(17)
+    n, memory = 40, 4
+    h0 = rng.uniform(0.1, 10.0, n)
+    s_hist, y_hist, rhos = [], [], []
+    seen = set()
+    for step in range(14):
+        if step == 9:  # a non-descent direction clears the whole history
+            s_hist.clear()
+            y_hist.clear()
+            rhos.clear()
+        s = rng.standard_normal(n)
+        y = s * rng.uniform(0.5, 2.0, n) + 0.1 * rng.standard_normal(n)
+        g = rng.standard_normal(n)
+        expected = _two_loop_recomputing_rho(g, s_hist, y_hist, h0)
+        got = optimizer._two_loop_direction(g, s_hist, y_hist, rhos, h0)
+        assert np.array_equal(got, expected)
+        seen.add(len(s_hist))
+        s_hist.append(s)
+        y_hist.append(y)
+        rhos.append(1.0 / float(y @ s))
+        if len(s_hist) > memory:
+            s_hist.pop(0)
+            y_hist.pop(0)
+            rhos.pop(0)
+    # empty, partly filled and full (evicting) histories were all compared
+    assert seen == set(range(memory + 1))
