@@ -13,6 +13,6 @@ from mfg_forecast.model import KernelSpec, ManufacturedCase, ProblemSpec, \
     solve_fokker_planck
 from mfg_forecast.objective import ObjectiveBreakdown, StatePair, convexity_probe
 from mfg_forecast.optimizer import IterationTrace, MinimizeResult, OptimizerConfig, \
-    make_start, minimize, project
+    make_start, minimize
 
 __version__ = "0.1.0"

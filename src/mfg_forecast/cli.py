@@ -3,7 +3,8 @@
 Subcommands:
 
     run            one canned experiment, full artifact directory out
-    sweep          repeat a run across a list of values of one parameter
+    sweep          repeat a run across a list of values of one parameter; a
+                   value whose run fails numerically becomes an `error` row
     check-gradient finite-difference verification of the analytic gradient
     check-carleman randomized weighted-inequality checks over a lambda sweep
     export-case    initial data (and manufactured fields) without optimizing
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -34,6 +36,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
+
+# Errors a solve raises on bad numerics; mapped to EXIT_NUMERICAL.
+NUMERICAL_ERRORS = (ValueError, OverflowError, FloatingPointError,
+                    np.linalg.LinAlgError)
 
 
 class UsageError(Exception):
@@ -66,8 +72,6 @@ _OVERRIDE_FLAGS = (
     ("--kernel", "kernel", float, "constant interaction kernel"),
     ("--tol", "tol", float, "first-order optimality threshold"),
     ("--max-iters", "max_iters", int, "iteration budget"),
-    ("--method", "method", str, "optimizer: gd or lbfgs"),
-    ("--step0", "step0", float, "initial line-search step"),
 )
 
 
@@ -210,7 +214,14 @@ def _cmd_sweep(options: dict) -> int:
     for v in values:
         overrides = dict(base)
         overrides[param] = int(v) if param in ("seed", "max_iters") else v
-        report = experiments.run_test(options["test"], **overrides)
+        try:
+            report = experiments.run_test(options["test"], **overrides)
+        except NUMERICAL_ERRORS as exc:
+            rows.append((v, "error", math.nan, math.nan))
+            worst = EXIT_NUMERICAL
+            print(f"{options['param']}={v:g}: numerical failure: {exc}",
+                  file=sys.stderr)
+            continue
         tag = f"{options['param']}_{v:g}"
         report.export(os.path.join(options["out"], tag))
         if options["test"] == KERNEL_COMPARE:
@@ -329,8 +340,7 @@ def execute(config: RunConfig) -> int:
         return _DISPATCH[config.command](config.options)
     except UsageError:
         raise
-    except (ValueError, OverflowError, FloatingPointError,
-            np.linalg.LinAlgError) as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

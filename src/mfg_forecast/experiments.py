@@ -33,7 +33,7 @@ DEFAULTS = {
     "x_min": -1.0, "x_max": 1.0, "t_max": 1.0, "dx": 0.1, "dt": 0.1,
     "gamma": 0.6, "lam": 2.0, "c": 3.0, "a": 1.1, "d": 1.0, "alpha": 1e-5,
     "kernel": 1.0, "noise": 0.03,
-    "tol": 1e-5, "max_iters": 20000, "method": "lbfgs", "step0": 1.0,
+    "tol": 1e-5, "max_iters": 20000,
 }
 
 
@@ -332,9 +332,7 @@ def run_test(test_id: str, **overrides):
     params = ConvexParams(lam=cfg["lam"], c=cfg["c"], a=cfg["a"], d=cfg["d"],
                           alpha=cfg["alpha"], gamma=cfg["gamma"],
                           t_max=cfg["t_max"])
-    opt = OptimizerConfig(step0=cfg["step0"], tol=cfg["tol"],
-                          max_iters=int(cfg["max_iters"]),
-                          method=cfg["method"])
+    opt = OptimizerConfig(tol=cfg["tol"], max_iters=int(cfg["max_iters"]))
     NoiseSpec(cfg["noise"], cfg["seed"])
     grid, spec, truth = _build_problem(test_id, cfg)
     result = minimize(spec, params, opt)

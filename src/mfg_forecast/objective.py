@@ -25,8 +25,9 @@ field serves all three uses: alpha*<f, H f> is the regularizer's value,
 2*alpha*H f its gradient, and 2*alpha*diag(H) its block of the
 preconditioner diagonal.
 
-The t=0 plane (column 0 of both fields) holds the given initial data: the
-masked gradient is zero there and the optimizer never moves it.
+The t=0 plane (column 0 of both fields) holds the given initial data.  The
+gradient here is the full one, column 0 included; the optimizer zeroes that
+column before it steps, so the pinned data never move.
 
 A line search evaluates J at trial points and then asks for the gradient
 at the one it accepts, which it has just evaluated.  So ``value_arrays``
@@ -182,8 +183,7 @@ class Objective:
                                   np.diag(self.bx)[:, None] * self.wt_row)
         return du + reg, dm + reg
 
-    def value_and_gradient_arrays(self, u: np.ndarray, m: np.ndarray,
-                                  masked: bool = True):
+    def value_and_gradient_arrays(self, u: np.ndarray, m: np.ndarray):
         """Objective breakdown plus exact partials for every node value."""
         last, self._last = self._last, None
         if (last is not None and np.array_equal(u, last[0]) and
@@ -206,9 +206,6 @@ class Objective:
         two_alpha = 2.0 * self.alpha
         gu += two_alpha * hu
         gm += two_alpha * hm
-        if masked:
-            gu[:, 0] = 0.0
-            gm[:, 0] = 0.0
         if not (np.isfinite(gu).all() and np.isfinite(gm).all()):
             raise ValueError("objective gradient is non-finite")
         return breakdown, gu, gm
@@ -237,7 +234,7 @@ def convexity_probe(state1: StatePair, state2: StatePair, params: ConvexParams,
     obj = Objective(spec, params)
     u1, m1 = state1.u.values, state1.m.values
     u2, m2 = state2.u.values, state2.m.values
-    b1, gu, gm = obj.value_and_gradient_arrays(u1, m1, masked=True)
+    b1, gu, gm = obj.value_and_gradient_arrays(u1, m1)
     b2 = obj.value_arrays(u2, m2)
     inner = float(np.sum(gu * (u2 - u1)) + np.sum(gm * (m2 - m1)))
     gap = b2.total - b1.total - inner
@@ -269,7 +266,7 @@ def gradient_fd_check(spec: ProblemSpec, params: ConvexParams,
     for _ in range(n_states):
         u = sample_neumann_field(grid, rng, amplitude=amplitude)
         m = sample_neumann_field(grid, rng, amplitude=amplitude)
-        _, gu, gm = obj.value_and_gradient_arrays(u, m, masked=True)
+        _, gu, gm = obj.value_and_gradient_arrays(u, m)
         h = 1e-2 * (1.0 + max(np.abs(u).max(), np.abs(m).max()))
         for _ in range(n_directions):
             du = rng.standard_normal((grid.nx, grid.nt))

@@ -1,18 +1,18 @@
-"""Projected descent over states with pinned initial data.
+"""Preconditioned L-BFGS over states with pinned initial data.
 
-The reference scheme is plain gradient descent with Armijo backtracking,
-projected after every step so the t=0 slices hold the given data exactly.
-The stopping rule is the first-order optimality ratio: the projected
-gradient norm over the full gradient norm at the start state.
-
-A limited-memory quasi-Newton accelerator shares the projection, line
-search, stopping rule, and trace format; the plain descent path remains
-the reference implementation of the analyzed scheme.
+The t=0 plane (column 0 of both fields) holds the given data and is never
+moved: the gradient the iteration steps along is zero there, and every
+accepted state is re-pinned exactly.  The paper proves global convergence
+for gradient projection on this feasible set; the shipped solver is
+limited-memory BFGS (Nocedal & Wright, Alg. 7.4) with Armijo backtracking
+from a unit step, preconditioned by the Gauss-Newton diagonal at the start
+state.  The stopping rule is the first-order optimality ratio: the norm of
+the gradient on the free nodes over the full gradient norm at the start
+state.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -27,30 +27,22 @@ CONVERGED = "converged"
 BUDGET = "budget"
 STALLED = "stalled"
 
+ARMIJO_C = 1e-4  # sufficient-decrease constant
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 60
+LBFGS_MEMORY = 10  # curvature pairs kept
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    step0: float = 1.0
     tol: float = 1e-5
     max_iters: int = 20000
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 60
-    method: str = "gd"  # "gd" (reference scheme) or "lbfgs" (accelerator)
-    lbfgs_memory: int = 10
 
     def __post_init__(self):
-        if self.step0 <= 0 or self.tol <= 0:
-            raise ValueError("step0 and tol must be positive")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError(f"armijo_c must lie in (0, 1), got {self.armijo_c}")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError(
-                f"backtrack_factor must lie in (0, 1), got {self.backtrack_factor}")
+        if self.tol <= 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.method not in ("gd", "lbfgs"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -92,9 +84,6 @@ class IterationTrace:
                 "final_first_order_optimality": last.foo_ratio,
                 "final_state_norm": last.state_norm}
 
-    def to_json(self) -> str:
-        return json.dumps(self.summary_dict(), indent=2, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class MinimizeResult:
@@ -111,109 +100,20 @@ def make_start(spec: ProblemSpec) -> StatePair:
     return StatePair(Field(spec.grid, u), Field(spec.grid, m))
 
 
-def project(state: StatePair, spec: ProblemSpec) -> StatePair:
-    """Restore the pinned t=0 slices; all other entries pass through.
+def minimize(spec: ProblemSpec, params: ConvexParams,
+             config: OptimizerConfig) -> MinimizeResult:
+    """Minimize the weighted objective from ``make_start(spec)``.
 
-    Idempotent; an already-feasible state is returned unchanged.
-    """
-    if state.grid != spec.grid:
-        raise ValueError("state must live on the spec grid")
-    if (np.array_equal(state.u.values[:, 0], spec.u0) and
-            np.array_equal(state.m.values[:, 0], spec.m0)):
-        return state
-    u = state.u.values.copy()
-    m = state.m.values.copy()
-    u[:, 0] = spec.u0
-    m[:, 0] = spec.m0
-    return StatePair(Field(spec.grid, u), Field(spec.grid, m))
-
-
-def minimize(spec: ProblemSpec, params: ConvexParams, config: OptimizerConfig,
-             start: StatePair | None = None) -> MinimizeResult:
-    """Minimize the weighted objective over states with pinned t=0 data.
-
-    Iterates s_n = project(s_{n-1} - xi_n * grad), with xi_n from Armijo
-    backtracking over {step0 * factor^k}.  Stops when the first-order
-    optimality ratio falls below config.tol (converged), the iteration
-    budget runs out (budget), or the line search cannot make progress
-    within the backtrack limit (stalled, surfaced with a diagnostic).
+    Each iteration steps along the two-loop L-BFGS direction, with the
+    step from Armijo backtracking over {BACKTRACK_FACTOR^k}.  Stops when the
+    first-order optimality ratio falls below config.tol (converged), the
+    iteration budget runs out (budget), or the line search cannot make
+    progress within the backtrack limit (stalled, surfaced with a
+    diagnostic).
     """
     obj = Objective(spec, params)
-    state0 = project(start if start is not None else make_start(spec), spec)
-    u = state0.u.values.copy()
-    m = state0.m.values.copy()
-
-    _, gu0, gm0 = obj.value_and_gradient_arrays(u, m, masked=False)
-    g0_norm = math.sqrt(float(np.sum(gu0**2) + np.sum(gm0**2)))
-    trace = IterationTrace()
-    if g0_norm == 0.0:
-        bd = obj.value_arrays(u, m)
-        trace.append(TraceRow(0, bd.j1, bd.j2, bd.j3, bd.total, 0.0, 0.0, 0.0,
-                              _nodal_norm(u, m)))
-        return MinimizeResult(_wrap(u, m, spec), trace, CONVERGED,
-                              "start state is already stationary")
-
-    if config.method == "lbfgs":
-        return _run_lbfgs(obj, spec, config, u, m, g0_norm, trace)
-    return _run_gd(obj, spec, config, u, m, g0_norm, trace)
-
-
-def _nodal_norm(u, m) -> float:
-    return math.sqrt(float(np.sum(u**2) + np.sum(m**2)))
-
-
-def _wrap(u, m, spec) -> StatePair:
-    return StatePair(Field(spec.grid, u), Field(spec.grid, m))
-
-
-def _run_gd(obj: Objective, spec: ProblemSpec, config: OptimizerConfig,
-            u, m, g0_norm, trace) -> MinimizeResult:
-    beta = config.backtrack_factor
-    k = 0  # warm-started backtrack exponent: step = step0 * beta^k
-    accepted_step = 0.0
-    status, message = BUDGET, "iteration budget exhausted"
-    for it in range(config.max_iters):
-        bd, gu, gm = obj.value_and_gradient_arrays(u, m, masked=True)
-        g_sq = float(np.sum(gu**2) + np.sum(gm**2))
-        g_norm = math.sqrt(g_sq)
-        foo = g_norm / g0_norm
-        trace.append(TraceRow(it, bd.j1, bd.j2, bd.j3, bd.total, g_norm, foo,
-                              accepted_step, _nodal_norm(u, m)))
-        if foo < config.tol:
-            status, message = CONVERGED, ""
-            break
-
-        def armijo_ok(kk: int):
-            xi = config.step0 * beta**kk
-            trial = obj.value_arrays(u - xi * gu, m - xi * gm).total
-            return trial <= bd.total - config.armijo_c * xi * g_sq, xi
-
-        ok, xi = armijo_ok(k)
-        if ok:
-            while k > 0:
-                ok_up, xi_up = armijo_ok(k - 1)
-                if not ok_up:
-                    break
-                k, xi = k - 1, xi_up
-        else:
-            while not ok:
-                k += 1
-                if k > config.max_backtracks:
-                    return MinimizeResult(
-                        _wrap(u, m, spec), trace, STALLED,
-                        f"line search failed after {config.max_backtracks} "
-                        "backtracks; gradient and objective are likely inconsistent")
-                ok, xi = armijo_ok(k)
-        u = u - xi * gu
-        m = m - xi * gm
-        u[:, 0] = spec.u0  # masked gradient keeps these slices; re-pin exactly
-        m[:, 0] = spec.m0
-        accepted_step = xi
-    return MinimizeResult(_wrap(u, m, spec), trace, status, message)
-
-
-def _run_lbfgs(obj: Objective, spec: ProblemSpec, config: OptimizerConfig,
-               u, m, g0_norm, trace) -> MinimizeResult:
+    start = make_start(spec)
+    u, m = start.u.values, start.m.values
     nx, nt = spec.grid.nx, spec.grid.nt
     n = nx * nt
 
@@ -224,10 +124,26 @@ def _run_lbfgs(obj: Objective, spec: ProblemSpec, config: OptimizerConfig,
         zu, zm = split(z)
         return obj.value_arrays(zu, zm).total
 
+    def pinned(gu, gm):
+        """The gradient as one vector, zeroed on the fixed t=0 column."""
+        gu[:, 0] = 0.0
+        gm[:, 0] = 0.0
+        return np.concatenate([gu.ravel(), gm.ravel()])
+
     def value_and_grad(z):
         zu, zm = split(z)
-        bd, gu, gm = obj.value_and_gradient_arrays(zu, zm, masked=True)
-        return bd, np.concatenate([gu.ravel(), gm.ravel()])
+        bd, gu, gm = obj.value_and_gradient_arrays(zu, zm)
+        return bd, pinned(gu, gm)
+
+    trace = IterationTrace()
+    bd, gu, gm = obj.value_and_gradient_arrays(u, m)
+    g0_norm = _nodal_norm(gu, gm)  # the full gradient, pinned column included
+    if g0_norm == 0.0:
+        trace.append(TraceRow(0, bd.j1, bd.j2, bd.j3, bd.total, 0.0, 0.0, 0.0,
+                              _nodal_norm(u, m)))
+        return MinimizeResult(start, trace, CONVERGED,
+                              "start state is already stationary")
+    g = pinned(gu, gm)
 
     # Fixed diagonal preconditioner from the start state; the weight
     # profile makes the raw problem too ill-conditioned for plain scaling.
@@ -240,7 +156,6 @@ def _run_lbfgs(obj: Objective, spec: ProblemSpec, config: OptimizerConfig,
     rho_hist: list[float] = []  # 1 / (y^T s) of each stored pair
     accepted_step = 0.0
     status, message = BUDGET, "iteration budget exhausted"
-    bd, g = value_and_grad(z)
     for it in range(config.max_iters):
         g_norm = math.sqrt(float(g @ g))
         foo = g_norm / g0_norm
@@ -260,21 +175,20 @@ def _run_lbfgs(obj: Objective, spec: ProblemSpec, config: OptimizerConfig,
             p = -h0 * g
             slope = float(p @ g)
 
-        xi = config.step0
+        xi = 1.0
         backtracks = 0
         while True:
             z_new = z + xi * p
             trial = value(z_new)
-            if trial <= bd.total + config.armijo_c * xi * slope:
+            if trial <= bd.total + ARMIJO_C * xi * slope:
                 break
             backtracks += 1
-            if backtracks > config.max_backtracks:
+            if backtracks > MAX_BACKTRACKS:
                 return MinimizeResult(
-                    StatePair(Field(spec.grid, zu), Field(spec.grid, zm)),
-                    trace, STALLED,
-                    f"line search failed after {config.max_backtracks} "
+                    _wrap(zu, zm, spec), trace, STALLED,
+                    f"line search failed after {MAX_BACKTRACKS} "
                     "backtracks; gradient and objective are likely inconsistent")
-            xi *= config.backtrack_factor
+            xi *= BACKTRACK_FACTOR
         # Direction is zero on the pinned plane; re-pin exactly anyway.
         zu_new, zm_new = split(z_new)
         zu_new[:, 0] = spec.u0
@@ -287,15 +201,22 @@ def _run_lbfgs(obj: Objective, spec: ProblemSpec, config: OptimizerConfig,
             s_hist.append(s)
             y_hist.append(y)
             rho_hist.append(1.0 / float(y @ s))
-            if len(s_hist) > config.lbfgs_memory:
+            if len(s_hist) > LBFGS_MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
                 rho_hist.pop(0)
         z, bd, g = z_new, bd_new, g_new
         accepted_step = xi
     zu, zm = split(z)
-    return MinimizeResult(StatePair(Field(spec.grid, zu), Field(spec.grid, zm)),
-                          trace, status, message)
+    return MinimizeResult(_wrap(zu, zm, spec), trace, status, message)
+
+
+def _nodal_norm(u, m) -> float:
+    return math.sqrt(float(np.sum(u**2) + np.sum(m**2)))
+
+
+def _wrap(u, m, spec) -> StatePair:
+    return StatePair(Field(spec.grid, u), Field(spec.grid, m))
 
 
 def _two_loop_direction(g, s_hist, y_hist, rhos, h0):

@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from mfg_forecast import experiments
 from mfg_forecast.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, \
     UsageError, main, parse_config
 
@@ -114,6 +116,43 @@ def test_sweep_writes_summary(tmp_path):
     assert len(lines) == 3
     assert (out / "lambda_1" / "summary.json").exists()
     assert (out / "lambda_2" / "summary.json").exists()
+
+
+def test_sweep_records_a_failing_value_and_continues(tmp_path, capsys):
+    # lambda 5 overflows the combined weight exponent on T1_2; the sweep
+    # records it as an error row, runs lambda 1 after it, and exits 2
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--test", "T1_2", "--param", "lambda",
+                 "--values", "2,5,1", "--max-iters", "50", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+    lines = (out / "sweep_summary.csv").read_text().splitlines()
+    assert lines[0] == "lambda,status,foo_ratio,objective_total"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [float(r[0]) for r in rows] == [2.0, 5.0, 1.0]
+    assert rows[1][1] == "error"
+    assert math.isnan(float(rows[1][2])) and math.isnan(float(rows[1][3]))
+    assert rows[0][1] != "error" and rows[2][1] != "error"
+    assert (out / "lambda_2" / "summary.json").exists()
+    assert (out / "lambda_1" / "summary.json").exists()
+    assert not (out / "lambda_5").exists()
+
+
+@pytest.mark.parametrize("flags", [["--method", "gd"], ["--step0", "1"]])
+def test_removed_optimizer_flags_are_usage_errors(tmp_path, flags):
+    code = main(["run", "--test", "T1_2", "--out", str(tmp_path / "x")]
+                + FAST + flags)
+    assert code == EXIT_USAGE
+
+
+def test_removed_optimizer_config_keys_are_rejected(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("method = gd\n")
+    code = main(["run", "--test", "T1_2", "--out", str(tmp_path / "x"),
+                 "--config", str(cfg_file)] + FAST)
+    assert code == EXIT_USAGE
+    with pytest.raises(ValueError, match="unknown override keys"):
+        experiments.resolve_config("T1_1", {"step0": 1.0})
 
 
 def test_sweep_rejects_unknown_parameter(tmp_path):

@@ -7,7 +7,8 @@ from mfg_forecast.grid import Field, constant_field, make_grid
 from mfg_forecast.model import KernelSpec, make_problem_spec
 from mfg_forecast.objective import Objective, StatePair, convexity_probe, \
     gradient_fd_check
-from mfg_forecast.optimizer import OptimizerConfig, minimize, project
+from mfg_forecast.optimizer import OptimizerConfig, make_start, minimize
+import mfg_forecast.optimizer as optimizer
 
 
 @pytest.fixture()
@@ -26,6 +27,13 @@ def zero_spec(grid):
                              KernelSpec(constant=1.0))
 
 
+@pytest.fixture()
+def data_spec(grid):
+    """Nonzero initial data, so the start state is not stationary."""
+    return make_problem_spec(grid, grid.x_nodes() ** 2 - 1.0,
+                             np.full(grid.nx, 0.5), KernelSpec(constant=1.0))
+
+
 def _random_state(grid, rng, amplitude=1.0):
     u = Field(grid, sample_neumann_field(grid, rng, amplitude=amplitude))
     m = Field(grid, sample_neumann_field(grid, rng, amplitude=amplitude))
@@ -36,9 +44,9 @@ def _value(state, params, spec):
     return Objective(spec, params).value_arrays(state.u.values, state.m.values)
 
 
-def _gradient(state, params, spec, masked=True):
+def _gradient(state, params, spec):
     _, gu, gm = Objective(spec, params).value_and_gradient_arrays(
-        state.u.values, state.m.values, masked=masked)
+        state.u.values, state.m.values)
     return gu, gm
 
 
@@ -100,31 +108,45 @@ def test_gradient_fd_with_tabulated_kernel(grid, params):
     assert report["max_rel_error"] < 1e-6
 
 
-def test_gradient_masked_entries_zero(grid, params, zero_spec):
-    rng = np.random.default_rng(3)
-    state = _random_state(grid, rng)
-    gu, gm = _gradient(state, params, zero_spec)
-    assert np.all(gu[:, 0] == 0.0)
-    assert np.all(gm[:, 0] == 0.0)
-    full_u, full_m = _gradient(state, params, zero_spec, masked=False)
+def test_gradient_masked_entries_zero(grid, params, data_spec, monkeypatch):
+    # The objective's gradient is nonzero on the pinned t=0 column; the
+    # gradient L-BFGS steps along is zero there and equal to it elsewhere,
+    # so minimize never moves the pinned data.
+    start = make_start(data_spec)
+    full_u, full_m = _gradient(start, params, data_spec)
     assert np.abs(full_u[:, 0]).max() > 0.0
-    # the mask touches the pinned plane only
-    assert np.array_equal(gu[:, 1:], full_u[:, 1:])
-    assert np.array_equal(gm[:, 1:], full_m[:, 1:])
+    assert np.abs(full_m[:, 0]).max() > 0.0
+    seen = []
+    two_loop = optimizer._two_loop_direction
+
+    def recording(g, *history):
+        seen.append(g.reshape(2, grid.nx, grid.nt).copy())
+        return two_loop(g, *history)
+
+    monkeypatch.setattr(optimizer, "_two_loop_direction", recording)
+    result = minimize(data_spec, params, OptimizerConfig(tol=1e-30, max_iters=30))
+    assert len(seen) == 30
+    for g in seen:
+        assert not g[:, :, 0].any()
+    assert np.array_equal(seen[0][0, :, 1:], full_u[:, 1:])
+    assert np.array_equal(seen[0][1, :, 1:], full_m[:, 1:])
+    assert np.array_equal(result.state.u.values[:, 0], data_spec.u0)
+    assert np.array_equal(result.state.m.values[:, 0], data_spec.m0)
+    assert not np.array_equal(result.state.u.values, start.u.values)
 
 
 def test_objective_constant_along_masked_directions(grid, params, zero_spec):
-    # changing only the pinned plane and re-projecting returns the same
-    # state, so the objective cannot move along masked directions
+    # changing only the pinned plane and re-pinning it, as minimize does
+    # after every step, returns the same objective
     rng = np.random.default_rng(4)
-    state = _random_state(grid, rng)
-    state = project(state, zero_spec)
-    u2 = state.u.values.copy()
-    u2[:, 0] += rng.standard_normal(grid.nx)
-    corrupted = StatePair(Field(grid, u2), state.m)
-    restored = project(corrupted, zero_spec)
-    b0 = _value(state, params, zero_spec)
-    b1 = _value(restored, params, zero_spec)
+    u = sample_neumann_field(grid, rng)
+    m = sample_neumann_field(grid, rng)
+    u[:, 0] = zero_spec.u0
+    m[:, 0] = zero_spec.m0
+    b0 = Objective(zero_spec, params).value_arrays(u, m)
+    u[:, 0] += rng.standard_normal(grid.nx)
+    u[:, 0] = zero_spec.u0
+    b1 = Objective(zero_spec, params).value_arrays(u, m)
     assert b0.total == b1.total
 
 
@@ -195,40 +217,34 @@ def test_convexity_probe_rejects_differing_pinned_data(grid, params, zero_spec):
         convexity_probe(s1, s2, params, zero_spec)
 
 
-def _first_row_ratio(spec, params, start, method):
-    config = OptimizerConfig(method=method, max_iters=1, tol=1e-30)
-    result = minimize(spec, params, config, start=start)
+def _first_row_ratio(spec, params):
+    result = minimize(spec, params, OptimizerConfig(max_iters=1, tol=1e-30))
     return result.trace.rows[0].foo_ratio
 
 
-def test_first_order_optimality_ratios(grid, params, zero_spec):
-    # trace row 0 reads |masked gradient| / |unmasked gradient| at the start
-    rng = np.random.default_rng(10)
-    state = project(_random_state(grid, rng), zero_spec)
-    gu, gm = _gradient(state, params, zero_spec, masked=True)
-    full_u, full_m = _gradient(state, params, zero_spec, masked=False)
-    expected = (np.sqrt(np.sum(gu**2) + np.sum(gm**2)) /
+def test_first_order_optimality_ratios(grid, params, data_spec):
+    # trace row 0 reads |gradient off the pinned column| / |full gradient|
+    # at the start state
+    full_u, full_m = _gradient(make_start(data_spec), params, data_spec)
+    expected = (np.sqrt(np.sum(full_u[:, 1:]**2) + np.sum(full_m[:, 1:]**2)) /
                 np.sqrt(np.sum(full_u**2) + np.sum(full_m**2)))
     assert 0 < expected < 1.0
-    for method in ("gd", "lbfgs"):
-        ratio = _first_row_ratio(zero_spec, params, state, method)
-        assert ratio == pytest.approx(expected, rel=1e-12)
+    assert _first_row_ratio(data_spec, params) == pytest.approx(expected, rel=1e-12)
 
 
-def test_same_gradients_give_unit_ratio(grid, params, zero_spec, monkeypatch):
+def test_same_gradients_give_unit_ratio(grid, params, data_spec, monkeypatch):
     # numerator and denominator are the same norm: when the start gradient
     # already vanishes on the pinned plane, row 0 reads exactly one
     exact = Objective.value_and_gradient_arrays
 
-    def always_masked(self, u, m, masked=True):
-        return exact(self, u, m, True)
+    def zero_on_pinned(self, u, m):
+        breakdown, gu, gm = exact(self, u, m)
+        gu[:, 0] = 0.0
+        gm[:, 0] = 0.0
+        return breakdown, gu, gm
 
-    monkeypatch.setattr(Objective, "value_and_gradient_arrays", always_masked)
-    rng = np.random.default_rng(11)
-    state = project(_random_state(grid, rng), zero_spec)
-    for method in ("gd", "lbfgs"):
-        ratio = _first_row_ratio(zero_spec, params, state, method)
-        assert ratio == pytest.approx(1.0, rel=1e-12)
+    monkeypatch.setattr(Objective, "value_and_gradient_arrays", zero_on_pinned)
+    assert _first_row_ratio(data_spec, params) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_t_max_mismatch_rejected(grid, zero_spec):
@@ -302,8 +318,8 @@ def test_fd_oracle_reports_a_planted_gradient_error(params, t11_case, monkeypatc
     grid = t11_case.spec.grid
     pattern = np.random.default_rng(16).choice([-1.0, 1.0], (grid.nx, grid.nt))
 
-    def planted(self, u, m, masked=True):
-        breakdown, gu, gm = exact(self, u, m, masked)
+    def planted(self, u, m):
+        breakdown, gu, gm = exact(self, u, m)
         return breakdown, gu * (1.0 + 1e-5 * pattern), gm
 
     monkeypatch.setattr(Objective, "value_and_gradient_arrays", planted)
@@ -329,10 +345,10 @@ def _counting_objective(spec, params):
     return obj
 
 
-def _assert_matches_fresh(result, spec, params, u, m, masked=True):
+def _assert_matches_fresh(result, spec, params, u, m):
     breakdown, gu, gm = result
     fresh_bd, fresh_gu, fresh_gm = Objective(spec, params).value_and_gradient_arrays(
-        u, m, masked=masked)
+        u, m)
     assert breakdown == fresh_bd
     assert np.array_equal(gu, fresh_gu) and np.array_equal(gm, fresh_gm)
 
@@ -343,15 +359,17 @@ def _two_states(grid, seed):
     return (a.u.values.copy(), a.m.values.copy()), (b.u.values.copy(), b.m.values.copy())
 
 
-@pytest.mark.parametrize("masked", [True, False])
-def test_gradient_reuses_value_at_same_state(grid, params, t11_case, masked):
+@pytest.mark.parametrize("copied", [True, False])
+def test_gradient_reuses_value_at_same_state(grid, params, t11_case, copied):
+    # a hit needs equal contents, whether or not the arrays are the same
     spec = t11_case.spec
     (u, m), _ = _two_states(grid, 20)
     obj = _counting_objective(spec, params)
     obj.value_arrays(u, m)
-    result = obj.value_and_gradient_arrays(u.copy(), m.copy(), masked=masked)
+    args = (u.copy(), m.copy()) if copied else (u, m)
+    result = obj.value_and_gradient_arrays(*args)
     assert obj.evaluations == 1  # hit: contents match, the residuals are reused
-    _assert_matches_fresh(result, spec, params, u, m, masked)
+    _assert_matches_fresh(result, spec, params, u, m)
 
 
 def test_gradient_after_in_place_edit_recomputes(grid, params, t11_case):

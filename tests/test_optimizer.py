@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from mfg_forecast import calculus
 from mfg_forecast.carleman import ConvexParams
-from mfg_forecast.grid import Field, constant_field, make_grid
+from mfg_forecast.grid import make_grid
 from mfg_forecast.model import KernelSpec, make_problem_spec
-from mfg_forecast.objective import Objective, StatePair
-from mfg_forecast.optimizer import BUDGET, CONVERGED, STALLED, OptimizerConfig, \
-    make_start, minimize, project
+from mfg_forecast.objective import Objective
+from mfg_forecast.optimizer import CONVERGED, STALLED, OptimizerConfig, \
+    make_start, minimize
 import mfg_forecast.optimizer as optimizer
 import mfg_forecast.experiments as experiments
 
@@ -23,12 +22,10 @@ def params():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(step0=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(armijo_c=1.5)
-    with pytest.raises(ValueError):
-        OptimizerConfig(method="newton")
+    with pytest.raises(ValueError, match="tol"):
+        OptimizerConfig(tol=0.0)
+    with pytest.raises(ValueError, match="max_iters"):
+        OptimizerConfig(max_iters=0)
 
 
 def test_make_start_constant_extension(grid):
@@ -41,41 +38,6 @@ def test_make_start_constant_extension(grid):
         assert np.array_equal(start.m.values[:, j], m0)
 
 
-def test_project_restores_only_pinned_slice(grid):
-    u0 = np.zeros(grid.nx)
-    m0 = np.full(grid.nx, 0.5)
-    spec = make_problem_spec(grid, u0, m0, KernelSpec(constant=1.0))
-    rng = np.random.default_rng(0)
-    vals_u = rng.standard_normal((grid.nx, grid.nt))
-    vals_m = rng.standard_normal((grid.nx, grid.nt))
-    state = StatePair(Field(grid, vals_u), Field(grid, vals_m))
-    fixed = project(state, spec)
-    assert np.array_equal(fixed.u.values[:, 0], u0)
-    assert np.array_equal(fixed.m.values[:, 0], m0)
-    assert np.array_equal(fixed.u.values[:, 1:], vals_u[:, 1:])
-    assert np.array_equal(fixed.m.values[:, 1:], vals_m[:, 1:])
-
-
-def test_project_idempotent_and_identity_on_feasible(grid):
-    spec = make_problem_spec(grid, np.zeros(grid.nx), np.full(grid.nx, 0.5),
-                             KernelSpec(constant=1.0))
-    rng = np.random.default_rng(1)
-    state = StatePair(Field(grid, rng.standard_normal((grid.nx, grid.nt))),
-                      Field(grid, rng.standard_normal((grid.nx, grid.nt))))
-    once = project(state, spec)
-    twice = project(once, spec)
-    assert twice is once  # already feasible, returned unchanged
-
-
-def test_project_rejects_foreign_grid(grid):
-    other = make_grid(-1, 1, 1, 0.2, 0.2, 0.6)
-    spec = make_problem_spec(grid, np.zeros(grid.nx), np.full(grid.nx, 0.5),
-                             KernelSpec(constant=1.0))
-    state = StatePair(constant_field(other, 0.0), constant_field(other, 0.5))
-    with pytest.raises(ValueError, match="grid"):
-        project(state, spec)
-
-
 def test_stationary_start_converges_immediately(grid, params):
     # zero data with zero source: the start state is a stationary point
     spec = make_problem_spec(grid, np.zeros(grid.nx), np.zeros(grid.nx),
@@ -85,61 +47,15 @@ def test_stationary_start_converges_immediately(grid, params):
     assert len(result.trace.rows) == 1
 
 
-def _h2_gram_matrix(grid, mask_free):
-    """H^2 quadratic-form matrix by polarization of the calculus norm."""
-    n = grid.nx * grid.nt
-
-    def q(vec):
-        return calculus.h2_norm_discrete(Field(grid, vec.reshape(grid.nx, grid.nt))) ** 2
-
-    basis = np.eye(n)
-    diag = np.array([q(basis[k]) for k in range(n)])
-    a = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                a[i, j] = diag[i]
-            else:
-                a[i, j] = a[j, i] = 0.5 * (q(basis[i] + basis[j]) - diag[i] - diag[j])
-    return a[np.ix_(mask_free, mask_free)]
-
-
-def test_quadratic_case_contracts_at_predicted_rate(residuals_off):
-    # With the residual terms off, the objective is alpha*|(u,m)|_H2^2 and
-    # descent along an eigenvector contracts by exactly 1 - 2*alpha*xi*mu.
-    grid = make_grid(-1, 1, 1, 0.5, 0.25, 0.6)
-    alpha = 0.02
-    params = ConvexParams(lam=2, c=3, a=1.1, d=1, alpha=alpha, gamma=0.6, t_max=1)
-    spec = make_problem_spec(grid, np.zeros(grid.nx), np.zeros(grid.nx),
-                             KernelSpec(constant=1.0))
-    n = grid.nx * grid.nt
-    free = [k for k in range(n) if k % grid.nt != 0]  # drop the t=0 plane
-    gram = _h2_gram_matrix(grid, free)
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    mu = eigvals[-1]
-    vec = np.zeros(n)
-    vec[free] = eigvecs[:, -1]
-    u_start = vec.reshape(grid.nx, grid.nt)
-    start = StatePair(Field(grid, u_start), constant_field(grid, 0.0))
-
-    config = OptimizerConfig(tol=1e-30, max_iters=25, method="gd")
-    result = minimize(spec, params, config, start=start)
-    assert result.status == BUDGET
-    norms = [row.state_norm for row in result.trace.rows]
-    steps = [row.step for row in result.trace.rows]
-    ratios = [b / a for a, b in zip(norms[2:-1], norms[3:])]
-    # constant contraction after burn-in
-    assert max(ratios) - min(ratios) < 0.01 * ratios[0]
-    predicted = abs(1.0 - 2.0 * alpha * steps[-1] * mu)
-    assert ratios[-1] == pytest.approx(predicted, rel=0.1)
-
-
 def test_gd_monotone_descent_and_feasibility(grid, params):
+    # every accepted L-BFGS step lowers J, and the pinned t=0 column keeps
+    # the given data exactly
     cfg = experiments.resolve_config("T1_2", {})
     _, spec, _ = experiments._build_problem("T1_2", cfg)
-    config = OptimizerConfig(tol=1e-30, max_iters=40, method="gd")
+    config = OptimizerConfig(tol=1e-30, max_iters=40)
     result = minimize(spec, params, config)
     totals = [row.total for row in result.trace.rows]
+    assert len(totals) == 40
     assert all(b < a for a, b in zip(totals, totals[1:]))
     assert np.array_equal(result.state.u.values[:, 0], spec.u0)
     assert np.array_equal(result.state.m.values[:, 0], spec.m0)
@@ -148,7 +64,7 @@ def test_gd_monotone_descent_and_feasibility(grid, params):
 def test_lbfgs_converges_on_manufactured_test(params):
     cfg = experiments.resolve_config("T1_1", {})
     _, spec, _ = experiments._build_problem("T1_1", cfg)
-    result = minimize(spec, params, OptimizerConfig(method="lbfgs"))
+    result = minimize(spec, params, OptimizerConfig())
     assert result.status == CONVERGED
     assert result.trace.rows[-1].foo_ratio < 1e-5
     assert np.array_equal(result.state.u.values[:, 0], spec.u0)
@@ -160,15 +76,14 @@ def test_lbfgs_handles_tabulated_kernel(grid, params):
     table = rng.uniform(0.5, 1.0, (grid.nx, grid.nx))
     spec = make_problem_spec(grid, grid.x_nodes() ** 2 - 1.0,
                              np.full(grid.nx, 0.5), KernelSpec(table=table))
-    result = minimize(spec, params, OptimizerConfig(method="lbfgs", tol=1e-2,
-                                                    max_iters=2000))
+    result = minimize(spec, params, OptimizerConfig(tol=1e-2, max_iters=2000))
     assert result.status == CONVERGED
 
 
 def test_minimize_deterministic(params):
     cfg = experiments.resolve_config("T1_2", {})
     _, spec, _ = experiments._build_problem("T1_2", cfg)
-    config = OptimizerConfig(max_iters=60, tol=1e-30, method="lbfgs")
+    config = OptimizerConfig(max_iters=60, tol=1e-30)
     r1 = minimize(spec, params, config)
     r2 = minimize(spec, params, config)
     assert r1.trace.rows == r2.trace.rows
@@ -183,12 +98,12 @@ def test_inconsistent_gradient_surfaces_as_stall(grid, params, monkeypatch):
 
     original = Objective.value_and_gradient_arrays
 
-    def wrong_gradient(self, u, m, masked=True):
-        bd, gu, gm = original(self, u, m, masked)
+    def wrong_gradient(self, u, m):
+        bd, gu, gm = original(self, u, m)
         return bd, -gu, -gm  # ascent direction disguised as the gradient
 
     monkeypatch.setattr(Objective, "value_and_gradient_arrays", wrong_gradient)
-    result = minimize(spec, params, OptimizerConfig(method="gd", max_iters=5))
+    result = minimize(spec, params, OptimizerConfig(max_iters=5))
     assert result.status == STALLED
     assert "backtrack" in result.message
 
@@ -227,7 +142,7 @@ def test_lbfgs_run_bit_identical_without_evaluation_reuse(params, monkeypatch):
     # defeating the reuse must change nothing in the run.
     cfg = experiments.resolve_config("T1_2", {})
     _, spec, _ = experiments._build_problem("T1_2", cfg)
-    config = OptimizerConfig(method="lbfgs")
+    config = OptimizerConfig()
     calls = {"value": 0, "evaluate": 0}
     value_arrays, evaluate = Objective.value_arrays, Objective._evaluate
 
@@ -245,8 +160,8 @@ def test_lbfgs_run_bit_identical_without_evaluation_reuse(params, monkeypatch):
         mp.setattr(optimizer, "_two_loop_direction",
                    _rho_checked(optimizer._two_loop_direction))
         reused = minimize(spec, params, config)
-    # one evaluation per trial, plus the start state's two gradient calls
-    assert calls["evaluate"] == calls["value"] + 2
+    # one evaluation per trial, plus the start state's gradient call
+    assert calls["evaluate"] == calls["value"] + 1
 
     def forgetful_value(self, u, m):
         breakdown = value_arrays(self, u, m)
@@ -267,8 +182,8 @@ def test_lbfgs_clears_rho_with_its_history(params, monkeypatch):
     _, spec, _ = experiments._build_problem("T1_2", cfg)
     checked = _rho_checked(optimizer._two_loop_direction, ascent_at=20)
     monkeypatch.setattr(optimizer, "_two_loop_direction", checked)
-    minimize(spec, params, OptimizerConfig(method="lbfgs", max_iters=40,
-                                           lbfgs_memory=5))
+    monkeypatch.setattr(optimizer, "LBFGS_MEMORY", 5)
+    minimize(spec, params, OptimizerConfig(max_iters=40))
     assert len(checked.calls) > 21
     assert checked.calls[19] == 5  # full, evicting history before the clear
     assert checked.calls[20] == 1  # cleared, then one new pair stored
