@@ -31,12 +31,20 @@ column before it steps, so the pinned data never move.
 
 A line search evaluates J at trial points and then asks for the gradient
 at the one it accepts, which it has just evaluated.  So ``value_arrays``
-keeps the intermediates of its last evaluation (u_x, w1*R1, w2*R2, H u,
-H m) with copies of its inputs, and ``value_and_gradient_arrays`` takes
-them when its inputs have equal contents instead of recomputing both
-residuals and both H f products.  The stored entry is dropped by every
-gradient call, hit or miss, since the gradient doubles w*R in place.  The
-arithmetic is the same either way, so results are bit-identical.
+keeps the intermediates of its last evaluation (u_x, R1, R2, w1*R1, w2*R2,
+H u, H m) with copies of its inputs, and ``value_and_gradient_arrays``
+takes them when its inputs have equal contents instead of recomputing both
+residuals and both H f products.  The gradient doubles w*R in place, so
+the entry serves one gradient; it is then kept as the gradient point's
+entry, whose R and H f ``line_quartic`` reads.
+
+Both residuals are quadratic in (u, m), so along a line
+R(z + xi p) = R(z) + xi a + xi^2 b exactly, with a = (R(z+p) - R(z-p))/2
+and b = (R(z+p) + R(z-p))/2 - R(z), and J(z + xi p) is a quartic in xi.
+``line_quartic`` builds its coefficients from the gradient point's entry,
+the last value evaluation (the unit trial at z + p) and one residual call
+at z - p.  A kept entry that is missing or at another state is
+recomputed, so every result is the same with or without the kept entries.
 """
 
 from __future__ import annotations
@@ -69,6 +77,33 @@ class StatePair:
 
 
 @dataclass(frozen=True)
+class LineQuartic:
+    """phi(xi) = J(z + xi p) - J(z) = c1 xi + c2 xi^2 + c3 xi^3 + c4 xi^4.
+
+    Stack the square roots of the weighted residuals and of the regularizer
+    into vectors: J(z + xi p) = |v0 + xi v1 + xi^2 v2|^2, with v0 from R(z)
+    and z, v1 from a and p, v2 from b.  ``norms`` holds |v0|, |v1|, |v2|, so
+    ``size(xi)`` = (|v0| + xi |v1| + xi^2 |v2|)^2 bounds, by Cauchy-Schwarz,
+    every term that enters phi(xi) or a direct evaluation of J(z + xi p);
+    the rounding error of both scales with it.
+    """
+
+    coefficients: tuple[float, float, float, float]
+    norms: tuple[float, float, float]
+
+    def phi(self, xi: float) -> float:
+        c1, c2, c3, c4 = self.coefficients
+        return xi * (c1 + xi * (c2 + xi * (c3 + xi * c4)))
+
+    def size(self, xi: float) -> float:
+        n0, n1, n2 = self.norms
+        return (n0 + xi * (n1 + xi * n2)) ** 2
+
+    def is_finite(self) -> bool:
+        return all(math.isfinite(v) for v in self.coefficients + self.norms)
+
+
+@dataclass(frozen=True)
 class ObjectiveBreakdown:
     """The three nonnegative parts of the objective and their sum."""
 
@@ -90,7 +125,8 @@ class Objective:
     The last ``value_arrays`` evaluation is kept, with copies of its
     inputs, until the next ``value_and_gradient_arrays`` call; that call
     reuses it when its (u, m) equal the stored copies, so the gradient at
-    an accepted line-search trial costs only the adjoint products.
+    an accepted line-search trial costs only the adjoint products.  The
+    last gradient call's evaluation is kept too, for ``line_quartic``.
     """
 
     def __init__(self, spec: ProblemSpec, params: ConvexParams):
@@ -118,8 +154,10 @@ class Objective:
         self.ct = np.diag(wt) + self.dtm.T @ (wt[:, None] * self.dtm)
         self.bx = (self.dxm.T @ (self.wx_col * self.dxm) +
                    self.dxxm.T @ (self.wx_col * self.dxxm))
-        # (u, m, _evaluate result) of the last value_arrays call, or None.
+        # (u, m, _evaluate result) of the last value_arrays call and of the
+        # last value_and_gradient_arrays call, or None.
         self._last = None
+        self._at_gradient = None
 
     # -- pieces ---------------------------------------------------------
 
@@ -135,8 +173,9 @@ class Objective:
     def _evaluate(self, u: np.ndarray, m: np.ndarray):
         """Breakdown plus the intermediates the gradient reuses.
 
-        Returns (breakdown, ux, w1*r1, w2*r2, H u, H m); the value and the
-        value-and-gradient paths share it, so both report identical parts.
+        Returns (breakdown, ux, r1, r2, w1*r1, w2*r2, H u, H m); the value
+        and the value-and-gradient paths share it, so both report identical
+        parts.
         """
         r1, r2, ux = model.residuals(u, m, self.spec, self.stencils)
         wr1, wr2 = self.w1 * r1, self.w2 * r2
@@ -147,7 +186,8 @@ class Objective:
         for name, v in (("j1", j1), ("j2", j2), ("j3", j3)):
             if not math.isfinite(v):
                 raise ValueError(f"objective term {name} is non-finite")
-        return ObjectiveBreakdown(j1, j2, j3, j1 + j2 + j3), ux, wr1, wr2, hu, hm
+        return (ObjectiveBreakdown(j1, j2, j3, j1 + j2 + j3), ux, r1, r2, wr1, wr2,
+                hu, hm)
 
     # -- public evaluations ---------------------------------------------
 
@@ -186,12 +226,10 @@ class Objective:
     def value_and_gradient_arrays(self, u: np.ndarray, m: np.ndarray):
         """Objective breakdown plus exact partials for every node value."""
         last, self._last = self._last, None
-        if (last is not None and np.array_equal(u, last[0]) and
-                np.array_equal(m, last[1])):
-            evaluated = last[2]
-        else:
-            evaluated = self._evaluate(u, m)
-        breakdown, ux, g1, g2, hu, hm = evaluated
+        if not _holds(last, u, m):
+            last = (u.copy(), m.copy(), self._evaluate(u, m))
+        self._at_gradient = last
+        breakdown, ux, _, _, g1, g2, hu, hm = last[2]
         g1 *= 2.0  # dJ/dr1 = 2*w1*r1, doubled in place to spare an array
         g2 *= 2.0
         # Value-equation residual: adjoints of d_dt, d2_dx2, the gradient
@@ -209,6 +247,48 @@ class Objective:
         if not (np.isfinite(gu).all() and np.isfinite(gm).all()):
             raise ValueError("objective gradient is non-finite")
         return breakdown, gu, gm
+
+    def line_quartic(self, u: np.ndarray, m: np.ndarray, pu: np.ndarray,
+                     pm: np.ndarray) -> LineQuartic:
+        """J(z + xi p) - J(z) as a quartic in xi, z = (u, m), p = (pu, pm).
+
+        Takes R and H f at z from the last gradient call and at z + p from
+        the last value call when they were made there, recomputes them
+        otherwise, and evaluates the residuals once more at z - p.  The
+        coefficients may be non-finite when z - p overflows.
+        """
+        bd, _, r1, r2, _, _, hu, hm = self._kept(self._at_gradient, u, m)
+        up, mp = u + pu, m + pm
+        _, _, r1p, r2p, _, _, hup, hmp = self._kept(self._last, up, mp)
+        d01 = d02 = d11 = d12 = d22 = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            r1m, r2m, _ = model.residuals(u - pu, m - pm, self.spec, self.stencils)
+            for w, r0, rp, rm in ((self.w1, r1, r1p, r1m), (self.w2, r2, r2p, r2m)):
+                a = 0.5 * (rp - rm)
+                b = 0.5 * (rp + rm) - r0
+                wa, wb = w * a, w * b
+                d01 += float(np.vdot(wa, r0))
+                d02 += float(np.vdot(wb, r0))
+                d11 += float(np.vdot(wa, a))
+                d12 += float(np.vdot(wa, b))
+                d22 += float(np.vdot(wb, b))
+            # the regularizer is quadratic: H p = H(z+p) - H z
+            d01 += self.alpha * (float(np.vdot(pu, hu)) + float(np.vdot(pm, hm)))
+            d11 += self.alpha * (float(np.vdot(pu, hup - hu)) +
+                                 float(np.vdot(pm, hmp - hm)))
+        return LineQuartic((2.0 * d01, d11 + 2.0 * d02, 2.0 * d12, d22),
+                           (math.sqrt(bd.total), math.sqrt(abs(d11)),
+                            math.sqrt(abs(d22))))
+
+    def _kept(self, entry, u, m):
+        """The evaluation at (u, m): ``entry``'s when it holds that state."""
+        return entry[2] if _holds(entry, u, m) else self._evaluate(u, m)
+
+
+def _holds(entry, u, m) -> bool:
+    """Whether a kept (u, m, evaluation) entry was made at (u, m)."""
+    return (entry is not None and np.array_equal(u, entry[0]) and
+            np.array_equal(m, entry[1]))
 
 
 @dataclass(frozen=True)

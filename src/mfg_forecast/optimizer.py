@@ -28,6 +28,9 @@ BUDGET = "budget"
 STALLED = "stalled"
 
 ARMIJO_C = 1e-4  # sufficient-decrease constant
+# A trial is skipped only when the line quartic rejects it by more than
+# this fraction of the size of its terms (LineQuartic.size).
+QUARTIC_MARGIN = 1e-9
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 60
 LBFGS_MEMORY = 10  # curvature pairs kept
@@ -177,11 +180,18 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
 
         xi = 1.0
         backtracks = 0
+        quartic = None
         while True:
-            z_new = z + xi * p
-            trial = value(z_new)
-            if trial <= bd.total + ARMIJO_C * xi * slope:
-                break
+            threshold = ARMIJO_C * xi * slope
+            if quartic is None or not _quartic_rejects(quartic, xi, threshold):
+                z_new = z + xi * p
+                trial = value(z_new)
+                if trial <= bd.total + threshold:
+                    break
+                if backtracks == 0:
+                    quartic = obj.line_quartic(zu, zm, *split(p))
+                    if not quartic.is_finite():
+                        quartic = None
             backtracks += 1
             if backtracks > MAX_BACKTRACKS:
                 return MinimizeResult(
@@ -209,6 +219,11 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
         accepted_step = xi
     zu, zm = split(z)
     return MinimizeResult(_wrap(zu, zm, spec), trace, status, message)
+
+
+def _quartic_rejects(quartic, xi, threshold) -> bool:
+    """Whether J(z + xi p) - J(z) certainly exceeds the Armijo threshold."""
+    return quartic.phi(xi) > threshold + QUARTIC_MARGIN * quartic.size(xi)
 
 
 def _nodal_norm(u, m) -> float:
