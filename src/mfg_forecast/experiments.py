@@ -197,7 +197,9 @@ class RunReport:
         out = {"test_id": self.test_id, "status": self.status,
                "config": self.config}
         out.update(self.trace.summary_dict())
-        # search-ball diagnostic: monitored, never enforced
+        # search-ball diagnostics: monitored, never enforced
+        u, m = self.predicted.u.values, self.predicted.m.values
+        out["final_state_norm"] = math.sqrt(float(np.sum(u**2) + np.sum(m**2)))
         out["state_h2_norm"] = math.sqrt(
             calculus.h2_norm_discrete(self.predicted.u) ** 2 +
             calculus.h2_norm_discrete(self.predicted.m) ** 2)

@@ -31,20 +31,20 @@ column before it steps, so the pinned data never move.
 
 A line search evaluates J at trial points and then asks for the gradient
 at the one it accepts, which it has just evaluated.  So ``value_arrays``
-keeps the intermediates of its last evaluation (u_x, R1, R2, w1*R1, w2*R2,
-H u, H m) with copies of its inputs, and ``value_and_gradient_arrays``
-takes them when its inputs have equal contents instead of recomputing both
-residuals and both H f products.  The gradient doubles w*R in place, so
-the entry serves one gradient; it is then kept as the gradient point's
-entry, whose R and H f ``line_quartic`` reads.
+keeps the intermediates of its last evaluation (R1, R2, H u, H m, u_x)
+with copies of its inputs, and ``value_and_gradient_arrays`` takes them
+when its inputs have equal contents instead of recomputing both residuals
+and both H f products.  It then keeps all but u_x, as the entry of its own
+point, for ``line_quartic``.
 
 Both residuals are quadratic in (u, m), so along a line
 R(z + xi p) = R(z) + xi a + xi^2 b exactly, with a = (R(z+p) - R(z-p))/2
 and b = (R(z+p) + R(z-p))/2 - R(z), and J(z + xi p) is a quartic in xi.
-``line_quartic`` builds its coefficients from the gradient point's entry,
-the last value evaluation (the unit trial at z + p) and one residual call
-at z - p.  A kept entry that is missing or at another state is
-recomputed, so every result is the same with or without the kept entries.
+``line_quartic`` builds its coefficients from the entries kept at the
+gradient point z and at the last value evaluation (the unit trial z + p),
+with H p = H(z+p) - H z, and one residual call at z - p.  A kept entry
+that is missing or at another state is recomputed, so every result is the
+same with or without the kept entries.
 """
 
 from __future__ import annotations
@@ -154,8 +154,9 @@ class Objective:
         self.ct = np.diag(wt) + self.dtm.T @ (wt[:, None] * self.dtm)
         self.bx = (self.dxm.T @ (self.wx_col * self.dxm) +
                    self.dxxm.T @ (self.wx_col * self.dxxm))
-        # (u, m, _evaluate result) of the last value_arrays call and of the
-        # last value_and_gradient_arrays call, or None.
+        # (u, m, _evaluate result) of the last value_arrays call, and
+        # (u, m, _evaluate result without ux) of the last
+        # value_and_gradient_arrays call; None when there was none.
         self._last = None
         self._at_gradient = None
 
@@ -173,21 +174,18 @@ class Objective:
     def _evaluate(self, u: np.ndarray, m: np.ndarray):
         """Breakdown plus the intermediates the gradient reuses.
 
-        Returns (breakdown, ux, r1, r2, w1*r1, w2*r2, H u, H m); the value
-        and the value-and-gradient paths share it, so both report identical
-        parts.
+        Returns (breakdown, r1, r2, H u, H m, ux); the value and the
+        value-and-gradient paths share it, so both report identical parts.
         """
         r1, r2, ux = model.residuals(u, m, self.spec, self.stencils)
-        wr1, wr2 = self.w1 * r1, self.w2 * r2
         hu, hm = self._h2_apply(u), self._h2_apply(m)
-        j1 = float(np.vdot(wr1, r1))
-        j2 = float(np.vdot(wr2, r2))
+        j1 = float(np.vdot(self.w1 * r1, r1))
+        j2 = float(np.vdot(self.w2 * r2, r2))
         j3 = self.alpha * (float(np.vdot(u, hu)) + float(np.vdot(m, hm)))
         for name, v in (("j1", j1), ("j2", j2), ("j3", j3)):
             if not math.isfinite(v):
                 raise ValueError(f"objective term {name} is non-finite")
-        return (ObjectiveBreakdown(j1, j2, j3, j1 + j2 + j3), ux, r1, r2, wr1, wr2,
-                hu, hm)
+        return ObjectiveBreakdown(j1, j2, j3, j1 + j2 + j3), r1, r2, hu, hm, ux
 
     # -- public evaluations ---------------------------------------------
 
@@ -225,12 +223,14 @@ class Objective:
 
     def value_and_gradient_arrays(self, u: np.ndarray, m: np.ndarray):
         """Objective breakdown plus exact partials for every node value."""
-        last, self._last = self._last, None
+        last, self._last, self._at_gradient = self._last, None, None
         if not _holds(last, u, m):
             last = (u.copy(), m.copy(), self._evaluate(u, m))
-        self._at_gradient = last
-        breakdown, ux, _, _, g1, g2, hu, hm = last[2]
+        breakdown, r1, r2, hu, hm, ux = last[2]
+        self._at_gradient = (last[0], last[1], last[2][:5])
+        g1 = self.w1 * r1
         g1 *= 2.0  # dJ/dr1 = 2*w1*r1, doubled in place to spare an array
+        g2 = self.w2 * r2
         g2 *= 2.0
         # Value-equation residual: adjoints of d_dt, d2_dx2, the gradient
         # square, the interaction integral, and the f*m coupling.
@@ -257,9 +257,8 @@ class Objective:
         otherwise, and evaluates the residuals once more at z - p.  The
         coefficients may be non-finite when z - p overflows.
         """
-        bd, _, r1, r2, _, _, hu, hm = self._kept(self._at_gradient, u, m)
-        up, mp = u + pu, m + pm
-        _, _, r1p, r2p, _, _, hup, hmp = self._kept(self._last, up, mp)
+        bd, r1, r2, hu, hm = self._kept(self._at_gradient, u, m)
+        _, r1p, r2p, hup, hmp = self._kept(self._last, u + pu, m + pm)
         d01 = d02 = d11 = d12 = d22 = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             r1m, r2m, _ = model.residuals(u - pu, m - pm, self.spec, self.stencils)
@@ -281,14 +280,20 @@ class Objective:
                             math.sqrt(abs(d22))))
 
     def _kept(self, entry, u, m):
-        """The evaluation at (u, m): ``entry``'s when it holds that state."""
-        return entry[2] if _holds(entry, u, m) else self._evaluate(u, m)
+        """(breakdown, r1, r2, H u, H m) at (u, m): ``entry``'s when it was
+        made there."""
+        return entry[2][:5] if _holds(entry, u, m) else self._evaluate(u, m)[:5]
 
 
 def _holds(entry, u, m) -> bool:
-    """Whether a kept (u, m, evaluation) entry was made at (u, m)."""
-    return (entry is not None and np.array_equal(u, entry[0]) and
-            np.array_equal(m, entry[1]))
+    """Whether a kept (u, m, evaluation) entry was made at (u, m).
+
+    Compares bytes, which is stricter than comparing values (-0.0 and 0.0
+    differ) and several times cheaper on the working grid.
+    """
+    return (entry is not None and u.shape == entry[0].shape and
+            m.shape == entry[1].shape and u.tobytes() == entry[0].tobytes() and
+            m.tobytes() == entry[1].tobytes())
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,13 @@ from a unit step, preconditioned by the Gauss-Newton diagonal at the start
 state.  The stopping rule is the first-order optimality ratio: the norm of
 the gradient on the free nodes over the full gradient norm at the start
 state.
+
+The residuals are quadratic, so J is an exact quartic along the search
+line.  Once the unit step is rejected, the line search builds that quartic
+(``Objective.line_quartic``) and skips every later trial it rejects by
+more than a rounding margin; the trial it predicts to pass is evaluated
+directly, and the direct value decides.  The steps, and so every iterate,
+are those of plain Armijo backtracking, at fewer evaluations.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ class TraceRow:
     grad_norm: float
     foo_ratio: float
     step: float
-    state_norm: float
+    evaluations: int  # direct J evaluations of the line search for this step
 
 
 @dataclass
@@ -70,11 +77,11 @@ class IterationTrace:
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("iter,j1,j2,j3,total,grad_norm,foo_ratio,step\n")
+            fh.write("iter,j1,j2,j3,total,grad_norm,foo_ratio,step,evaluations\n")
             for r in self.rows:
                 fh.write(f"{r.iteration},{r.j1:.17g},{r.j2:.17g},{r.j3:.17g},"
                          f"{r.total:.17g},{r.grad_norm:.17g},{r.foo_ratio:.17g},"
-                         f"{r.step:.17g}\n")
+                         f"{r.step:.17g},{r.evaluations}\n")
 
     def summary_dict(self) -> dict:
         if not self.rows:
@@ -84,8 +91,7 @@ class IterationTrace:
                 "final_objective": {"j1": last.j1, "j2": last.j2, "j3": last.j3,
                                     "total": last.total},
                 "final_grad_norm": last.grad_norm,
-                "final_first_order_optimality": last.foo_ratio,
-                "final_state_norm": last.state_norm}
+                "final_first_order_optimality": last.foo_ratio}
 
 
 @dataclass(frozen=True)
@@ -108,11 +114,14 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
     """Minimize the weighted objective from ``make_start(spec)``.
 
     Each iteration steps along the two-loop L-BFGS direction, with the
-    step from Armijo backtracking over {BACKTRACK_FACTOR^k}.  Stops when the
-    first-order optimality ratio falls below config.tol (converged), the
-    iteration budget runs out (budget), or the line search cannot make
-    progress within the backtrack limit (stalled, surfaced with a
-    diagnostic).
+    step from Armijo backtracking over {BACKTRACK_FACTOR^k}; after the first
+    rejection, trials the line quartic rejects are counted as backtracks
+    without being evaluated.  Stops when the first-order optimality ratio
+    falls below config.tol (converged), config.max_iters steps have been
+    taken (budget), or the line search cannot make progress within the
+    backtrack limit (stalled, surfaced with a diagnostic).  The trace has
+    one row per state, the returned one last, with the direct evaluations
+    of the step that reached it.
     """
     obj = Objective(spec, params)
     start = make_start(spec)
@@ -142,8 +151,7 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
     bd, gu, gm = obj.value_and_gradient_arrays(u, m)
     g0_norm = _nodal_norm(gu, gm)  # the full gradient, pinned column included
     if g0_norm == 0.0:
-        trace.append(TraceRow(0, bd.j1, bd.j2, bd.j3, bd.total, 0.0, 0.0, 0.0,
-                              _nodal_norm(u, m)))
+        trace.append(TraceRow(0, bd.j1, bd.j2, bd.j3, bd.total, 0.0, 0.0, 0.0, 0))
         return MinimizeResult(start, trace, CONVERGED,
                               "start state is already stationary")
     g = pinned(gu, gm)
@@ -157,16 +165,18 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
     rho_hist: list[float] = []  # 1 / (y^T s) of each stored pair
-    accepted_step = 0.0
+    accepted_step, evaluations = 0.0, 0
     status, message = BUDGET, "iteration budget exhausted"
-    for it in range(config.max_iters):
+    # One row per state, the returned one included: rows = steps + 1.
+    for it in range(config.max_iters + 1):
         g_norm = math.sqrt(float(g @ g))
         foo = g_norm / g0_norm
-        zu, zm = split(z)
         trace.append(TraceRow(it, bd.j1, bd.j2, bd.j3, bd.total, g_norm, foo,
-                              accepted_step, _nodal_norm(zu, zm)))
+                              accepted_step, evaluations))
         if foo < config.tol:
             status, message = CONVERGED, ""
+            break
+        if it == config.max_iters:
             break
 
         p = _two_loop_direction(g, s_hist, y_hist, rho_hist, h0)
@@ -179,13 +189,15 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
             slope = float(p @ g)
 
         xi = 1.0
-        backtracks = 0
+        backtracks = evaluations = 0
         quartic = None
+        zu, zm = split(z)
         while True:
             threshold = ARMIJO_C * xi * slope
             if quartic is None or not _quartic_rejects(quartic, xi, threshold):
                 z_new = z + xi * p
                 trial = value(z_new)
+                evaluations += 1
                 if trial <= bd.total + threshold:
                     break
                 if backtracks == 0:
@@ -210,7 +222,7 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
         if sy > 1e-12 * math.sqrt(float(s @ s)) * math.sqrt(float(y @ y)):
             s_hist.append(s)
             y_hist.append(y)
-            rho_hist.append(1.0 / float(y @ s))
+            rho_hist.append(1.0 / sy)
             if len(s_hist) > LBFGS_MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)

@@ -406,3 +406,47 @@ def test_stored_evaluation_serves_one_gradient(grid, params, t11_case):
     assert obj.evaluations == 2
     _assert_matches_fresh(first, spec, params, u, m)
     _assert_matches_fresh(second, spec, params, u, m)
+
+
+# -- the objective along a line is an exact quartic ---------------------------
+
+
+def _line_case(grid, seed):
+    """A random state z and a random direction p that is zero on column 0."""
+    rng = np.random.default_rng(seed)
+    z = _random_state(grid, rng)
+    pu = sample_neumann_field(grid, rng)
+    pm = sample_neumann_field(grid, rng)
+    pu[:, 0] = 0.0
+    pm[:, 0] = 0.0
+    return z.u.values, z.m.values, pu, pm
+
+
+@pytest.fixture()
+def tabulated_fine_spec(fine_grid):
+    rng = np.random.default_rng(24)
+    table = rng.uniform(-1.0, 1.0, (fine_grid.nx, fine_grid.nx))
+    return make_problem_spec(fine_grid, np.zeros(fine_grid.nx),
+                             np.full(fine_grid.nx, 0.5), KernelSpec(table=table))
+
+
+@pytest.mark.parametrize("case", ["T1_1", "tabulated 41x21"])
+def test_line_quartic_reproduces_objective_along_line(params, t11_case,
+                                                      tabulated_fine_spec, case):
+    spec = t11_case.spec if case == "T1_1" else tabulated_fine_spec
+    for seed in (25, 26, 27):
+        u, m, pu, pm = _line_case(spec.grid, seed)
+        obj = Objective(spec, params)
+        j0 = obj.value_arrays(u, m).total
+        # built from recomputed evaluations, and from the entries a line
+        # search leaves behind: the gradient at z, then the unit trial z + p
+        recomputed = Objective(spec, params).line_quartic(u, m, pu, pm)
+        obj.value_and_gradient_arrays(u, m)
+        obj.value_arrays(u + pu, m + pm)
+        kept = obj.line_quartic(u, m, pu, pm)
+        assert kept == recomputed
+        assert kept.is_finite()
+        for xi in (1.0, 0.5, 0.125, 2.0**-10):
+            direct = obj.value_arrays(u + xi * pu, m + xi * pm).total - j0
+            assert abs(kept.phi(xi) - direct) <= 1e-10 * j0
+            assert abs(direct) <= kept.size(xi)

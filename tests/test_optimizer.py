@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from mfg_forecast.carleman import ConvexParams
 from mfg_forecast.grid import make_grid
 from mfg_forecast.model import KernelSpec, make_problem_spec
 from mfg_forecast.objective import Objective
-from mfg_forecast.optimizer import CONVERGED, STALLED, OptimizerConfig, \
+from mfg_forecast.optimizer import BUDGET, CONVERGED, STALLED, OptimizerConfig, \
     make_start, minimize
 import mfg_forecast.optimizer as optimizer
 import mfg_forecast.experiments as experiments
@@ -55,7 +57,7 @@ def test_gd_monotone_descent_and_feasibility(grid, params):
     config = OptimizerConfig(tol=1e-30, max_iters=40)
     result = minimize(spec, params, config)
     totals = [row.total for row in result.trace.rows]
-    assert len(totals) == 40
+    assert len(totals) == 41  # 40 steps, plus the row of the returned state
     assert all(b < a for a, b in zip(totals, totals[1:]))
     assert np.array_equal(result.state.u.values[:, 0], spec.u0)
     assert np.array_equal(result.state.m.values[:, 0], spec.m0)
@@ -115,8 +117,11 @@ def test_trace_csv_layout(tmp_path, params):
     path = tmp_path / "trace.csv"
     result.trace.to_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "iter,j1,j2,j3,total,grad_norm,foo_ratio,step"
+    assert lines[0] == "iter,j1,j2,j3,total,grad_norm,foo_ratio,step,evaluations"
     assert len(lines) == 1 + len(result.trace.rows)
+    evaluations = [int(line.split(",")[-1]) for line in lines[1:]]
+    assert evaluations[0] == 0  # the start state took no step
+    assert all(e >= 1 for e in evaluations[1:])
     summary = result.trace.summary_dict()
     assert summary["iterations"] == len(result.trace.rows)
 
@@ -235,3 +240,59 @@ def test_two_loop_with_stored_rho_matches_recomputed_rho():
             rhos.pop(0)
     # empty, partly filled and full (evicting) histories were all compared
     assert seen == set(range(memory + 1))
+
+
+def test_budget_exit_row_describes_returned_state(params):
+    # every exit has one row per state, the returned one included
+    cfg = experiments.resolve_config("T1_2", {})
+    _, spec, _ = experiments._build_problem("T1_2", cfg)
+    result = minimize(spec, params, OptimizerConfig(tol=1e-30, max_iters=30))
+    assert result.status == BUDGET
+    assert len(result.trace.rows) == 31
+    last = result.trace.rows[-1]
+    assert last.iteration == 30
+    returned = Objective(spec, params).value_arrays(result.state.u.values,
+                                                    result.state.m.values)
+    assert last.total == returned.total
+    assert (last.j1, last.j2, last.j3) == (returned.j1, returned.j2, returned.j3)
+
+
+def _counted_run(spec, params, config, monkeypatch):
+    """minimize with its value_arrays calls counted."""
+    calls = []
+    value_arrays = Objective.value_arrays
+
+    def counted(self, u, m):
+        calls.append(1)
+        return value_arrays(self, u, m)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Objective, "value_arrays", counted)
+        result = minimize(spec, params, config)
+    return result, len(calls)
+
+
+def test_line_quartic_skips_trials_without_moving_the_run(params, monkeypatch):
+    # T2_1 backtracks from its first iterations on.  Skipping the trials the
+    # quartic rejects must leave every step, row and state as they are when
+    # each trial is evaluated directly, and only save evaluations.
+    cfg = experiments.resolve_config("T2_1", {})
+    _, spec, _ = experiments._build_problem("T2_1", cfg)
+    config = OptimizerConfig(max_iters=400)
+    default, default_calls = _counted_run(spec, params, config, monkeypatch)
+    monkeypatch.setattr(optimizer, "_quartic_rejects", lambda *args: False)
+    direct, direct_calls = _counted_run(spec, params, config, monkeypatch)
+
+    def without_evaluations(rows):
+        return [dataclasses.replace(r, evaluations=0) for r in rows]
+
+    assert len(default.trace.rows) == 401
+    assert without_evaluations(default.trace.rows) == \
+        without_evaluations(direct.trace.rows)
+    assert np.array_equal(default.state.u.values, direct.state.u.values)
+    assert np.array_equal(default.state.m.values, direct.state.m.values)
+    # the evaluations column counts every direct evaluation
+    assert sum(r.evaluations for r in default.trace.rows) == default_calls
+    assert sum(r.evaluations for r in direct.trace.rows) == direct_calls
+    assert max(r.evaluations for r in direct.trace.rows) >= 3
+    assert default_calls < direct_calls
