@@ -190,6 +190,7 @@ class Objective:
     # -- public evaluations ---------------------------------------------
 
     def value_arrays(self, u: np.ndarray, m: np.ndarray) -> ObjectiveBreakdown:
+        self._last = None  # free the previous entry before making this one
         evaluated = self._evaluate(u, m)
         self._last = (u.copy(), m.copy(), evaluated)
         return evaluated[0]
