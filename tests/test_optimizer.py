@@ -273,7 +273,7 @@ def _counted_run(spec, params, config, monkeypatch):
 
 
 def test_line_quartic_skips_trials_without_moving_the_run(params, monkeypatch):
-    # T2_1 backtracks from its first iterations on.  Skipping the trials the
+    # T2_1 backtracks within its first 400 iterations.  Skipping the trials the
     # quartic rejects must leave every step, row and state as they are when
     # each trial is evaluated directly, and only save evaluations.
     cfg = experiments.resolve_config("T2_1", {})
