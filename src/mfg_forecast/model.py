@@ -135,13 +135,14 @@ def make_problem_spec(grid: Grid, u0, m0, kernel: KernelSpec,
 def apply_interaction(kernel: KernelSpec, grid: Grid, m_values: np.ndarray) -> np.ndarray:
     """int K(x_i, y) m(y, t_j) dy for all nodes, trapezoid in y.
 
-    Returns an array that broadcasts against (nx, nt): the full (nx, nt)
-    array for a tabulated kernel, and for a constant kernel the (1, nt)
-    row of the kernel constant times the total mass at each time.
+    ``m_values`` is one (nx, nt) field or a stack of them, (..., nx, nt).
+    Returns an array that broadcasts against ``m_values``: for a tabulated
+    kernel one of the same shape, and for a constant kernel the (..., 1, nt)
+    rows of the kernel constant times the total mass at each time.
     """
     wx = calculus.weights_x(grid)
     if kernel.constant is not None:
-        return kernel.constant * (wx @ m_values)[None, :]
+        return kernel.constant * (wx @ m_values)[..., None, :]
     return kernel.table @ (wx[:, None] * m_values)
 
 
@@ -156,8 +157,10 @@ def interaction_adjoint(kernel: KernelSpec, grid: Grid, g_values: np.ndarray) ->
 def residuals(u: np.ndarray, m: np.ndarray, spec: ProblemSpec, stencils):
     """The two system residuals (R1, R2) and u_x at every node.
 
-    ``stencils`` is the (Dt, Dx, Dxx) triple of ``calculus.diff_matrices``
-    for the spec grid, passed in so callers that hold it pay nothing extra.
+    ``u`` and ``m`` are (nx, nt) fields or stacks of them, (..., nx, nt);
+    the results have their shape.  ``stencils`` is the (Dt, Dx, Dxx) triple
+    of ``calculus.diff_matrices`` for the spec grid, passed in so callers
+    that hold it pay nothing extra.
     """
     dtm, dxm, dxxm = stencils
     r = spec.r_field.values

@@ -45,6 +45,11 @@ gradient point z and at the last value evaluation (the unit trial z + p),
 with H p = H(z+p) - H z, and one residual call at z - p.  A kept entry
 that is missing or at another state is recomputed, so every result is the
 same with or without the kept entries.
+
+``model.residuals`` and ``value_arrays`` also take stacks of states,
+(..., nx, nt), and reduce each term per state; the finite-difference oracle
+evaluates the line points of many directions in one such call.  A stack is
+never kept: kept entries only ever match 2-D states.
 """
 
 from __future__ import annotations
@@ -58,6 +63,10 @@ from mfg_forecast import calculus, model
 from mfg_forecast.carleman import ConvexParams, sample_neumann_field
 from mfg_forecast.grid import Field, Grid
 from mfg_forecast.model import ProblemSpec
+
+# Nodes per field in one stacked evaluation of the finite-difference oracle
+# (four line points times a chunk of directions); bounds its memory.
+FD_STACK_NODES = 16384
 
 
 @dataclass(frozen=True)
@@ -105,7 +114,10 @@ class LineQuartic:
 
 @dataclass(frozen=True)
 class ObjectiveBreakdown:
-    """The three nonnegative parts of the objective and their sum."""
+    """The three nonnegative parts of the objective and their sum.
+
+    Floats for one state; for a stack of states, arrays over its stack axes.
+    """
 
     j1: float
     j2: float
@@ -176,20 +188,30 @@ class Objective:
 
         Returns (breakdown, r1, r2, H u, H m, ux); the value and the
         value-and-gradient paths share it, so both report identical parts.
+        A stack of states, (..., nx, nt), gives one value per state.
         """
         r1, r2, ux = model.residuals(u, m, self.spec, self.stencils)
         hu, hm = self._h2_apply(u), self._h2_apply(m)
-        j1 = float(np.vdot(self.w1 * r1, r1))
-        j2 = float(np.vdot(self.w2 * r2, r2))
-        j3 = self.alpha * (float(np.vdot(u, hu)) + float(np.vdot(m, hm)))
+        j1 = _inner(self.w1 * r1, r1)
+        j2 = _inner(self.w2 * r2, r2)
+        j3 = self.alpha * (_inner(u, hu) + _inner(m, hm))
         for name, v in (("j1", j1), ("j2", j2), ("j3", j3)):
-            if not math.isfinite(v):
+            finite = math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()
+            if not finite:
                 raise ValueError(f"objective term {name} is non-finite")
         return ObjectiveBreakdown(j1, j2, j3, j1 + j2 + j3), r1, r2, hu, hm, ux
 
     # -- public evaluations ---------------------------------------------
 
     def value_arrays(self, u: np.ndarray, m: np.ndarray) -> ObjectiveBreakdown:
+        """J and its parts at (u, m), kept for the next gradient call.
+
+        ``u`` and ``m`` may be stacks of states, (..., nx, nt); each part is
+        then an array over the stack axes.  A stack is evaluated without
+        touching the kept entries, which only ever match 2-D states.
+        """
+        if u.ndim != 2 or m.ndim != 2:
+            return self._evaluate(u, m)[0]
         self._last = None  # free the previous entry before making this one
         evaluated = self._evaluate(u, m)
         self._last = (u.copy(), m.copy(), evaluated)
@@ -286,6 +308,14 @@ class Objective:
         return entry[2][:5] if _holds(entry, u, m) else self._evaluate(u, m)[:5]
 
 
+def _inner(a: np.ndarray, b: np.ndarray):
+    """<a, b> over the last two axes: a float for one (nx, nt) field, an
+    array over the stack axes for a stack of them."""
+    if a.ndim == 2:
+        return float(np.vdot(a, b))
+    return np.einsum("...ij,...ij->...", a, b)
+
+
 def _holds(entry, u, m) -> bool:
     """Whether a kept (u, m, evaluation) entry was made at (u, m).
 
@@ -338,9 +368,13 @@ def gradient_fd_check(spec: ProblemSpec, params: ConvexParams,
     plane, step h = 1e-2*(1 + max|state|).  The residuals are quadratic in
     (u, m), so J is a quartic polynomial along any line and the five-point
     derivative (8(J(h) - J(-h)) - (J(2h) - J(-2h))) / (12h) carries no
-    truncation error; the large step keeps round-off small.  Returns the
-    worst relative disagreement over all (state, direction) pairs; with no
-    pair to check it raises ValueError rather than report a vacuous pass.
+    truncation error; the large step keeps round-off small.  The four line
+    points of a chunk of directions are evaluated as one stack of states of
+    at most ``FD_STACK_NODES`` nodes per field (one direction at least).
+    Returns the worst relative disagreement over all (state, direction)
+    pairs, NaN when any reading is NaN, so a reading that could not be made
+    fails the gate; with no pair to check it raises ValueError rather than
+    report a vacuous pass.
     """
     if n_states < 1 or n_directions < 1:
         raise ValueError(f"gradient check needs n_states >= 1 and n_directions "
@@ -348,28 +382,27 @@ def gradient_fd_check(spec: ProblemSpec, params: ConvexParams,
     rng = np.random.default_rng(seed)
     grid = spec.grid
     obj = Objective(spec, params)
+    chunk = max(1, FD_STACK_NODES // (4 * grid.nx * grid.nt))
     worst = 0.0
     for _ in range(n_states):
         u = sample_neumann_field(grid, rng, amplitude=amplitude)
         m = sample_neumann_field(grid, rng, amplitude=amplitude)
         _, gu, gm = obj.value_and_gradient_arrays(u, m)
         h = 1e-2 * (1.0 + max(np.abs(u).max(), np.abs(m).max()))
-        for _ in range(n_directions):
-            du = rng.standard_normal((grid.nx, grid.nt))
-            dm = rng.standard_normal((grid.nx, grid.nt))
-            du[:, 0] = 0.0
-            dm[:, 0] = 0.0
-            scale = math.sqrt(float(np.sum(du**2) + np.sum(dm**2)))
-            du /= scale
-            dm /= scale
-            analytic = float(np.sum(gu * du) + np.sum(gm * dm))
-
-            def j_at(step):
-                return obj.value_arrays(u + step * du, m + step * dm).total
-
-            fd = (8.0 * (j_at(h) - j_at(-h)) - (j_at(2 * h) - j_at(-2 * h))) / (12 * h)
-            rel = abs(analytic - fd) / (abs(analytic) + 1e-12)
-            worst = max(worst, rel)
-    return {"max_rel_error": worst, "n_states": n_states,
+        steps = np.array([h, -h, 2 * h, -2 * h])[:, None, None, None]
+        for start in range(0, n_directions, chunk):
+            # (du, dm) of each direction in turn: the same stream as one
+            # draw per field and direction
+            d = rng.standard_normal((min(chunk, n_directions - start), 2,
+                                     grid.nx, grid.nt))
+            d[..., 0] = 0.0
+            d /= np.sqrt(np.sum(d**2, axis=(1, 2, 3)))[:, None, None, None]
+            du, dm = d[:, 0], d[:, 1]
+            analytic = np.sum(gu * du, axis=(1, 2)) + np.sum(gm * dm, axis=(1, 2))
+            j = obj.value_arrays(u + steps * du, m + steps * dm).total
+            fd = (8.0 * (j[0] - j[1]) - (j[2] - j[3])) / (12 * h)
+            rel = np.abs(analytic - fd) / (np.abs(analytic) + 1e-12)
+            worst = np.maximum(worst, rel.max())  # max() would drop a NaN
+    return {"max_rel_error": float(worst), "n_states": n_states,
             "n_directions": n_directions, "seed": seed,
             "step_rule": "five-point, 1e-2*(1+max|state|)"}

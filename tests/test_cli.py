@@ -6,6 +6,7 @@ import pytest
 from mfg_forecast import experiments
 from mfg_forecast.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, \
     UsageError, main, parse_config
+from mfg_forecast.objective import Objective
 
 FAST = ["--tol", "1e-2", "--max-iters", "300"]
 
@@ -168,6 +169,24 @@ def test_check_gradient_cli(tmp_path):
     assert code == EXIT_OK
     payload = json.loads((out / "gradient_check.json").read_text())
     assert payload["max_rel_error"] < 1e-6
+
+
+def test_check_gradient_nan_reading_is_numerical_failure(tmp_path, monkeypatch):
+    exact = Objective.value_and_gradient_arrays
+
+    def planted(self, u, m):
+        breakdown, gu, gm = exact(self, u, m)
+        gu = gu.copy()
+        gu[5, 5] = math.nan
+        return breakdown, gu, gm
+
+    monkeypatch.setattr(Objective, "value_and_gradient_arrays", planted)
+    out = tmp_path / "grad"
+    code = main(["check-gradient", "--states", "2", "--directions", "6",
+                 "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert math.isnan(json.loads((out / "gradient_check.json").read_text())
+                      ["max_rel_error"])
 
 
 @pytest.mark.parametrize("counts", [("0", "6"), ("2", "0"), ("-1", "6")])

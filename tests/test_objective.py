@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfg_forecast import calculus
+from mfg_forecast import calculus, model, objective
 from mfg_forecast.carleman import ConvexParams, sample_neumann_field
 from mfg_forecast.grid import Field, constant_field, make_grid
 from mfg_forecast.model import KernelSpec, make_problem_spec
@@ -328,6 +328,100 @@ def test_fd_oracle_reports_a_planted_gradient_error(params, t11_case, monkeypatc
     assert report["max_rel_error"] > 1e-6
 
 
+@pytest.mark.parametrize("planted_state", [0, 1])
+def test_fd_oracle_fails_on_a_nan_reading(params, t11_case, monkeypatch,
+                                          planted_state):
+    # a NaN reading must not be dropped by the running maximum, whether it
+    # comes before or after finite readings
+    exact = Objective.value_and_gradient_arrays
+    calls = []
+
+    def planted(self, u, m):
+        breakdown, gu, gm = exact(self, u, m)
+        if len(calls) == planted_state:
+            gu = gu.copy()
+            gu[5, 5] = np.nan
+        calls.append(1)
+        return breakdown, gu, gm
+
+    monkeypatch.setattr(Objective, "value_and_gradient_arrays", planted)
+    report = gradient_fd_check(t11_case.spec, params, n_states=2, n_directions=6,
+                               seed=7)
+    assert len(calls) == 2
+    assert np.isnan(report["max_rel_error"])
+
+
+# -- stacks of states -----------------------------------------------------
+
+
+def _stack(grid, seed, shape=(2, 3)):
+    """Random states stacked on leading axes: u and m of shape (*shape, nx, nt)."""
+    rng = np.random.default_rng(seed)
+    states = [_random_state(grid, rng) for _ in range(int(np.prod(shape)))]
+    u = np.array([s.u.values for s in states]).reshape(*shape, grid.nx, grid.nt)
+    m = np.array([s.m.values for s in states]).reshape(*shape, grid.nx, grid.nt)
+    return u, m
+
+
+@pytest.fixture()
+def tabulated_spec(grid):
+    rng = np.random.default_rng(28)
+    table = rng.uniform(-1.0, 1.0, (grid.nx, grid.nx))
+    return make_problem_spec(grid, np.zeros(grid.nx), np.full(grid.nx, 0.5),
+                             KernelSpec(table=table))
+
+
+@pytest.mark.parametrize("kernel", ["constant", "tabulated"])
+def test_stacked_evaluation_matches_per_state(grid, params, t11_case,
+                                              tabulated_spec, kernel):
+    spec = t11_case.spec if kernel == "constant" else tabulated_spec
+    u, m = _stack(grid, 29)
+    obj = Objective(spec, params)
+    stacked = model.residuals(u, m, spec, obj.stencils)
+    breakdown = obj.value_arrays(u, m)
+    assert breakdown.total.shape == (2, 3)
+    for index in np.ndindex(2, 3):
+        single = model.residuals(u[index], m[index], spec, obj.stencils)
+        for got, expected in zip(stacked, single):
+            assert got[index].shape == expected.shape
+            np.testing.assert_allclose(got[index], expected, rtol=1e-13,
+                                       atol=1e-13 * np.abs(expected).max())
+        expected = obj.value_arrays(u[index], m[index])
+        for part in ("j1", "j2", "j3", "total"):
+            assert getattr(breakdown, part)[index] == pytest.approx(
+                getattr(expected, part), rel=1e-13)
+
+
+def test_stacked_evaluation_names_overflowing_term(grid, params, zero_spec):
+    u, m = _stack(grid, 30)
+    u[1, 2] = 1e200  # one state of the stack overflows its squared residual
+    obj = Objective(zero_spec, params)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="j1"):
+        obj.value_arrays(u, m)
+
+
+def test_gradient_fd_check_covers_several_chunks(fine_grid, params, monkeypatch):
+    # 41x21 nodes give chunks of 4 directions, so 10 directions take three
+    # stacked calls per state, the last one short
+    spec = make_problem_spec(fine_grid, np.zeros(fine_grid.nx),
+                             np.full(fine_grid.nx, 0.5), KernelSpec(constant=1.0))
+    chunk = objective.FD_STACK_NODES // (4 * fine_grid.nx * fine_grid.nt)
+    assert chunk == 4
+    shapes = []
+    value_arrays = Objective.value_arrays
+
+    def recorded(self, u, m):
+        shapes.append(u.shape)
+        return value_arrays(self, u, m)
+
+    monkeypatch.setattr(Objective, "value_arrays", recorded)
+    report = gradient_fd_check(spec, params, n_states=2, n_directions=10, seed=5)
+    stack = (fine_grid.nx, fine_grid.nt)
+    assert shapes == [(4, 4, *stack), (4, 4, *stack), (4, 2, *stack)] * 2
+    assert report["max_rel_error"] < 1e-8
+
+
 # -- reuse of the last value evaluation by the gradient ---------------------
 
 
@@ -392,6 +486,19 @@ def test_gradient_after_other_value_recomputes(grid, params, t11_case):
     result = obj.value_and_gradient_arrays(ua, ma)
     assert obj.evaluations == 3
     _assert_matches_fresh(result, spec, params, ua, ma)
+
+
+def test_stacked_value_between_value_and_gradient_keeps_reuse(grid, params,
+                                                             t11_case):
+    # a stack is evaluated without replacing the kept 2-D entry
+    spec = t11_case.spec
+    (u, m), _ = _two_states(grid, 31)
+    obj = _counting_objective(spec, params)
+    obj.value_arrays(u, m)
+    obj.value_arrays(np.stack([u, 2.0 * u]), np.stack([m, 2.0 * m]))
+    result = obj.value_and_gradient_arrays(u, m)
+    assert obj.evaluations == 2  # the value call and the stack; the gradient reused
+    _assert_matches_fresh(result, spec, params, u, m)
 
 
 def test_stored_evaluation_serves_one_gradient(grid, params, t11_case):

@@ -182,6 +182,40 @@ def test_lbfgs_run_bit_identical_without_evaluation_reuse(params, monkeypatch):
     assert np.array_equal(reused.state.m.values, recomputed.state.m.values)
 
 
+def test_lbfgs_run_unchanged_by_stacked_values(params, monkeypatch):
+    # A stacked evaluation after every value call, as the finite-difference
+    # oracle makes between its value and gradient calls, replaces no kept
+    # entry: each gradient still reuses its trial and the run is the same.
+    cfg = experiments.resolve_config("T1_2", {})
+    _, spec, _ = experiments._build_problem("T1_2", cfg)
+    config = OptimizerConfig()
+    plain = minimize(spec, params, config)
+    calls = {"value": 0, "evaluate": 0}
+    value_arrays, evaluate = Objective.value_arrays, Objective._evaluate
+
+    def with_stack(self, u, m):
+        breakdown = value_arrays(self, u, m)
+        calls["value"] += 1
+        stacked = value_arrays(self, np.stack([u, 0.5 * u]), np.stack([m, 0.5 * m]))
+        assert stacked.total[0] == pytest.approx(breakdown.total, rel=1e-13)
+        return breakdown
+
+    def counted_evaluate(self, u, m):
+        calls["evaluate"] += 1
+        return evaluate(self, u, m)
+
+    monkeypatch.setattr(Objective, "value_arrays", with_stack)
+    monkeypatch.setattr(Objective, "_evaluate", counted_evaluate)
+    interleaved = minimize(spec, params, config)
+    # one evaluation per trial and one per stack, plus the start state's
+    # gradient call: no gradient or line quartic had to recompute
+    assert calls["evaluate"] == 2 * calls["value"] + 1
+    assert interleaved.status == plain.status == CONVERGED
+    assert interleaved.trace.rows == plain.trace.rows
+    assert np.array_equal(interleaved.state.u.values, plain.state.u.values)
+    assert np.array_equal(interleaved.state.m.values, plain.state.m.values)
+
+
 def test_lbfgs_clears_rho_with_its_history(params, monkeypatch):
     cfg = experiments.resolve_config("T1_2", {})
     _, spec, _ = experiments._build_problem("T1_2", cfg)
