@@ -68,6 +68,8 @@ from mfg_forecast.model import ProblemSpec
 # (four line points times a chunk of directions); bounds its memory.
 FD_STACK_NODES = 16384
 
+_PER_STATE = "...ij,...ij->..."  # einsum of <a, b> for each state of a stack
+
 
 @dataclass(frozen=True)
 class StatePair:
@@ -192,12 +194,18 @@ class Objective:
         """
         r1, r2, ux = model.residuals(u, m, self.spec, self.stencils)
         hu, hm = self._h2_apply(u), self._h2_apply(m)
-        j1 = _inner(self.w1 * r1, r1)
-        j2 = _inner(self.w2 * r2, r2)
-        j3 = self.alpha * (_inner(u, hu) + _inner(m, hm))
+        stacked = u.ndim > 2
+        if stacked:  # one inner product per state, over the last two axes
+            j1 = np.einsum(_PER_STATE, self.w1 * r1, r1)
+            j2 = np.einsum(_PER_STATE, self.w2 * r2, r2)
+            j3 = self.alpha * (np.einsum(_PER_STATE, u, hu) +
+                               np.einsum(_PER_STATE, m, hm))
+        else:
+            j1 = float(np.vdot(self.w1 * r1, r1))
+            j2 = float(np.vdot(self.w2 * r2, r2))
+            j3 = self.alpha * (float(np.vdot(u, hu)) + float(np.vdot(m, hm)))
         for name, v in (("j1", j1), ("j2", j2), ("j3", j3)):
-            finite = math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()
-            if not finite:
+            if not (np.isfinite(v).all() if stacked else math.isfinite(v)):
                 raise ValueError(f"objective term {name} is non-finite")
         return ObjectiveBreakdown(j1, j2, j3, j1 + j2 + j3), r1, r2, hu, hm, ux
 
@@ -210,7 +218,7 @@ class Objective:
         then an array over the stack axes.  A stack is evaluated without
         touching the kept entries, which only ever match 2-D states.
         """
-        if u.ndim != 2 or m.ndim != 2:
+        if u.ndim > 2:
             return self._evaluate(u, m)[0]
         self._last = None  # free the previous entry before making this one
         evaluated = self._evaluate(u, m)
@@ -306,14 +314,6 @@ class Objective:
         """(breakdown, r1, r2, H u, H m) at (u, m): ``entry``'s when it was
         made there."""
         return entry[2][:5] if _holds(entry, u, m) else self._evaluate(u, m)[:5]
-
-
-def _inner(a: np.ndarray, b: np.ndarray):
-    """<a, b> over the last two axes: a float for one (nx, nt) field, an
-    array over the stack axes for a stack of them."""
-    if a.ndim == 2:
-        return float(np.vdot(a, b))
-    return np.einsum("...ij,...ij->...", a, b)
 
 
 def _holds(entry, u, m) -> bool:
