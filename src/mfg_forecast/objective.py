@@ -392,12 +392,14 @@ def gradient_fd_check(spec: ProblemSpec, params: ConvexParams,
         steps = np.array([h, -h, 2 * h, -2 * h])[:, None, None, None]
         for start in range(0, n_directions, chunk):
             # (du, dm) of each direction in turn: the same stream as one
-            # draw per field and direction
+            # draw per field and direction, and per-field sums, so every
+            # direction and analytic derivative is that of one at a time
             d = rng.standard_normal((min(chunk, n_directions - start), 2,
                                      grid.nx, grid.nt))
             d[..., 0] = 0.0
-            d /= np.sqrt(np.sum(d**2, axis=(1, 2, 3)))[:, None, None, None]
             du, dm = d[:, 0], d[:, 1]
+            scale = np.sqrt(np.sum(du**2, axis=(1, 2)) + np.sum(dm**2, axis=(1, 2)))
+            d /= scale[:, None, None, None]
             analytic = np.sum(gu * du, axis=(1, 2)) + np.sum(gm * dm, axis=(1, 2))
             j = obj.value_arrays(u + steps * du, m + steps * dm).total
             fd = (8.0 * (j[0] - j[1]) - (j[2] - j[3])) / (12 * h)
