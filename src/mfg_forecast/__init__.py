@@ -1,7 +1,7 @@
 """Forecasting solver for 1-D mean field games via Carleman-weighted convexification."""
 
-from mfg_forecast.calculus import d2_dx2, d_dt, d_dx, h2_norm_discrete, \
-    h10_norm_gamma, integrate_x, l2_norm_qt
+from mfg_forecast.calculus import d2_dx2, d_dt, d_dx, h10_norm_gamma, \
+    integrate_x, l2_norm_qt
 from mfg_forecast.carleman import ConvexParams, alpha_min, check_carleman_estimate, \
     check_quasi_carleman, cwf, min_c, q_factor
 from mfg_forecast.experiments import NoiseSpec, RunReport, add_noise, \

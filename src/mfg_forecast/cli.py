@@ -207,11 +207,18 @@ def _cmd_sweep(options: dict) -> int:
         raise UsageError(f"bad --values list: {exc}")
     if not values:
         raise UsageError("--values is empty")
+    tags = [f"{options['param']}_{v:g}" for v in values]  # run directories
+    for tag in tags:
+        shared = [v for v, t in zip(values, tags) if t == tag]
+        if len(shared) > 1:
+            raise UsageError(f"--values {', '.join(map(repr, shared))} would all "
+                             f"write {tag}; give values that differ in the first "
+                             "six significant digits")
     base = _overrides_from(options)
     os.makedirs(options["out"], exist_ok=True)
     rows = []
     worst = EXIT_OK
-    for v in values:
+    for v, tag in zip(values, tags):
         overrides = dict(base)
         overrides[param] = int(v) if param in ("seed", "max_iters") else v
         try:
@@ -222,7 +229,6 @@ def _cmd_sweep(options: dict) -> int:
             print(f"{options['param']}={v:g}: numerical failure: {exc}",
                   file=sys.stderr)
             continue
-        tag = f"{options['param']}_{v:g}"
         report.export(os.path.join(options["out"], tag))
         if options["test"] == KERNEL_COMPARE:
             status = (report.plus.status if report.plus.status == report.minus.status

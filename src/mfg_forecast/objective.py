@@ -7,11 +7,13 @@ The scalar being minimized is
 
 with R1, R2 the two system residuals (stated once, in
 ``model.residuals``), cwf the time-decaying exponential
-weight, balance = exp(-2*a*c^lam), and the discrete-H2 regularizer from
-the calculus module.  The gradient differentiates this discrete expression
-exactly (reverse accumulation through every stencil), so the optimizer's
-descent directions are consistent with the objective to machine precision;
-finite differences are kept only as a verification oracle.
+weight, balance = exp(-2*a*c^lam), and |f|_H2^2 the discrete H2 norm: the
+summed squared L2 norms of f, d_dt f, d_dx f and d2_dx2 f over the
+cylinder, with the calculus module's stencils and trapezoid weights.  The
+gradient differentiates this discrete expression exactly (reverse
+accumulation through every stencil), so the optimizer's descent directions
+are consistent with the objective to machine precision; finite differences
+are kept only as a verification oracle.
 
 The trapezoid weight is separable, wq = outer(wx, wt), so the discrete H2
 norm is a Gram form |f|^2 = <f, H f> with
@@ -29,33 +31,27 @@ The t=0 plane (column 0 of both fields) holds the given initial data.  The
 gradient here is the full one, column 0 included; the optimizer zeroes that
 column before it steps, so the pinned data never move.
 
-A line search evaluates J at trial points and then asks for the gradient
-at the one it accepts, which it has just evaluated.  So ``value_arrays``
-keeps the intermediates of its last evaluation (R1, R2, H u, H m, u_x)
-with copies of its inputs, and ``value_and_gradient_arrays`` takes them
-when its inputs have equal contents instead of recomputing both residuals
-and both H f products.  It then keeps all but u_x, as the entry of its own
-point, for ``line_quartic``.
+``value_arrays`` returns an evaluation: the breakdown of J together with
+the state and the intermediates R1, R2, u_x, H u and H m.  The gradient and
+the line quartic take evaluations, so a caller that already holds the
+evaluation at a point hands it over instead of having it recomputed.
 
 Both residuals are quadratic in (u, m), so along a line
 R(z + xi p) = R(z) + xi a + xi^2 b exactly, with a = (R(z+p) - R(z-p))/2
 and b = (R(z+p) + R(z-p))/2 - R(z), and J(z + xi p) is a quartic in xi.
-``line_quartic`` builds its coefficients from the entries kept at the
-gradient point z and at the last value evaluation (the unit trial z + p),
-with H p = H(z+p) - H z, and one residual call at z - p.  A kept entry
-that is missing or at another state is recomputed, so every result is the
-same with or without the kept entries.
+``line_quartic`` builds its coefficients from the evaluations at z and at
+the unit trial z + p, with H p = H(z+p) - H z, and one residual call at
+z - p.
 
 ``model.residuals`` and ``value_arrays`` also take stacks of states,
 (..., nx, nt), and reduce each term per state; the finite-difference oracle
-evaluates the line points of many directions in one such call.  A stack is
-never kept: kept entries only ever match 2-D states.
+evaluates the line points of many directions in one such call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -116,31 +112,36 @@ class LineQuartic:
 
 @dataclass(frozen=True)
 class ObjectiveBreakdown:
-    """The three nonnegative parts of the objective and their sum.
+    """J at one evaluated state: its three nonnegative parts and their sum,
+    with the state and the intermediates the gradient and the line quartic
+    take.
 
-    Floats for one state; for a stack of states, arrays over its stack axes.
+    The parts are floats for one state and, for a stack of states, arrays
+    over its stack axes.  ``u`` and ``m`` are the evaluated arrays
+    themselves, not copies.  The arrays are neither compared nor shown, so
+    two breakdowns are equal when their parts are.
     """
 
     j1: float
     j2: float
     j3: float
     total: float
-
-    def to_dict(self) -> dict:
-        return {"j1": self.j1, "j2": self.j2, "j3": self.j3, "total": self.total}
+    u: np.ndarray = dataclass_field(compare=False, repr=False)
+    m: np.ndarray = dataclass_field(compare=False, repr=False)
+    r1: np.ndarray = dataclass_field(compare=False, repr=False)
+    r2: np.ndarray = dataclass_field(compare=False, repr=False)
+    ux: np.ndarray = dataclass_field(compare=False, repr=False)
+    hu: np.ndarray = dataclass_field(compare=False, repr=False)  # H u
+    hm: np.ndarray = dataclass_field(compare=False, repr=False)  # H m
 
 
 class Objective:
     """Evaluator bound to one problem and one parameter set.
 
     Precomputes stencil matrices and combined quadrature-times-weight
-    arrays; evaluations are then a handful of small dense products.
-
-    The last ``value_arrays`` evaluation is kept, with copies of its
-    inputs, until the next ``value_and_gradient_arrays`` call; that call
-    reuses it when its (u, m) equal the stored copies, so the gradient at
-    an accepted line-search trial costs only the adjoint products.  The
-    last gradient call's evaluation is kept too, for ``line_quartic``.
+    arrays; evaluations are then a handful of small dense products.  No
+    call changes the evaluator: what one evaluation gives the next call is
+    passed to it as an ``ObjectiveBreakdown``.
     """
 
     def __init__(self, spec: ProblemSpec, params: ConvexParams):
@@ -168,11 +169,6 @@ class Objective:
         self.ct = np.diag(wt) + self.dtm.T @ (wt[:, None] * self.dtm)
         self.bx = (self.dxm.T @ (self.wx_col * self.dxm) +
                    self.dxxm.T @ (self.wx_col * self.dxxm))
-        # (u, m, _evaluate result) of the last value_arrays call, and
-        # (u, m, _evaluate result without ux) of the last
-        # value_and_gradient_arrays call; None when there was none.
-        self._last = None
-        self._at_gradient = None
 
     # -- pieces ---------------------------------------------------------
 
@@ -185,12 +181,15 @@ class Objective:
     def _h2_quadratic(self, f: np.ndarray) -> float:
         return float(np.vdot(f, self._h2_apply(f)))
 
-    def _evaluate(self, u: np.ndarray, m: np.ndarray):
-        """Breakdown plus the intermediates the gradient reuses.
+    # -- public evaluations ---------------------------------------------
 
-        Returns (breakdown, r1, r2, H u, H m, ux); the value and the
-        value-and-gradient paths share it, so both report identical parts.
-        A stack of states, (..., nx, nt), gives one value per state.
+    def value_arrays(self, u: np.ndarray, m: np.ndarray) -> ObjectiveBreakdown:
+        """J and its parts at (u, m), with the intermediates it computed.
+
+        ``u`` and ``m`` may be stacks of states, (..., nx, nt); each part is
+        then an array over the stack axes.  The gradient and the line
+        quartic take the evaluation of one state; its caller keeps ``u``
+        and ``m`` unchanged while the evaluation is in use.
         """
         r1, r2, ux = model.residuals(u, m, self.spec, self.stencils)
         hu, hm = self._h2_apply(u), self._h2_apply(m)
@@ -207,23 +206,7 @@ class Objective:
         for name, v in (("j1", j1), ("j2", j2), ("j3", j3)):
             if not (np.isfinite(v).all() if stacked else math.isfinite(v)):
                 raise ValueError(f"objective term {name} is non-finite")
-        return ObjectiveBreakdown(j1, j2, j3, j1 + j2 + j3), r1, r2, hu, hm, ux
-
-    # -- public evaluations ---------------------------------------------
-
-    def value_arrays(self, u: np.ndarray, m: np.ndarray) -> ObjectiveBreakdown:
-        """J and its parts at (u, m), kept for the next gradient call.
-
-        ``u`` and ``m`` may be stacks of states, (..., nx, nt); each part is
-        then an array over the stack axes.  A stack is evaluated without
-        touching the kept entries, which only ever match 2-D states.
-        """
-        if u.ndim > 2:
-            return self._evaluate(u, m)[0]
-        self._last = None  # free the previous entry before making this one
-        evaluated = self._evaluate(u, m)
-        self._last = (u.copy(), m.copy(), evaluated)
-        return evaluated[0]
+        return ObjectiveBreakdown(j1, j2, j3, j1 + j2 + j3, u, m, r1, r2, ux, hu, hm)
 
     def hessian_diag(self, u: np.ndarray, m: np.ndarray):
         """Gauss-Newton diagonal of the Hessian at (u, m).
@@ -252,48 +235,43 @@ class Objective:
                                   np.diag(self.bx)[:, None] * self.wt_row)
         return du + reg, dm + reg
 
-    def value_and_gradient_arrays(self, u: np.ndarray, m: np.ndarray):
-        """Objective breakdown plus exact partials for every node value."""
-        last, self._last, self._at_gradient = self._last, None, None
-        if not _holds(last, u, m):
-            last = (u.copy(), m.copy(), self._evaluate(u, m))
-        breakdown, r1, r2, hu, hm, ux = last[2]
-        self._at_gradient = (last[0], last[1], last[2][:5])
-        g1 = self.w1 * r1
+    def value_and_gradient_arrays(self, ev: ObjectiveBreakdown):
+        """The breakdown ``ev`` of one state (from ``value_arrays``) and the
+        exact partials of J for every node value there."""
+        g1 = self.w1 * ev.r1
         g1 *= 2.0  # dJ/dr1 = 2*w1*r1, doubled in place to spare an array
-        g2 = self.w2 * r2
+        g2 = self.w2 * ev.r2
         g2 *= 2.0
         # Value-equation residual: adjoints of d_dt, d2_dx2, the gradient
         # square, the interaction integral, and the f*m coupling.
-        gu = g1 @ self.dtm + self.dxxm.T @ g1 - self.dxm.T @ (self.r * ux * g1)
+        gu = g1 @ self.dtm + self.dxxm.T @ g1 - self.dxm.T @ (self.r * ev.ux * g1)
         gm = model.interaction_adjoint(self.kernel, self.grid, g1) + self.f * g1
         # Density-equation residual: adjoints of d_dt, d2_dx2 and the
         # flux-form divergence, in both arguments.
         dxt_g2 = self.dxm.T @ g2
-        gu -= self.dxm.T @ (self.r * m * dxt_g2)
-        gm += g2 @ self.dtm - self.dxxm.T @ g2 - (self.r * ux) * dxt_g2
+        gu -= self.dxm.T @ (self.r * ev.m * dxt_g2)
+        gm += g2 @ self.dtm - self.dxxm.T @ g2 - (self.r * ev.ux) * dxt_g2
         two_alpha = 2.0 * self.alpha
-        gu += two_alpha * hu
-        gm += two_alpha * hm
+        gu += two_alpha * ev.hu
+        gm += two_alpha * ev.hm
         if not (np.isfinite(gu).all() and np.isfinite(gm).all()):
             raise ValueError("objective gradient is non-finite")
-        return breakdown, gu, gm
+        return ev, gu, gm
 
-    def line_quartic(self, u: np.ndarray, m: np.ndarray, pu: np.ndarray,
-                     pm: np.ndarray) -> LineQuartic:
-        """J(z + xi p) - J(z) as a quartic in xi, z = (u, m), p = (pu, pm).
+    def line_quartic(self, at_z: ObjectiveBreakdown, at_unit: ObjectiveBreakdown,
+                     pu: np.ndarray, pm: np.ndarray) -> LineQuartic:
+        """J(z + xi p) - J(z) as a quartic in xi, p = (pu, pm).
 
-        Takes R and H f at z from the last gradient call and at z + p from
-        the last value call when they were made there, recomputes them
-        otherwise, and evaluates the residuals once more at z - p.  The
+        ``at_z`` and ``at_unit`` are the evaluations at z and at the unit
+        trial z + p; the residuals are evaluated once more, at z - p.  The
         coefficients may be non-finite when z - p overflows.
         """
-        bd, r1, r2, hu, hm = self._kept(self._at_gradient, u, m)
-        _, r1p, r2p, hup, hmp = self._kept(self._last, u + pu, m + pm)
         d01 = d02 = d11 = d12 = d22 = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            r1m, r2m, _ = model.residuals(u - pu, m - pm, self.spec, self.stencils)
-            for w, r0, rp, rm in ((self.w1, r1, r1p, r1m), (self.w2, r2, r2p, r2m)):
+            r1m, r2m, _ = model.residuals(at_z.u - pu, at_z.m - pm, self.spec,
+                                          self.stencils)
+            for w, r0, rp, rm in ((self.w1, at_z.r1, at_unit.r1, r1m),
+                                  (self.w2, at_z.r2, at_unit.r2, r2m)):
                 a = 0.5 * (rp - rm)
                 b = 0.5 * (rp + rm) - r0
                 wa, wb = w * a, w * b
@@ -303,28 +281,13 @@ class Objective:
                 d12 += float(np.vdot(wa, b))
                 d22 += float(np.vdot(wb, b))
             # the regularizer is quadratic: H p = H(z+p) - H z
-            d01 += self.alpha * (float(np.vdot(pu, hu)) + float(np.vdot(pm, hm)))
-            d11 += self.alpha * (float(np.vdot(pu, hup - hu)) +
-                                 float(np.vdot(pm, hmp - hm)))
+            d01 += self.alpha * (float(np.vdot(pu, at_z.hu)) +
+                                 float(np.vdot(pm, at_z.hm)))
+            d11 += self.alpha * (float(np.vdot(pu, at_unit.hu - at_z.hu)) +
+                                 float(np.vdot(pm, at_unit.hm - at_z.hm)))
         return LineQuartic((2.0 * d01, d11 + 2.0 * d02, 2.0 * d12, d22),
-                           (math.sqrt(bd.total), math.sqrt(abs(d11)),
+                           (math.sqrt(at_z.total), math.sqrt(abs(d11)),
                             math.sqrt(abs(d22))))
-
-    def _kept(self, entry, u, m):
-        """(breakdown, r1, r2, H u, H m) at (u, m): ``entry``'s when it was
-        made there."""
-        return entry[2][:5] if _holds(entry, u, m) else self._evaluate(u, m)[:5]
-
-
-def _holds(entry, u, m) -> bool:
-    """Whether a kept (u, m, evaluation) entry was made at (u, m).
-
-    Compares bytes, which is stricter than comparing values (-0.0 and 0.0
-    differ) and several times cheaper on the working grid.
-    """
-    return (entry is not None and u.shape == entry[0].shape and
-            m.shape == entry[1].shape and u.tobytes() == entry[0].tobytes() and
-            m.tobytes() == entry[1].tobytes())
 
 
 @dataclass(frozen=True)
@@ -350,7 +313,7 @@ def convexity_probe(state1: StatePair, state2: StatePair, params: ConvexParams,
     obj = Objective(spec, params)
     u1, m1 = state1.u.values, state1.m.values
     u2, m2 = state2.u.values, state2.m.values
-    b1, gu, gm = obj.value_and_gradient_arrays(u1, m1)
+    b1, gu, gm = obj.value_and_gradient_arrays(obj.value_arrays(u1, m1))
     b2 = obj.value_arrays(u2, m2)
     inner = float(np.sum(gu * (u2 - u1)) + np.sum(gm * (m2 - m1)))
     gap = b2.total - b1.total - inner
@@ -387,7 +350,7 @@ def gradient_fd_check(spec: ProblemSpec, params: ConvexParams,
     for _ in range(n_states):
         u = sample_neumann_field(grid, rng, amplitude=amplitude)
         m = sample_neumann_field(grid, rng, amplitude=amplitude)
-        _, gu, gm = obj.value_and_gradient_arrays(u, m)
+        _, gu, gm = obj.value_and_gradient_arrays(obj.value_arrays(u, m))
         h = 1e-2 * (1.0 + max(np.abs(u).max(), np.abs(m).max()))
         steps = np.array([h, -h, 2 * h, -2 * h])[:, None, None, None]
         for start in range(0, n_directions, chunk):

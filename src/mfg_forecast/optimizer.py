@@ -2,13 +2,18 @@
 
 The t=0 plane (column 0 of both fields) holds the given data and is never
 moved: the gradient the iteration steps along is zero there, and every
-accepted state is re-pinned exactly.  The paper proves global convergence
-for gradient projection on this feasible set; the shipped solver is
-limited-memory BFGS (Nocedal & Wright, Alg. 7.4) with Armijo backtracking
-from a unit step, preconditioned by the Gauss-Newton diagonal at the start
-state.  The stopping rule is the first-order optimality ratio: the norm of
-the gradient on the free nodes over the full gradient norm at the start
-state.
+trial state is pinned exactly before it is evaluated.  The paper proves
+global convergence for gradient projection on this feasible set; the
+shipped solver is limited-memory BFGS (Nocedal & Wright, Alg. 7.4) with
+Armijo backtracking from a unit step, preconditioned by the Gauss-Newton
+diagonal at the start state.  The stopping rule is the first-order
+optimality ratio: the norm of the gradient on the free nodes over the full
+gradient norm at the start state.
+
+Each state is evaluated once (``Objective.value_arrays``), and the
+iteration hands that evaluation on: the gradient at an accepted trial is
+taken from the trial's evaluation, and the line quartic from the
+evaluations at z and at the unit trial.
 
 The residuals are quadratic, so J is an exact quartic along the search
 line.  Once the unit step is rejected, the line search builds that quartic
@@ -132,26 +137,18 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
     def split(z):
         return z[:n].reshape(nx, nt), z[n:].reshape(nx, nt)
 
-    def value(z):
-        zu, zm = split(z)
-        return obj.value_arrays(zu, zm).total
-
     def pinned(gu, gm):
         """The gradient as one vector, zeroed on the fixed t=0 column."""
         gu[:, 0] = 0.0
         gm[:, 0] = 0.0
         return np.concatenate([gu.ravel(), gm.ravel()])
 
-    def value_and_grad(z):
-        zu, zm = split(z)
-        bd, gu, gm = obj.value_and_gradient_arrays(zu, zm)
-        return bd, pinned(gu, gm)
-
     trace = IterationTrace()
-    bd, gu, gm = obj.value_and_gradient_arrays(u, m)
+    ev = obj.value_arrays(u, m)  # the evaluation at z, the current state
+    gu, gm = obj.value_and_gradient_arrays(ev)[1:]
     g0_norm = _nodal_norm(gu, gm)  # the full gradient, pinned column included
     if g0_norm == 0.0:
-        trace.append(TraceRow(0, bd.j1, bd.j2, bd.j3, bd.total, 0.0, 0.0, 0.0, 0))
+        trace.append(TraceRow(0, ev.j1, ev.j2, ev.j3, ev.total, 0.0, 0.0, 0.0, 0))
         return MinimizeResult(start, trace, CONVERGED,
                               "start state is already stationary")
     g = pinned(gu, gm)
@@ -171,7 +168,7 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
     for it in range(config.max_iters + 1):
         g_norm = math.sqrt(float(g @ g))
         foo = g_norm / g0_norm
-        trace.append(TraceRow(it, bd.j1, bd.j2, bd.j3, bd.total, g_norm, foo,
+        trace.append(TraceRow(it, ev.j1, ev.j2, ev.j3, ev.total, g_norm, foo,
                               accepted_step, evaluations))
         if foo < config.tol:
             status, message = CONVERGED, ""
@@ -191,31 +188,34 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
         xi = 1.0
         backtracks = evaluations = 0
         quartic = None
-        zu, zm = split(z)
         while True:
             threshold = ARMIJO_C * xi * slope
             if quartic is None or not _quartic_rejects(quartic, xi, threshold):
                 z_new = z + xi * p
-                trial = value(z_new)
+                # Direction is zero on the pinned plane; re-pin exactly anyway.
+                zu_new, zm_new = split(z_new)
+                zu_new[:, 0] = spec.u0
+                zm_new[:, 0] = spec.m0
+                trial = obj.value_arrays(zu_new, zm_new)
                 evaluations += 1
-                if trial <= bd.total + threshold:
+                if trial.total <= ev.total + threshold:
                     break
-                if backtracks == 0:
-                    quartic = obj.line_quartic(zu, zm, *split(p))
+                if backtracks == 0:  # the trial is the unit step z + p
+                    quartic = obj.line_quartic(ev, trial, *split(p))
                     if not quartic.is_finite():
                         quartic = None
             backtracks += 1
             if backtracks > MAX_BACKTRACKS:
                 return MinimizeResult(
-                    _wrap(zu, zm, spec), trace, STALLED,
+                    _wrap(ev.u, ev.m, spec), trace, STALLED,
                     f"line search failed after {MAX_BACKTRACKS} "
                     "backtracks; gradient and objective are likely inconsistent")
             xi *= BACKTRACK_FACTOR
-        # Direction is zero on the pinned plane; re-pin exactly anyway.
-        zu_new, zm_new = split(z_new)
-        zu_new[:, 0] = spec.u0
-        zm_new[:, 0] = spec.m0
-        bd_new, g_new = value_and_grad(z_new)
+        # Only the accepted trial's evaluation stays referenced: the one at
+        # the old z is freed before the gradient's arrays are made.
+        ev = trial
+        gu, gm = obj.value_and_gradient_arrays(ev)[1:]
+        g_new = pinned(gu, gm)
         s = z_new - z
         y = g_new - g
         sy = float(s @ y)
@@ -227,10 +227,9 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
                 s_hist.pop(0)
                 y_hist.pop(0)
                 rho_hist.pop(0)
-        z, bd, g = z_new, bd_new, g_new
+        z, g = z_new, g_new
         accepted_step = xi
-    zu, zm = split(z)
-    return MinimizeResult(_wrap(zu, zm, spec), trace, status, message)
+    return MinimizeResult(_wrap(ev.u, ev.m, spec), trace, status, message)
 
 
 def _quartic_rejects(quartic, xi, threshold) -> bool:

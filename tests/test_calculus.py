@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from mfg_forecast import calculus
-from mfg_forecast.calculus import d2_dx2, d_dt, d_dx, h2_norm_discrete, h10_norm_gamma, integrate_x, l2_norm_qt
+from mfg_forecast.calculus import d2_dx2, d_dt, d_dx, h10_norm_gamma, integrate_x, l2_norm_qt
 from mfg_forecast.grid import Field, field_from_function, make_grid
+
+from h2_reference import h2_norm_discrete
 
 
 @pytest.fixture()

@@ -162,6 +162,23 @@ def test_sweep_rejects_unknown_parameter(tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("values, named", [
+    ("1.0000001e-5,1.0000002e-5", "1.0000001e-05, 1.0000002e-05"),
+    ("1e-4,2e-4,0.0001", "0.0001, 0.0001")], ids=["alike", "duplicate"])
+def test_sweep_rejects_values_sharing_a_run_directory(tmp_path, capsys, values,
+                                                      named):
+    # both values would write alpha_1e-05 (or alpha_0.0001): refused
+    # before any run, rather than one run overwriting the other
+    out = tmp_path / "s"
+    code = main(["sweep", "--test", "T1_2", "--param", "alpha", "--values",
+                 values, "--max-iters", "5", "--out", str(out)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_check_gradient_cli(tmp_path):
     out = tmp_path / "grad"
     code = main(["check-gradient", "--states", "2", "--directions", "6",
@@ -174,8 +191,8 @@ def test_check_gradient_cli(tmp_path):
 def test_check_gradient_nan_reading_is_numerical_failure(tmp_path, monkeypatch):
     exact = Objective.value_and_gradient_arrays
 
-    def planted(self, u, m):
-        breakdown, gu, gm = exact(self, u, m)
+    def planted(self, ev):
+        breakdown, gu, gm = exact(self, ev)
         gu = gu.copy()
         gu[5, 5] = math.nan
         return breakdown, gu, gm

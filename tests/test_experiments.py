@@ -13,6 +13,8 @@ from mfg_forecast.experiments import CASES, KernelComparison, NoiseSpec, \
     resolve_config, run_test, smooth_transition
 import mfg_forecast.experiments as experiments
 
+from h2_reference import h2_norm_discrete
+
 
 def test_noise_level_zero_returns_data_exactly():
     data = np.linspace(-1, 1, 21)
@@ -166,7 +168,10 @@ def test_run_test_returns_report_with_truth(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["test_id"] == "T1_2"
     assert "errors" in summary
-    assert summary["state_h2_norm"] > 0
+    # read off the returned state's j3; the term-by-term norm agrees
+    expected = math.hypot(h2_norm_discrete(rep.predicted.u),
+                          h2_norm_discrete(rep.predicted.m))
+    assert summary["state_h2_norm"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_run_test_realistic_has_no_truth(tmp_path):

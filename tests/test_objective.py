@@ -10,6 +10,8 @@ from mfg_forecast.objective import Objective, StatePair, convexity_probe, \
 from mfg_forecast.optimizer import OptimizerConfig, make_start, minimize
 import mfg_forecast.optimizer as optimizer
 
+from h2_reference import h2_norm_discrete
+
 
 @pytest.fixture()
 def grid():
@@ -45,8 +47,9 @@ def _value(state, params, spec):
 
 
 def _gradient(state, params, spec):
-    _, gu, gm = Objective(spec, params).value_and_gradient_arrays(
-        state.u.values, state.m.values)
+    obj = Objective(spec, params)
+    _, gu, gm = obj.value_and_gradient_arrays(
+        obj.value_arrays(state.u.values, state.m.values))
     return gu, gm
 
 
@@ -80,8 +83,8 @@ def test_objective_at_manufactured_truth(t11_case, params):
     assert bd.j1 < 1e-20  # residual is machine-zero by construction
     assert bd.j2 > 0
     expected_j3 = params.alpha * (
-        calculus.h2_norm_discrete(t11_case.u_true) ** 2 +
-        calculus.h2_norm_discrete(t11_case.m_true) ** 2)
+        h2_norm_discrete(t11_case.u_true) ** 2 +
+        h2_norm_discrete(t11_case.m_true) ** 2)
     assert bd.j3 == pytest.approx(expected_j3, rel=1e-12)
 
 
@@ -153,7 +156,7 @@ def test_objective_constant_along_masked_directions(grid, params, zero_spec):
 def test_regularizer_gradient_against_norm_oracle(grid, params, zero_spec,
                                                   residuals_off):
     # isolate j3 (zero weight profile) and compare the gradient with central
-    # differences of the calculus-module quadratic form
+    # differences of the reference H2 norm
     rng = np.random.default_rng(5)
     state = _random_state(grid, rng)
     gu, _ = _gradient(state, params, zero_spec)
@@ -165,7 +168,7 @@ def test_regularizer_gradient_against_norm_oracle(grid, params, zero_spec,
         analytic = float(np.sum(gu * du))
 
         def j3_u(vals):
-            return params.alpha * calculus.h2_norm_discrete(Field(grid, vals)) ** 2
+            return params.alpha * h2_norm_discrete(Field(grid, vals)) ** 2
 
         fd = (j3_u(state.u.values + h * du) - j3_u(state.u.values - h * du)) / (2 * h)
         assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-12)
@@ -178,8 +181,9 @@ def test_eval_and_gradient_deterministic(grid, params, t11_case):
     b2 = _value(state, params, t11_case.spec)
     assert b1 == b2
     obj = Objective(t11_case.spec, params)
-    b3, gu1, gm1 = obj.value_and_gradient_arrays(state.u.values, state.m.values)
-    b4, gu2, gm2 = obj.value_and_gradient_arrays(state.u.values, state.m.values)
+    ev = obj.value_arrays(state.u.values, state.m.values)
+    b3, gu1, gm1 = obj.value_and_gradient_arrays(ev)
+    b4, gu2, gm2 = obj.value_and_gradient_arrays(ev)
     assert b3 == b4 == b1
     assert np.array_equal(gu1, gu2)
     assert np.array_equal(gm1, gm2)
@@ -237,8 +241,8 @@ def test_same_gradients_give_unit_ratio(grid, params, data_spec, monkeypatch):
     # already vanishes on the pinned plane, row 0 reads exactly one
     exact = Objective.value_and_gradient_arrays
 
-    def zero_on_pinned(self, u, m):
-        breakdown, gu, gm = exact(self, u, m)
+    def zero_on_pinned(self, ev):
+        breakdown, gu, gm = exact(self, ev)
         gu[:, 0] = 0.0
         gm[:, 0] = 0.0
         return breakdown, gu, gm
@@ -276,7 +280,7 @@ def test_h2_gram_form_matches_norm_oracle(fine_grid, params):
     for amplitude in (1e-3, 1.0, 1e3):
         f = sample_neumann_field(fine_grid, rng, amplitude=amplitude)
         f += amplitude * rng.standard_normal(f.shape)  # rough, not only smooth
-        expected = calculus.h2_norm_discrete(Field(fine_grid, f)) ** 2
+        expected = h2_norm_discrete(Field(fine_grid, f)) ** 2
         assert obj._h2_quadratic(f) == pytest.approx(expected, rel=1e-12)
 
 
@@ -318,8 +322,8 @@ def test_fd_oracle_reports_a_planted_gradient_error(params, t11_case, monkeypatc
     grid = t11_case.spec.grid
     pattern = np.random.default_rng(16).choice([-1.0, 1.0], (grid.nx, grid.nt))
 
-    def planted(self, u, m):
-        breakdown, gu, gm = exact(self, u, m)
+    def planted(self, ev):
+        breakdown, gu, gm = exact(self, ev)
         return breakdown, gu * (1.0 + 1e-5 * pattern), gm
 
     monkeypatch.setattr(Objective, "value_and_gradient_arrays", planted)
@@ -336,8 +340,8 @@ def test_fd_oracle_fails_on_a_nan_reading(params, t11_case, monkeypatch,
     exact = Objective.value_and_gradient_arrays
     calls = []
 
-    def planted(self, u, m):
-        breakdown, gu, gm = exact(self, u, m)
+    def planted(self, ev):
+        breakdown, gu, gm = exact(self, ev)
         if len(calls) == planted_state:
             gu = gu.copy()
             gu[5, 5] = np.nan
@@ -418,101 +422,57 @@ def test_gradient_fd_check_covers_several_chunks(fine_grid, params, monkeypatch)
     monkeypatch.setattr(Objective, "value_arrays", recorded)
     report = gradient_fd_check(spec, params, n_states=2, n_directions=10, seed=5)
     stack = (fine_grid.nx, fine_grid.nt)
-    assert shapes == [(4, 4, *stack), (4, 4, *stack), (4, 2, *stack)] * 2
+    # each state's own evaluation, for its gradient, then its stacks
+    assert shapes == [stack, (4, 4, *stack), (4, 4, *stack), (4, 2, *stack)] * 2
     assert report["max_rel_error"] < 1e-8
 
 
-# -- reuse of the last value evaluation by the gradient ---------------------
-
-
-def _counting_objective(spec, params):
-    """An Objective whose residual evaluations are counted in ``.evaluations``."""
-    obj = Objective(spec, params)
-    obj.evaluations = 0
-    evaluate = obj._evaluate
-
-    def counted(u, m):
-        obj.evaluations += 1
-        return evaluate(u, m)
-
-    obj._evaluate = counted
-    return obj
-
-
-def _assert_matches_fresh(result, spec, params, u, m):
-    breakdown, gu, gm = result
-    fresh_bd, fresh_gu, fresh_gm = Objective(spec, params).value_and_gradient_arrays(
-        u, m)
-    assert breakdown == fresh_bd
-    assert np.array_equal(gu, fresh_gu) and np.array_equal(gm, fresh_gm)
+# -- the objective is a pure evaluator ---------------------------------------
 
 
 def _two_states(grid, seed):
     rng = np.random.default_rng(seed)
     a, b = _random_state(grid, rng), _random_state(grid, rng)
-    return (a.u.values.copy(), a.m.values.copy()), (b.u.values.copy(), b.m.values.copy())
+    return (a.u.values, a.m.values), (b.u.values, b.m.values)
 
 
-@pytest.mark.parametrize("copied", [True, False])
-def test_gradient_reuses_value_at_same_state(grid, params, t11_case, copied):
-    # a hit needs equal contents, whether or not the arrays are the same
+def test_objective_keeps_no_state(grid, params, t11_case):
+    # no call may change an attribute: what one evaluation gives the next
+    # call is passed to it
+    (u, m), (ub, mb) = _two_states(grid, 20)
+    pu, pm = ub - u, mb - m
+    obj = Objective(t11_case.spec, params)
+    before = {name: (value, value.copy() if isinstance(value, np.ndarray) else None)
+              for name, value in vars(obj).items()}
+    ev = obj.value_arrays(u, m)
+    obj.value_and_gradient_arrays(ev)
+    obj.value_arrays(np.stack([u, ub]), np.stack([m, mb]))
+    obj.line_quartic(ev, obj.value_arrays(u + pu, m + pm), pu, pm)
+    obj.value_and_gradient_arrays(obj.value_arrays(ub, mb))
+    obj.hessian_diag(u, m)
+    assert vars(obj).keys() == before.keys()
+    for name, value in vars(obj).items():
+        kept, contents = before[name]
+        assert value is kept, name
+        if contents is not None:
+            assert np.array_equal(value, contents), name
+
+
+def test_gradient_from_evaluation_matches_fresh_objective(grid, params, t11_case):
+    # an evaluation handed on after other calls gives, bit for bit, the
+    # gradient a fresh Objective gives at equal copies of the state
     spec = t11_case.spec
-    (u, m), _ = _two_states(grid, 20)
-    obj = _counting_objective(spec, params)
-    obj.value_arrays(u, m)
-    args = (u.copy(), m.copy()) if copied else (u, m)
-    result = obj.value_and_gradient_arrays(*args)
-    assert obj.evaluations == 1  # hit: contents match, the residuals are reused
-    _assert_matches_fresh(result, spec, params, u, m)
-
-
-def test_gradient_after_in_place_edit_recomputes(grid, params, t11_case):
-    spec = t11_case.spec
-    (u, m), _ = _two_states(grid, 21)
-    obj = _counting_objective(spec, params)
-    obj.value_arrays(u, m)
-    m[3, 4] += 1e-3  # the same array objects, new contents
-    result = obj.value_and_gradient_arrays(u, m)
-    assert obj.evaluations == 2
-    _assert_matches_fresh(result, spec, params, u, m)
-
-
-def test_gradient_after_other_value_recomputes(grid, params, t11_case):
-    spec = t11_case.spec
-    (ua, ma), (ub, mb) = _two_states(grid, 22)
-    obj = _counting_objective(spec, params)
-    obj.value_arrays(ua, ma)
-    obj.value_arrays(ub, mb)  # only the last evaluation is kept
-    result = obj.value_and_gradient_arrays(ua, ma)
-    assert obj.evaluations == 3
-    _assert_matches_fresh(result, spec, params, ua, ma)
-
-
-def test_stacked_value_between_value_and_gradient_keeps_reuse(grid, params,
-                                                             t11_case):
-    # a stack is evaluated without replacing the kept 2-D entry
-    spec = t11_case.spec
-    (u, m), _ = _two_states(grid, 31)
-    obj = _counting_objective(spec, params)
-    obj.value_arrays(u, m)
-    obj.value_arrays(np.stack([u, 2.0 * u]), np.stack([m, 2.0 * m]))
-    result = obj.value_and_gradient_arrays(u, m)
-    assert obj.evaluations == 2  # the value call and the stack; the gradient reused
-    _assert_matches_fresh(result, spec, params, u, m)
-
-
-def test_stored_evaluation_serves_one_gradient(grid, params, t11_case):
-    # the gradient doubles w*R in place, so a second call must not see the
-    # doubled arrays again
-    spec = t11_case.spec
-    (u, m), _ = _two_states(grid, 23)
-    obj = _counting_objective(spec, params)
-    obj.value_arrays(u, m)
-    first = obj.value_and_gradient_arrays(u, m)
-    second = obj.value_and_gradient_arrays(u, m)
-    assert obj.evaluations == 2
-    _assert_matches_fresh(first, spec, params, u, m)
-    _assert_matches_fresh(second, spec, params, u, m)
+    (u, m), (ub, mb) = _two_states(grid, 21)
+    obj = Objective(spec, params)
+    ev = obj.value_arrays(u, m)
+    obj.value_and_gradient_arrays(obj.value_arrays(ub, mb))
+    obj.value_arrays(np.stack([ub, u]), np.stack([mb, m]))
+    breakdown, gu, gm = obj.value_and_gradient_arrays(ev)
+    fresh = Objective(spec, params)
+    fresh_bd, fresh_gu, fresh_gm = fresh.value_and_gradient_arrays(
+        fresh.value_arrays(u.copy(), m.copy()))
+    assert breakdown == fresh_bd
+    assert np.array_equal(gu, fresh_gu) and np.array_equal(gm, fresh_gm)
 
 
 # -- the objective along a line is an exact quartic ---------------------------
@@ -544,16 +504,11 @@ def test_line_quartic_reproduces_objective_along_line(params, t11_case,
     for seed in (25, 26, 27):
         u, m, pu, pm = _line_case(spec.grid, seed)
         obj = Objective(spec, params)
-        j0 = obj.value_arrays(u, m).total
-        # built from recomputed evaluations, and from the entries a line
-        # search leaves behind: the gradient at z, then the unit trial z + p
-        recomputed = Objective(spec, params).line_quartic(u, m, pu, pm)
-        obj.value_and_gradient_arrays(u, m)
-        obj.value_arrays(u + pu, m + pm)
-        kept = obj.line_quartic(u, m, pu, pm)
-        assert kept == recomputed
-        assert kept.is_finite()
+        at_z = obj.value_arrays(u, m)
+        j0 = at_z.total
+        quartic = obj.line_quartic(at_z, obj.value_arrays(u + pu, m + pm), pu, pm)
+        assert quartic.is_finite()
         for xi in (1.0, 0.5, 0.125, 2.0**-10):
             direct = obj.value_arrays(u + xi * pu, m + xi * pm).total - j0
-            assert abs(kept.phi(xi) - direct) <= 1e-10 * j0
-            assert abs(direct) <= kept.size(xi)
+            assert abs(quartic.phi(xi) - direct) <= 1e-10 * j0
+            assert abs(direct) <= quartic.size(xi)

@@ -5,6 +5,7 @@ import pytest
 
 from mfg_forecast.carleman import ConvexParams
 from mfg_forecast.grid import make_grid
+from mfg_forecast import model
 from mfg_forecast.model import KernelSpec, make_problem_spec
 from mfg_forecast.objective import Objective
 from mfg_forecast.optimizer import BUDGET, CONVERGED, STALLED, OptimizerConfig, \
@@ -100,8 +101,8 @@ def test_inconsistent_gradient_surfaces_as_stall(grid, params, monkeypatch):
 
     original = Objective.value_and_gradient_arrays
 
-    def wrong_gradient(self, u, m):
-        bd, gu, gm = original(self, u, m)
+    def wrong_gradient(self, ev):
+        bd, gu, gm = original(self, ev)
         return bd, -gu, -gm  # ascent direction disguised as the gradient
 
     monkeypatch.setattr(Objective, "value_and_gradient_arrays", wrong_gradient)
@@ -143,37 +144,25 @@ def _rho_checked(two_loop, ascent_at=None):
 
 
 def test_lbfgs_run_bit_identical_without_evaluation_reuse(params, monkeypatch):
-    # The gradient at each accepted trial reuses the trial's residuals;
-    # defeating the reuse must change nothing in the run.
+    # The gradient at each accepted trial and the line quartic take the
+    # evaluations the iteration already holds; handing them fresh
+    # evaluations at copies of the same states must change nothing.
     cfg = experiments.resolve_config("T1_2", {})
     _, spec, _ = experiments._build_problem("T1_2", cfg)
     config = OptimizerConfig()
-    calls = {"value": 0, "evaluate": 0}
-    value_arrays, evaluate = Objective.value_arrays, Objective._evaluate
-
-    def counted_value(self, u, m):
-        calls["value"] += 1
-        return value_arrays(self, u, m)
-
-    def counted_evaluate(self, u, m):
-        calls["evaluate"] += 1
-        return evaluate(self, u, m)
-
     with monkeypatch.context() as mp:
-        mp.setattr(Objective, "value_arrays", counted_value)
-        mp.setattr(Objective, "_evaluate", counted_evaluate)
         mp.setattr(optimizer, "_two_loop_direction",
                    _rho_checked(optimizer._two_loop_direction))
         reused = minimize(spec, params, config)
-    # one evaluation per trial, plus the start state's gradient call
-    assert calls["evaluate"] == calls["value"] + 1
+    gradient, quartic = Objective.value_and_gradient_arrays, Objective.line_quartic
 
-    def forgetful_value(self, u, m):
-        breakdown = value_arrays(self, u, m)
-        self._last = None
-        return breakdown
+    def fresh(ev):
+        return Objective(spec, params).value_arrays(ev.u.copy(), ev.m.copy())
 
-    monkeypatch.setattr(Objective, "value_arrays", forgetful_value)
+    monkeypatch.setattr(Objective, "value_and_gradient_arrays",
+                        lambda self, ev: gradient(self, fresh(ev)))
+    monkeypatch.setattr(Objective, "line_quartic", lambda self, at_z, at_unit, pu, pm:
+                        quartic(self, fresh(at_z), fresh(at_unit), pu, pm))
     recomputed = minimize(spec, params, config)
     assert len(reused.trace.rows) == 338
     assert reused.status == recomputed.status == CONVERGED
@@ -182,34 +171,48 @@ def test_lbfgs_run_bit_identical_without_evaluation_reuse(params, monkeypatch):
     assert np.array_equal(reused.state.m.values, recomputed.state.m.values)
 
 
+def test_lbfgs_run_evaluates_each_state_once(params, monkeypatch):
+    # one residual evaluation per direct trial plus one at the start; the
+    # gradients make none, and each line quartic one, at z - p
+    cfg = experiments.resolve_config("T2_1", {})
+    _, spec, _ = experiments._build_problem("T2_1", cfg)
+    calls = {"value": 0, "residuals": 0, "quartic": 0}
+    value_arrays, residuals = Objective.value_arrays, model.residuals
+    line_quartic = Objective.line_quartic
+
+    def counted(name, function):
+        def wrapped(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapped
+
+    monkeypatch.setattr(Objective, "value_arrays", counted("value", value_arrays))
+    monkeypatch.setattr(model, "residuals", counted("residuals", residuals))
+    monkeypatch.setattr(Objective, "line_quartic", counted("quartic", line_quartic))
+    result = minimize(spec, params, OptimizerConfig(max_iters=400))
+    assert calls["value"] == sum(r.evaluations for r in result.trace.rows) + 1
+    assert calls["quartic"] > 0
+    assert calls["residuals"] == calls["value"] + calls["quartic"]
+
+
 def test_lbfgs_run_unchanged_by_stacked_values(params, monkeypatch):
     # A stacked evaluation after every value call, as the finite-difference
-    # oracle makes between its value and gradient calls, replaces no kept
-    # entry: each gradient still reuses its trial and the run is the same.
+    # oracle makes between its value and gradient calls, leaves the run as
+    # it is.
     cfg = experiments.resolve_config("T1_2", {})
     _, spec, _ = experiments._build_problem("T1_2", cfg)
     config = OptimizerConfig()
     plain = minimize(spec, params, config)
-    calls = {"value": 0, "evaluate": 0}
-    value_arrays, evaluate = Objective.value_arrays, Objective._evaluate
+    value_arrays = Objective.value_arrays
 
     def with_stack(self, u, m):
         breakdown = value_arrays(self, u, m)
-        calls["value"] += 1
         stacked = value_arrays(self, np.stack([u, 0.5 * u]), np.stack([m, 0.5 * m]))
         assert stacked.total[0] == pytest.approx(breakdown.total, rel=1e-13)
         return breakdown
 
-    def counted_evaluate(self, u, m):
-        calls["evaluate"] += 1
-        return evaluate(self, u, m)
-
     monkeypatch.setattr(Objective, "value_arrays", with_stack)
-    monkeypatch.setattr(Objective, "_evaluate", counted_evaluate)
     interleaved = minimize(spec, params, config)
-    # one evaluation per trial and one per stack, plus the start state's
-    # gradient call: no gradient or line quartic had to recompute
-    assert calls["evaluate"] == 2 * calls["value"] + 1
     assert interleaved.status == plain.status == CONVERGED
     assert interleaved.trace.rows == plain.trace.rows
     assert np.array_equal(interleaved.state.u.values, plain.state.u.values)
@@ -325,8 +328,9 @@ def test_line_quartic_skips_trials_without_moving_the_run(params, monkeypatch):
         without_evaluations(direct.trace.rows)
     assert np.array_equal(default.state.u.values, direct.state.u.values)
     assert np.array_equal(default.state.m.values, direct.state.m.values)
-    # the evaluations column counts every direct evaluation
-    assert sum(r.evaluations for r in default.trace.rows) == default_calls
-    assert sum(r.evaluations for r in direct.trace.rows) == direct_calls
+    # the evaluations column counts every direct evaluation; the start
+    # state's is the one more
+    assert sum(r.evaluations for r in default.trace.rows) + 1 == default_calls
+    assert sum(r.evaluations for r in direct.trace.rows) + 1 == direct_calls
     assert max(r.evaluations for r in direct.trace.rows) >= 3
     assert default_calls < direct_calls
