@@ -94,18 +94,6 @@ def weights_t_gamma(grid: Grid) -> np.ndarray:
     return _trapezoid_weights(grid.n_t_gamma(), grid.dt)
 
 
-def d_dt(field: Field) -> Field:
-    return Field(field.grid, field.values @ time_diff_matrix(field.grid.nt, field.grid.dt).T)
-
-
-def d_dx(field: Field) -> Field:
-    return Field(field.grid, space_diff_matrix(field.grid.nx, field.grid.dx) @ field.values)
-
-
-def d2_dx2(field: Field) -> Field:
-    return Field(field.grid, space_diff2_matrix(field.grid.nx, field.grid.dx) @ field.values)
-
-
 def integrate_x(grid: Grid, values: np.ndarray) -> float:
     """Trapezoid integral of nodal values over [x_min, x_max]."""
     values = np.asarray(values, dtype=float)

@@ -6,7 +6,7 @@ Subcommands:
     sweep          repeat a run across a list of values of one parameter; a
                    value whose run fails numerically becomes an `error` row
     check-gradient finite-difference verification of the analytic gradient
-    check-carleman randomized weighted-inequality checks over a lambda sweep
+    check-carleman exact weighted-inequality constants over a lambda sweep
     export-case    initial data (and manufactured fields) without optimizing
 
 Values resolve as: built-in defaults, then an optional flat key=value
@@ -111,13 +111,11 @@ def _build_parser() -> _Parser:
     _add_override_flags(p_grad)
 
     p_carl = sub.add_parser("check-carleman",
-                            help="randomized weighted-inequality checks")
+                            help="exact weighted-inequality constants")
     p_carl.add_argument("--quasi", action="store_true",
                         help="check the two-test-function variant")
-    p_carl.add_argument("--samples", type=int, default=100)
     p_carl.add_argument("--lambda-min", type=int, default=1)
     p_carl.add_argument("--lambda-max", type=int, default=50)
-    p_carl.add_argument("--check-seed", type=int, default=0)
     p_carl.add_argument("--out", required=True, help="output directory")
     p_carl.add_argument("--config", default=None)
     _add_override_flags(p_carl)
@@ -197,16 +195,21 @@ def _cmd_sweep(options: dict) -> int:
     param = options["param"].replace("-", "_")
     if param == "lambda":
         param = "lam"
-    valid = {dest for _, dest, _, _ in _OVERRIDE_FLAGS}
-    if param not in valid:
+    flag_types = {dest: typ for _, dest, typ, _ in _OVERRIDE_FLAGS}
+    if param not in flag_types:
         raise UsageError(f"cannot sweep {options['param']!r}; choose from "
-                         f"{sorted(valid)}")
+                         f"{sorted(flag_types)}")
     try:
         values = [float(v) for v in options["values"].split(",") if v.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --values list: {exc}")
     if not values:
         raise UsageError("--values is empty")
+    if flag_types[param] is int:
+        fractional = [v for v in values if not v.is_integer()]
+        if fractional:
+            raise UsageError(f"--param {options['param']} takes integers, got "
+                             f"{', '.join(map(repr, fractional))}")
     tags = [f"{options['param']}_{v:g}" for v in values]  # run directories
     for tag in tags:
         shared = [v for v, t in zip(values, tags) if t == tag]
@@ -220,7 +223,7 @@ def _cmd_sweep(options: dict) -> int:
     worst = EXIT_OK
     for v, tag in zip(values, tags):
         overrides = dict(base)
-        overrides[param] = int(v) if param in ("seed", "max_iters") else v
+        overrides[param] = flag_types[param](v)
         try:
             report = experiments.run_test(options["test"], **overrides)
         except NUMERICAL_ERRORS as exc:
@@ -277,8 +280,6 @@ def _cmd_check_gradient(options: dict) -> int:
 
 
 def _cmd_check_carleman(options: dict) -> int:
-    if options["samples"] < 1:
-        raise UsageError(f"--samples must be at least 1, got {options['samples']}")
     if options["lambda_min"] < 1:
         raise UsageError(f"--lambda-min must be at least 1, got {options['lambda_min']}")
     if options["lambda_min"] > options["lambda_max"]:
@@ -293,9 +294,7 @@ def _cmd_check_carleman(options: dict) -> int:
         case = experiments._build_problem("T1_1", cfg)[2]
         quasi_g = Field(grid, case.spec.r_field.values * case.m_true.values)
     lambdas = range(options["lambda_min"], options["lambda_max"] + 1)
-    reports = carleman.lambda_sweep(grid, cfg["c"], lambdas,
-                                    samples=options["samples"],
-                                    seed=options["check_seed"], quasi_g=quasi_g)
+    reports = carleman.lambda_sweep(grid, cfg["c"], lambdas, quasi_g=quasi_g)
     threshold = carleman.first_passing_lambda(reports)
     os.makedirs(options["out"], exist_ok=True)
     name = "quasi_carleman_sweep.json" if options["quasi"] else "carleman_sweep.json"

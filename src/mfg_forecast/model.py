@@ -11,9 +11,9 @@ Sign conventions, with r = -1 recovering the 1-D working form:
     fp residual:   m_t - m_xx - d/dx( r * m * u_x )
 
 ``residuals`` is the one place these two are stated.  The objective, the
-relative-cost diagnostic, the Field wrappers ``hjb_residual`` /
-``fp_residual``, the manufactured-case builder and the manufactured source
-(-R1/m with f = 0) all call it.
+relative-cost diagnostic, the Field wrapper ``hjb_residual``, the
+manufactured-case builder and the manufactured source (-R1/m with f = 0)
+all call it.
 
 The whole coupled system is never time-marched: the u-equation is unstable
 forward in time, which is exactly why the convexification route exists.
@@ -32,8 +32,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from mfg_forecast import calculus
-from mfg_forecast.grid import Field, Grid, field_from_function, \
-    read_field_csv, time_slice, write_field_csv
+from mfg_forecast.grid import Field, Grid, field_from_function, time_slice, \
+    write_field_csv
 
 # Below this floor the manufactured-source division amplifies noise
 # beyond usefulness.
@@ -63,21 +63,10 @@ class KernelSpec:
             tab.setflags(write=False)
             object.__setattr__(self, "table", tab)
 
-    def max_abs(self) -> float:
-        if self.constant is not None:
-            return abs(self.constant)
-        return float(np.abs(self.table).max())
-
     def to_dict(self) -> dict:
         if self.constant is not None:
             return {"kind": "constant", "value": self.constant}
         return {"kind": "table", "values": self.table.tolist()}
-
-    @staticmethod
-    def from_dict(d: dict) -> "KernelSpec":
-        if d["kind"] == "constant":
-            return KernelSpec(constant=float(d["value"]))
-        return KernelSpec(table=np.array(d["values"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -182,11 +171,6 @@ def _field_residuals(u: Field, m: Field, spec: ProblemSpec):
 def hjb_residual(u: Field, m: Field, spec: ProblemSpec) -> Field:
     """Pointwise residual of the value-function equation."""
     return Field(spec.grid, _field_residuals(u, m, spec)[0])
-
-
-def fp_residual(u: Field, m: Field, spec: ProblemSpec) -> Field:
-    """Pointwise residual of the density equation, divergence in flux form."""
-    return Field(spec.grid, _field_residuals(u, m, spec)[1])
 
 
 def solve_fokker_planck(u: Field, m0: np.ndarray, spec: ProblemSpec) -> Field:
@@ -342,19 +326,3 @@ def write_case(case: ManufacturedCase, outdir) -> None:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def read_case(outdir) -> ManufacturedCase:
-    with open(os.path.join(outdir, "case.json"), "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    gamma = sidecar["grid"]["gamma"]
-    u_true = read_field_csv(os.path.join(outdir, "u_true.csv"), gamma=gamma)
-    m_true = read_field_csv(os.path.join(outdir, "m_true.csv"), gamma=gamma)
-    f_field = read_field_csv(os.path.join(outdir, "source_f.csv"), gamma=gamma)
-    r_field = read_field_csv(os.path.join(outdir, "coefficient_r.csv"), gamma=gamma)
-    kernel = KernelSpec.from_dict(sidecar["kernel"])
-    spec = ProblemSpec(u_true.grid, r_field, kernel, f_field,
-                       time_slice(u_true, 0), time_slice(m_true, 0))
-    return ManufacturedCase(u_true, m_true, f_field, spec,
-                            sidecar["hjb_residual_norm"],
-                            sidecar["fp_residual_norm"],
-                            sidecar["label"])

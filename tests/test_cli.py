@@ -156,6 +156,20 @@ def test_removed_optimizer_config_keys_are_rejected(tmp_path):
         experiments.resolve_config("T1_1", {"step0": 1.0})
 
 
+@pytest.mark.parametrize("param", ["max_iters", "seed"])
+def test_sweep_rejects_fractional_integer_values(tmp_path, capsys, param):
+    # max_iters and seed are integers: 5.2 is refused before any run,
+    # rather than run as 5 under the label 5.2
+    out = tmp_path / "s"
+    code = main(["sweep", "--test", "T1_2", "--param", param, "--values",
+                 "5,5.2,5.7", "--out", str(out)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "takes integers, got 5.2, 5.7" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_sweep_rejects_unknown_parameter(tmp_path):
     code = main(["sweep", "--test", "T1_2", "--param", "bogus",
                  "--values", "1,2", "--out", str(tmp_path / "s")])
@@ -217,10 +231,11 @@ def test_check_gradient_without_work_is_usage_error(tmp_path, capsys, counts):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--samples", "0"], "--samples"),
+    (["--samples", "100"], "--samples"),  # removed: the constants are exact
     (["--samples", "-4"], "--samples"),
     (["--lambda-min", "0"], "--lambda-min"),
     (["--lambda-min", "5", "--lambda-max", "2"], "exceeds"),
+    (["--check-seed", "0"], "--check-seed"),  # removed: nothing is drawn
 ])
 def test_check_carleman_bad_inputs_are_usage_errors(tmp_path, capsys, flags,
                                                     message):
@@ -234,37 +249,48 @@ def test_check_carleman_bad_inputs_are_usage_errors(tmp_path, capsys, flags,
 
 def test_check_carleman_cli(tmp_path):
     out = tmp_path / "carl"
-    code = main(["check-carleman", "--samples", "30", "--lambda-min", "1",
-                 "--lambda-max", "3", "--out", str(out)])
+    code = main(["check-carleman", "--lambda-min", "1", "--lambda-max", "4",
+                 "--out", str(out)])
     assert code == EXIT_OK
     payload = json.loads((out / "carleman_sweep.json").read_text())
     assert payload["threshold_lambda"] == 1
-    assert len(payload["reports"]) == 3
+    assert [r["status"] for r in payload["reports"]] == \
+        ["constant"] * 3 + ["unresolved"]
+    assert payload["reports"][3]["fitted_c"] is None
+    assert payload["reports"][3]["pass"] is False
+
+
+def test_check_carleman_output_depends_on_no_seed(tmp_path):
+    # the noise seed is the only seed left on the command; the estimate
+    # never sees the noisy data, so it leaves the output unchanged
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out, seed in zip(outs, ("1", "2")):
+        assert main(["check-carleman", "--quasi", "--lambda-max", "3", "--seed",
+                     seed, "--out", str(out)]) == EXIT_OK
+    name = "quasi_carleman_sweep.json"
+    assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_check_carleman_quasi_cli(tmp_path):
     out = tmp_path / "quasi"
-    code = main(["check-carleman", "--quasi", "--samples", "20",
-                 "--lambda-min", "2", "--lambda-max", "2", "--out", str(out)])
-    # 20 samples fit the constant 0 at lambda 2: the sweep is written, but
-    # no lambda gives a positive constant, so the run fails numerically
-    assert code == EXIT_NUMERICAL
+    code = main(["check-carleman", "--quasi", "--lambda-min", "2",
+                 "--lambda-max", "2", "--out", str(out)])
+    assert code == EXIT_OK
     payload = json.loads((out / "quasi_carleman_sweep.json").read_text())
     assert payload["reports"][0]["kind"] == "quasi_carleman"
-    assert payload["reports"][0]["fitted_c"] == 0.0
-    assert payload["threshold_lambda"] is None
+    assert payload["reports"][0]["fitted_c"] == pytest.approx(0.16343212, rel=1e-6)
+    assert payload["threshold_lambda"] == 2
 
 
 def test_check_carleman_quasi_threshold_matches_criterion_7(tmp_path):
-    # at lambda 1 the quasi check passes with fitted constant 0, which is no
-    # estimate; the first lambda with a positive constant is the recorded 2
     out = tmp_path / "quasi"
-    code = main(["check-carleman", "--quasi", "--samples", "100",
-                 "--lambda-min", "1", "--lambda-max", "3", "--out", str(out)])
+    code = main(["check-carleman", "--quasi", "--lambda-min", "1",
+                 "--lambda-max", "3", "--out", str(out)])
     assert code == EXIT_OK
     payload = json.loads((out / "quasi_carleman_sweep.json").read_text())
-    assert payload["reports"][0]["fitted_c"] == 0.0
-    assert payload["threshold_lambda"] == 2
+    # criterion 7's recorded quasi threshold and constant
+    assert payload["reports"][0]["fitted_c"] == pytest.approx(0.13856788, rel=1e-6)
+    assert payload["threshold_lambda"] == 1
 
 
 def test_export_case_ideal_without_optimizing(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 
 from mfg_forecast import calculus
 from mfg_forecast.grid import Field, constant_field, field_from_function, \
-    make_grid, time_slice
+    make_grid, read_field_csv, time_slice
 from mfg_forecast.model import KernelSpec, ProblemSpec, build_manufactured_case, \
-    apply_interaction, fp_residual, hjb_residual, make_problem_spec, \
-    manufactured_source, read_case, solve_fokker_planck, write_case
+    apply_interaction, hjb_residual, make_problem_spec, manufactured_source, \
+    residuals, solve_fokker_planck, write_case
 import mfg_forecast.experiments as experiments
 
 
@@ -36,12 +37,6 @@ def test_kernel_spec_requires_exactly_one_kind():
         KernelSpec(constant=1.0, table=np.ones((3, 3)))
     with pytest.raises(ValueError):
         KernelSpec(table=np.ones((3, 4)))
-
-
-def test_kernel_bound_check():
-    assert KernelSpec(constant=-1.0).max_abs() == 1.0
-    table = np.array([[0.2, -0.7], [0.5, 0.1]])
-    assert KernelSpec(table=table).max_abs() == 0.7
 
 
 def test_interaction_term_constant_density(grid):
@@ -86,10 +81,14 @@ def test_hjb_residual_kernel_term_only(grid):
     assert np.allclose(res.values, 1.0, atol=1e-12)
 
 
+def _fp_residual(u, m, spec):
+    return residuals(u.values, m.values, spec, calculus.diff_matrices(spec.grid))[1]
+
+
 def test_fp_residual_constant_state(grid):
     spec = _const_spec(grid)
-    res = fp_residual(constant_field(grid, 3.0), constant_field(grid, 0.5), spec)
-    assert np.allclose(res.values, 0.0, atol=1e-12)
+    res = _fp_residual(constant_field(grid, 3.0), constant_field(grid, 0.5), spec)
+    assert np.allclose(res, 0.0, atol=1e-12)
 
 
 def test_fp_residual_heat_oracle(grid):
@@ -98,20 +97,24 @@ def test_fp_residual_heat_oracle(grid):
     spec = _const_spec(grid)
     u = constant_field(grid, 0.0)
     m = field_from_function(grid, lambda x, t: math.cos(math.pi * x) * math.exp(-t))
-    res = fp_residual(u, m, spec)
+    res = _fp_residual(u, m, spec)
     xs, ts = grid.x_nodes(), grid.t_nodes()
     analytic = (math.pi**2 - 1.0) * np.outer(np.cos(math.pi * xs), np.exp(-ts))
-    err = np.abs(res.values - analytic)[1:-1, 1:-1]
+    err = np.abs(res - analytic)[1:-1, 1:-1]
     # stencil truncation: pi^4 dx^2 / 12 from m_xx, dt^2/6 from m_t
     bound = math.pi**4 / 12 * grid.dx**2 * 1.05 + grid.dt**2 / 6
     assert err.max() < bound
 
 
 def test_fp_residual_shape_mismatch(grid):
+    # fields off the spec grid are refused, by the Field wrapper's grid
+    # check and by the stencil products of the residuals themselves
     other = make_grid(-1, 1, 1, 0.2, 0.1, 0.6)
     spec = _const_spec(grid)
+    with pytest.raises(ValueError, match="spec grid"):
+        hjb_residual(constant_field(other, 0.0), constant_field(grid, 0.0), spec)
     with pytest.raises(ValueError):
-        fp_residual(constant_field(other, 0.0), constant_field(grid, 0.0), spec)
+        _fp_residual(constant_field(other, 0.0), constant_field(grid, 0.0), spec)
 
 
 def test_fokker_planck_constant_steady_state(grid):
@@ -224,10 +227,16 @@ def test_density_flag_validation(grid):
 
 def test_case_export_import_roundtrip(tmp_path, t11_case):
     write_case(t11_case, tmp_path)
-    back = read_case(tmp_path)
-    assert np.array_equal(back.u_true.values, t11_case.u_true.values)
-    assert np.array_equal(back.m_true.values, t11_case.m_true.values)
-    assert np.array_equal(back.f_field.values, t11_case.f_field.values)
-    assert back.fp_residual_norm == t11_case.fp_residual_norm
-    assert back.label == "T1_1"
-    assert back.spec.kernel.constant == 1.0
+    for name, field in (("u_true.csv", t11_case.u_true),
+                        ("m_true.csv", t11_case.m_true),
+                        ("source_f.csv", t11_case.f_field),
+                        ("coefficient_r.csv", t11_case.spec.r_field)):
+        assert np.array_equal(read_field_csv(tmp_path / name).values,
+                              field.values), name
+    sidecar = json.loads((tmp_path / "case.json").read_text())
+    assert sidecar["hjb_residual_norm"] == t11_case.hjb_residual_norm
+    assert sidecar["fp_residual_norm"] == t11_case.fp_residual_norm
+    assert sidecar["label"] == "T1_1"
+    assert sidecar["kernel"] == {"kind": "constant", "value": 1.0}
+    assert sidecar["grid"] == {"x_min": -1.0, "x_max": 1.0, "t_max": 1.0,
+                               "dx": 0.1, "dt": 0.1, "gamma": 0.6}
