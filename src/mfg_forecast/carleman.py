@@ -13,7 +13,6 @@ fitted constants unchanged).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ _T_DEGREE = 3
 
 def min_c(t_max: float) -> float:
     """Smallest admissible shift constant, 1 + sqrt(1 + 2*t_max)."""
-    if t_max <= 0:
+    if not t_max > 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     return 1.0 + math.sqrt(1.0 + 2.0 * t_max)
 
@@ -39,23 +38,6 @@ def min_c(t_max: float) -> float:
 def log_cwf(t, lam: float, c: float, t_max: float):
     """log of the weight: (t_max - t + c)^lam.  Always finite."""
     return (t_max - t + c) ** lam
-
-
-def cwf(t: float, lam: float, c: float, t_max: float) -> float:
-    """The weight exp[(t_max - t + c)^lam].
-
-    Beyond double range the overflow is reported (a warning) and inf is
-    returned; ratio-based consumers should evaluate in log space instead
-    (log_cwf, or ConvexParams.weight_profile for the balanced weight).
-    """
-    e = log_cwf(t, lam, c, t_max)
-    if e > _EXP_LIMIT:
-        warnings.warn(
-            f"weight exponent {e:.3g} exceeds double range; evaluate in "
-            "log space (log_cwf) or as a ratio (ConvexParams.weight_profile)",
-            RuntimeWarning, stacklevel=2)
-        return math.inf
-    return math.exp(e)
 
 
 def q_factor(lam: float, c: float, t_max: float) -> float:
@@ -69,7 +51,7 @@ def alpha_min(lam: float, c: float, a: float) -> float:
     The working numerics run far below this floor (alpha = 1e-5 at lam=2);
     callers may override, this only reports the bound.
     """
-    if a <= 1:
+    if not a > 1:
         raise ValueError(f"balancing exponent a must exceed 1, got {a}")
     return 2.0 * math.exp(-(a - 1.0) * c**lam)
 
@@ -91,15 +73,15 @@ class ConvexParams:
     t_max: float
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.c < min_c(self.t_max) - 1e-12:
+        if not self.c >= min_c(self.t_max) - 1e-12:
             raise ValueError(
-                f"c={self.c} is below the admissible floor "
+                f"c={self.c} must reach the admissible floor "
                 f"{min_c(self.t_max):.6f} for t_max={self.t_max}")
-        if self.a <= 1:
+        if not self.a > 1:
             raise ValueError(f"a must exceed 1, got {self.a}")
-        if self.d <= 0:
+        if not self.d > 0:
             raise ValueError(f"d must be positive, got {self.d}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from mfg_forecast import carleman, experiments, model
-from mfg_forecast.carleman import ConvexParams
 from mfg_forecast.experiments import CASES, KERNEL_COMPARE, RUN_IDS
 from mfg_forecast.grid import Field, make_grid
 from mfg_forecast.objective import gradient_fd_check
@@ -262,10 +261,8 @@ def _cmd_check_gradient(options: dict) -> int:
     overrides = _overrides_from(options)
     cfg = experiments.resolve_config(options["test"], overrides)
     _, spec, _ = experiments._build_problem(options["test"], cfg)
-    params = ConvexParams(lam=cfg["lam"], c=cfg["c"], a=cfg["a"], d=cfg["d"],
-                          alpha=cfg["alpha"], gamma=cfg["gamma"],
-                          t_max=cfg["t_max"])
-    result = gradient_fd_check(spec, params, n_states=options["states"],
+    result = gradient_fd_check(spec, experiments.convex_params(cfg),
+                               n_states=options["states"],
                                n_directions=options["directions"],
                                seed=options["fd_seed"])
     result["test_id"] = options["test"]

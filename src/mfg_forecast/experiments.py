@@ -24,7 +24,7 @@ import numpy as np
 from mfg_forecast import calculus, model
 from mfg_forecast.carleman import ConvexParams, min_c
 from mfg_forecast.grid import Field, make_grid, write_field_csv
-from mfg_forecast.model import KernelSpec, ManufacturedCase, ProblemSpec, \
+from mfg_forecast.model import ManufacturedCase, ProblemSpec, \
     build_manufactured_case, make_problem_spec
 from mfg_forecast.objective import StatePair
 from mfg_forecast.optimizer import IterationTrace, OptimizerConfig, minimize
@@ -43,7 +43,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.level < 0:
+        if not self.level >= 0:
             raise ValueError(f"noise level must be nonnegative, got {self.level}")
 
 
@@ -159,15 +159,11 @@ def relative_cost_curve(state: StatePair, spec: ProblemSpec) -> tuple[np.ndarray
     return grid.t_nodes(), np.sqrt(numerator / denominator)
 
 
-def recovery_errors(pred: StatePair, truth: ManufacturedCase,
-                    gamma: float | None = None) -> RecoveryErrors:
+def recovery_errors(pred: StatePair, truth: ManufacturedCase) -> RecoveryErrors:
     """Early-time H^{1,0} errors plus per-time relative L2 error curves."""
     grid = pred.grid
     if truth.u_true.grid != grid:
         raise ValueError("prediction and truth must share a grid")
-    if gamma is not None and gamma != grid.gamma:
-        import dataclasses
-        grid = dataclasses.replace(grid, gamma=gamma)
     du = pred.u.values - truth.u_true.values
     dm = pred.m.values - truth.m_true.values
     u_h10 = calculus.h10_norm_gamma(Field(grid, du))
@@ -271,7 +267,9 @@ def resolve_config(test_id: str, overrides: dict | None = None) -> dict:
     """Package defaults, then per-test settings, then caller overrides.
 
     The shift constant c is raised to its admissible floor for the run's
-    horizon unless the caller pins it explicitly.
+    horizon unless the caller pins it explicitly.  Every value is checked
+    here, so each command refuses the same inputs: a bad one raises a
+    ValueError that names it.
     """
     if test_id not in RUN_IDS:
         raise ValueError(f"unknown test id {test_id!r}; choose from {RUN_IDS}")
@@ -289,7 +287,21 @@ def resolve_config(test_id: str, overrides: dict | None = None) -> dict:
         cfg["c"] = max(cfg["c"], min_c(cfg["t_max"]))
     cfg["test_id"] = test_id
     cfg["kind"] = case.kind
+    convex_params(cfg)
+    OptimizerConfig(tol=cfg["tol"], max_iters=int(cfg["max_iters"]))
+    NoiseSpec(cfg["noise"], cfg["seed"])
+    make_grid(cfg["x_min"], cfg["x_max"], cfg["t_max"], cfg["dx"], cfg["dt"],
+              cfg["gamma"])
+    if not math.isfinite(cfg["kernel"]):
+        raise ValueError(f"kernel must be finite, got {cfg['kernel']}")
     return cfg
+
+
+def convex_params(cfg: dict) -> ConvexParams:
+    """The functional's parameters from a resolved config."""
+    return ConvexParams(lam=cfg["lam"], c=cfg["c"], a=cfg["a"], d=cfg["d"],
+                        alpha=cfg["alpha"], gamma=cfg["gamma"],
+                        t_max=cfg["t_max"])
 
 
 def _build_problem(test_id: str, cfg: dict):
@@ -297,10 +309,9 @@ def _build_problem(test_id: str, cfg: dict):
     case = CASES[test_id]
     grid = make_grid(cfg["x_min"], cfg["x_max"], cfg["t_max"], cfg["dx"],
                      cfg["dt"], cfg["gamma"])
-    kernel = KernelSpec(constant=cfg["kernel"])
     if case.kind == "ideal":
-        truth = build_manufactured_case(case.u_fn, case.m0_fn, kernel, grid,
-                                        label=test_id)
+        truth = build_manufactured_case(case.u_fn, case.m0_fn, cfg["kernel"],
+                                        grid, label=test_id)
         u0_clean, m0_clean = truth.spec.u0, truth.spec.m0
         f_field = truth.f_field
     else:
@@ -311,7 +322,7 @@ def _build_problem(test_id: str, cfg: dict):
         f_field = None
     u0 = add_noise(u0_clean, NoiseSpec(cfg["noise"], cfg["seed"]))
     m0 = add_noise(m0_clean, NoiseSpec(cfg["noise"], cfg["seed"] + 1))
-    spec = make_problem_spec(grid, u0, m0, kernel, f_field=f_field)
+    spec = make_problem_spec(grid, u0, m0, cfg["kernel"], f_field=f_field)
     return grid, spec, truth
 
 
@@ -329,14 +340,9 @@ def run_test(test_id: str, **overrides):
         return KernelComparison(plus, minus)
 
     cfg = resolve_config(test_id, overrides)
-    # Validate every override against its target type before computing.
-    params = ConvexParams(lam=cfg["lam"], c=cfg["c"], a=cfg["a"], d=cfg["d"],
-                          alpha=cfg["alpha"], gamma=cfg["gamma"],
-                          t_max=cfg["t_max"])
+    _, spec, truth = _build_problem(test_id, cfg)
     opt = OptimizerConfig(tol=cfg["tol"], max_iters=int(cfg["max_iters"]))
-    NoiseSpec(cfg["noise"], cfg["seed"])
-    grid, spec, truth = _build_problem(test_id, cfg)
-    result = minimize(spec, params, opt)
+    result = minimize(spec, convex_params(cfg), opt)
     t_nodes, rel = relative_cost_curve(result.state, spec)
     errors = recovery_errors(result.state, truth) if truth is not None else None
     return RunReport(test_id, cfg, result.state, truth, t_nodes, rel, errors,

@@ -58,10 +58,11 @@ def make_grid(x_min: float, x_max: float, t_max: float, dx: float, dt: float,
     """
     if not x_min < x_max:
         raise ValueError(f"x_min must be below x_max, got [{x_min}, {x_max}]")
-    if t_max <= 0:
+    if not t_max > 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
-    if dx <= 0 or dt <= 0:
-        raise ValueError(f"steps must be positive, got dx={dx}, dt={dt}")
+    for name, step in (("dx", dx), ("dt", dt)):
+        if not step > 0:
+            raise ValueError(f"{name} must be positive, got {step}")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     nx = _count_nodes(x_max - x_min, dx, axis="x")

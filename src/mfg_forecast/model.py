@@ -7,7 +7,7 @@ builder used for ground-truth verification.
 
 Sign conventions, with r = -1 recovering the 1-D working form:
 
-    hjb residual:  u_t + u_xx - r*(u_x)^2/2 + int K(x,y) m(y,t) dy + f*m
+    hjb residual:  u_t + u_xx - r*(u_x)^2/2 + K * int m(y,t) dy + f*m
     fp residual:   m_t - m_xx - d/dx( r * m * u_x )
 
 ``residuals`` is the one place these two are stated.  The objective, the
@@ -24,6 +24,7 @@ The forward solver here integrates only the Fokker-Planck half for a
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -41,52 +42,23 @@ POSITIVITY_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
-class KernelSpec:
-    """Interaction kernel K(x, y): either a constant or a nodal table.
-
-    Exactly one of ``constant`` / ``table`` is set.  The table has shape
-    (nx, nx) with entry [i, k] = K(x_i, y_k).
-    """
-
-    constant: float | None = None
-    table: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.constant is None) == (self.table is None):
-            raise ValueError("set exactly one of constant or table")
-        if self.table is not None:
-            tab = np.array(self.table, dtype=float)
-            if tab.ndim != 2 or tab.shape[0] != tab.shape[1]:
-                raise ValueError(f"kernel table must be square, got {tab.shape}")
-            if not np.isfinite(tab).all():
-                raise ValueError("kernel table contains non-finite entries")
-            tab.setflags(write=False)
-            object.__setattr__(self, "table", tab)
-
-    def to_dict(self) -> dict:
-        if self.constant is not None:
-            return {"kind": "constant", "value": self.constant}
-        return {"kind": "table", "values": self.table.tolist()}
-
-
-@dataclass(frozen=True)
 class ProblemSpec:
     """One forecasting instance: coefficients, kernel, source, initial data.
 
-    ``density_data=True`` asserts that m0 is a clean probability density
-    (nonnegative, unit mass within 10%); leave it False for noisy data,
-    which may dip below zero.
+    ``kernel`` is the constant interaction kernel K(x, y) = K.  The initial
+    data may be noisy: m0 may dip below zero.
     """
 
     grid: Grid
     r_field: Field
-    kernel: KernelSpec
+    kernel: float
     f_field: Field
     u0: np.ndarray
     m0: np.ndarray
-    density_data: bool = False
 
     def __post_init__(self):
+        if not math.isfinite(self.kernel):
+            raise ValueError(f"kernel must be finite, got {self.kernel}")
         u0 = np.array(self.u0, dtype=float)
         m0 = np.array(self.m0, dtype=float)
         for name, vec in (("u0", u0), ("m0", m0)):
@@ -96,51 +68,39 @@ class ProblemSpec:
                 raise ValueError(f"{name} contains non-finite entries")
         if self.r_field.grid != self.grid or self.f_field.grid != self.grid:
             raise ValueError("r_field and f_field must live on the spec grid")
-        if self.density_data:
-            if m0.min() < 0:
-                raise ValueError(f"density m0 has negative entry {m0.min()}")
-            mass = calculus.integrate_x(self.grid, m0)
-            if abs(mass - 1.0) > 0.1:
-                raise ValueError(f"density m0 has mass {mass}, expected 1 within 10%")
         u0.setflags(write=False)
         m0.setflags(write=False)
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "m0", m0)
 
 
-def make_problem_spec(grid: Grid, u0, m0, kernel: KernelSpec,
+def make_problem_spec(grid: Grid, u0, m0, kernel: float,
                       f_field: Field | None = None,
-                      r_field: Field | None = None,
-                      density_data: bool = False) -> ProblemSpec:
+                      r_field: Field | None = None) -> ProblemSpec:
     """Convenience constructor; f defaults to zero and r to the constant -1."""
     if f_field is None:
         f_field = Field(grid, np.zeros((grid.nx, grid.nt)))
     if r_field is None:
         r_field = Field(grid, np.full((grid.nx, grid.nt), -1.0))
     return ProblemSpec(grid, r_field, kernel, f_field, np.asarray(u0, float),
-                       np.asarray(m0, float), density_data)
+                       np.asarray(m0, float))
 
 
-def apply_interaction(kernel: KernelSpec, grid: Grid, m_values: np.ndarray) -> np.ndarray:
-    """int K(x_i, y) m(y, t_j) dy for all nodes, trapezoid in y.
+def apply_interaction(kernel: float, grid: Grid, m_values: np.ndarray) -> np.ndarray:
+    """int K m(y, t_j) dy for all nodes, trapezoid in y.
 
     ``m_values`` is one (nx, nt) field or a stack of them, (..., nx, nt).
-    Returns an array that broadcasts against ``m_values``: for a tabulated
-    kernel one of the same shape, and for a constant kernel the (..., 1, nt)
-    rows of the kernel constant times the total mass at each time.
+    Returns the (..., 1, nt) rows of the kernel constant times the total
+    mass at each time, which broadcast against ``m_values``.
     """
     wx = calculus.weights_x(grid)
-    if kernel.constant is not None:
-        return kernel.constant * (wx @ m_values)[..., None, :]
-    return kernel.table @ (wx[:, None] * m_values)
+    return kernel * (wx @ m_values)[..., None, :]
 
 
-def interaction_adjoint(kernel: KernelSpec, grid: Grid, g_values: np.ndarray) -> np.ndarray:
+def interaction_adjoint(kernel: float, grid: Grid, g_values: np.ndarray) -> np.ndarray:
     """Adjoint of apply_interaction in the plain nodal inner product."""
     wx = calculus.weights_x(grid)
-    if kernel.constant is not None:
-        return kernel.constant * np.outer(wx, g_values.sum(axis=0))
-    return wx[:, None] * (kernel.table.T @ g_values)
+    return kernel * np.outer(wx, g_values.sum(axis=0))
 
 
 def residuals(u: np.ndarray, m: np.ndarray, spec: ProblemSpec, stencils):
@@ -215,7 +175,7 @@ def solve_fokker_planck(u: Field, m0: np.ndarray, spec: ProblemSpec) -> Field:
     return Field(grid, m)
 
 
-def manufactured_source(u: Field, m: Field, kernel: KernelSpec,
+def manufactured_source(u: Field, m: Field, kernel: float,
                         r_field: Field | None = None) -> Field:
     """Source f making the hjb residual vanish identically at the nodes.
 
@@ -271,7 +231,7 @@ def _neumann_violation(u_fn: Callable[[float, float], float], grid: Grid) -> flo
 
 def build_manufactured_case(u_fn: Callable[[float, float], float],
                             m0_fn: Callable[[float], float],
-                            kernel: KernelSpec, grid: Grid,
+                            kernel: float, grid: Grid,
                             label: str = "",
                             r_field: Field | None = None) -> ManufacturedCase:
     """Construct an exact solution: pick u, march m forward, back out f.
@@ -298,8 +258,7 @@ def build_manufactured_case(u_fn: Callable[[float, float], float],
     f_field = manufactured_source(u_true, m_true, kernel,
                                   r_field=base_spec.r_field)
     spec = ProblemSpec(grid, base_spec.r_field, kernel, f_field,
-                       time_slice(u_true, 0), time_slice(m_true, 0),
-                       density_data=False)
+                       time_slice(u_true, 0), time_slice(m_true, 0))
     r1, r2, _ = _field_residuals(u_true, m_true, spec)
     return ManufacturedCase(u_true, m_true, f_field, spec,
                             calculus.l2_norm_qt(Field(grid, r1)),
@@ -316,7 +275,7 @@ def write_case(case: ManufacturedCase, outdir) -> None:
     grid = case.spec.grid
     sidecar = {
         "label": case.label,
-        "kernel": case.spec.kernel.to_dict(),
+        "kernel": {"kind": "constant", "value": case.spec.kernel},
         "hjb_residual_norm": case.hjb_residual_norm,
         "fp_residual_norm": case.fp_residual_norm,
         "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "t_max": grid.t_max,

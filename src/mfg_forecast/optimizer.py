@@ -54,8 +54,8 @@ class OptimizerConfig:
     max_iters: int = 20000
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < 1.0:
+            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 

@@ -3,7 +3,7 @@ import pytest
 
 from mfg_forecast.carleman import ConvexParams
 from mfg_forecast.grid import make_grid
-from mfg_forecast.model import KernelSpec, build_manufactured_case
+from mfg_forecast.model import build_manufactured_case
 import mfg_forecast.experiments as experiments
 
 
@@ -17,8 +17,7 @@ def working_grid():
 def t11_case(working_grid):
     """Manufactured case of the first ideal test (double-well value fn)."""
     return build_manufactured_case(experiments._u_t11, experiments._m0_t11,
-                                   KernelSpec(constant=1.0), working_grid,
-                                   label="T1_1")
+                                   1.0, working_grid, label="T1_1")
 
 
 @pytest.fixture()

@@ -7,7 +7,7 @@ import pytest
 
 from mfg_forecast import carleman
 from mfg_forecast.carleman import ConvexParams, alpha_min, \
-    check_carleman_estimate, check_quasi_carleman, cwf, \
+    check_carleman_estimate, check_quasi_carleman, \
     first_passing_lambda, lambda_sweep, log_cwf, min_c, q_factor, \
     sample_neumann_field
 from mfg_forecast.grid import Field, make_grid
@@ -47,36 +47,35 @@ def test_min_c_values():
         min_c(0.0)
 
 
+# The weight cwf = exp(log_cwf) is monotone in its exponent, so each
+# property of cwf is checked on log_cwf, which stays finite beyond the
+# double range of cwf.
+
 def test_cwf_pointwise_values():
-    assert cwf(1.0, 2.0, 3.0, 1.0) == pytest.approx(math.exp(9.0), rel=1e-12)
-    assert cwf(0.0, 2.0, 3.0, 1.0) == pytest.approx(math.exp(16.0), rel=1e-12)
+    assert log_cwf(1.0, 2.0, 3.0, 1.0) == pytest.approx(9.0, rel=1e-15)
+    assert log_cwf(0.0, 2.0, 3.0, 1.0) == pytest.approx(16.0, rel=1e-15)
+    assert log_cwf(0.0, 50.0, 3.0, 1.0) == 4.0**50
 
 
 def test_cwf_monotone_decreasing_in_time():
-    vals = [cwf(t, 2.0, 3.0, 1.0) for t in (0.0, 0.2, 0.8, 1.0)]
+    vals = [log_cwf(t, 2.0, 3.0, 1.0) for t in (0.0, 0.2, 0.8, 1.0)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_cwf_monotone_increasing_in_exponent():
     # holds wherever the base T - t + c exceeds 1, i.e. t < T + c - 1
     for t in (0.0, 0.5, 1.0):
-        vals = [cwf(t, lam, 3.0, 1.0) for lam in (1.0, 2.0, 3.0)]
+        vals = [log_cwf(t, lam, 3.0, 1.0) for lam in (1.0, 2.0, 3.0)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
 def test_cwf_peak_at_initial_time():
     g = make_grid(-1, 1, 1, 0.1, 0.1, 0.6)
-    vals = np.array([cwf(t, 2.0, 3.0, g.t_max) for t in g.t_nodes()])
+    vals = log_cwf(g.t_nodes(), 2.0, 3.0, g.t_max)
     assert vals[0] == vals.max()
     p = ConvexParams(lam=2, c=3, a=1.1, d=1, alpha=1e-5, gamma=0.6, t_max=1)
     prof = p.weight_profile(g.t_nodes())
     assert prof[0] == prof.max()
-
-
-def test_cwf_overflow_reported_not_fatal():
-    with pytest.warns(RuntimeWarning, match="log space"):
-        assert cwf(0.0, 50.0, 3.0, 1.0) == math.inf
-    assert log_cwf(0.0, 50.0, 3.0, 1.0) == 4.0**50
 
 
 def test_q_factor_values():
@@ -103,6 +102,12 @@ def test_convex_params_validation():
         ConvexParams(lam=2, c=3, a=1.1, d=1, alpha=1.5, gamma=0.6, t_max=1)
     with pytest.raises(ValueError, match="a must"):
         ConvexParams(lam=2, c=3, a=0.9, d=1, alpha=0.5, gamma=0.6, t_max=1)
+    # NaN fails every bound, and the message names the parameter
+    base = dict(lam=2, c=3, a=1.1, d=1, alpha=0.5, gamma=0.6, t_max=1)
+    for name, message in (("lam", "lam must"), ("c", "c=nan"),
+                          ("a", "a must"), ("d", "d must")):
+        with pytest.raises(ValueError, match=message):
+            ConvexParams(**dict(base, **{name: math.nan}))
 
 
 def test_derived_quantities_recomputed():

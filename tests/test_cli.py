@@ -84,6 +84,36 @@ def test_run_invalid_parameter_is_numerical_failure(tmp_path):
     assert code == EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--test", "T1_2"],
+    ["export-case", "--test", "T2_1"],
+    ["check-gradient", "--test", "T2_1"],
+    ["check-carleman", "--lambda-max", "2"],
+])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "inf", "tol must lie in (0, 1), got inf"),
+    ("--tol", "nan", "tol must lie in (0, 1), got nan"),
+    ("--lambda", "nan", "lam must be positive, got nan"),
+    ("--c", "nan", "c=nan must reach the admissible floor"),
+    ("--a", "nan", "a must exceed 1, got nan"),
+    ("--d", "nan", "d must be positive, got nan"),
+    ("--dx", "nan", "dx must be positive, got nan"),
+    ("--dt", "nan", "dt must be positive, got nan"),
+    ("--kernel", "nan", "kernel must be finite, got nan"),
+    ("--noise", "nan", "noise level must be nonnegative, got nan"),
+])
+def test_bad_values_exit_2_naming_the_parameter(tmp_path, capsys, command, flag,
+                                                value, message):
+    # every command checks the resolved configuration before it writes
+    out = tmp_path / "out"
+    code = main([*command, flag, value, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL
+    assert message in captured.err
+    assert "converged" not in captured.out
+    assert not out.exists()
+
+
 def test_rerun_bit_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--test", "T1_2", "--out", str(out1)] + FAST) == EXIT_OK

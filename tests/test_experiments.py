@@ -39,8 +39,9 @@ def test_noise_deterministic_per_seed():
 
 
 def test_noise_level_validation():
-    with pytest.raises(ValueError):
-        NoiseSpec(-0.1, 0)
+    for level in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="noise level"):
+            NoiseSpec(level, 0)
 
 
 def test_smooth_transition_endpoints_and_monotone():
@@ -87,9 +88,11 @@ def test_extended_horizon_raises_shift_constant():
     cfg = resolve_config("T1_1_extended", {})
     assert cfg["t_max"] == 2.0
     assert cfg["c"] == pytest.approx(min_c(2.0))
-    # an explicit override is honored (and rejected downstream if invalid)
+    # an explicit override is honored, and rejected here if invalid
     cfg2 = resolve_config("T1_1_extended", {"c": 4.0})
     assert cfg2["c"] == 4.0
+    with pytest.raises(ValueError, match="floor"):
+        resolve_config("T1_1_extended", {"c": 3.0})
 
 
 def test_relative_cost_ignores_weight_parameters(t11_case):
@@ -115,10 +118,10 @@ def test_extended_truth_does_not_blow_up():
     # Only the recovered minimizer degrades past t=1; the manufactured
     # ground truth satisfies the system at its recorded scale throughout.
     from mfg_forecast.grid import make_grid
-    from mfg_forecast.model import KernelSpec, build_manufactured_case
+    from mfg_forecast.model import build_manufactured_case
     g = make_grid(-1, 1, 2, 0.1, 0.1, 0.6)
     case = build_manufactured_case(experiments._u_t11, experiments._m0_t11,
-                                   KernelSpec(constant=1.0), g)
+                                   1.0, g)
     state = StatePair(case.u_true, case.m_true)
     t, f = relative_cost_curve(state, case.spec)
     assert f[t > 1.0].max() < 3.0
@@ -127,9 +130,8 @@ def test_extended_truth_does_not_blow_up():
 
 def test_relative_cost_rejects_zero_data(t11_case):
     grid = t11_case.spec.grid
-    from mfg_forecast.model import make_problem_spec, KernelSpec
-    spec0 = make_problem_spec(grid, np.zeros(grid.nx), np.zeros(grid.nx),
-                              KernelSpec(constant=1.0))
+    from mfg_forecast.model import make_problem_spec
+    spec0 = make_problem_spec(grid, np.zeros(grid.nx), np.zeros(grid.nx), 1.0)
     zero = StatePair(Field(grid, np.zeros((grid.nx, grid.nt))),
                      Field(grid, np.zeros((grid.nx, grid.nt))))
     with pytest.raises(ValueError, match="undefined"):

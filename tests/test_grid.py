@@ -35,6 +35,14 @@ def test_degenerate_extents_rejected():
         make_grid(1, -1, 1, 0.1, 0.1, 0.5)
     with pytest.raises(ValueError):
         make_grid(-1, 1, -1, 0.1, 0.1, 0.5)
+    # NaN fails every bound, and the message names the value
+    nan = float("nan")
+    with pytest.raises(ValueError, match="t_max must be positive, got nan"):
+        make_grid(-1, 1, nan, 0.1, 0.1, 0.5)
+    with pytest.raises(ValueError, match="dx must be positive, got nan"):
+        make_grid(-1, 1, 1, nan, 0.1, 0.5)
+    with pytest.raises(ValueError, match="dt must be positive, got nan"):
+        make_grid(-1, 1, 1, 0.1, nan, 0.5)
 
 
 def test_nodes_are_exact_affine_images():

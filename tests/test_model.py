@@ -7,7 +7,7 @@ import pytest
 from mfg_forecast import calculus
 from mfg_forecast.grid import Field, constant_field, field_from_function, \
     make_grid, read_field_csv, time_slice
-from mfg_forecast.model import KernelSpec, ProblemSpec, build_manufactured_case, \
+from mfg_forecast.model import ProblemSpec, build_manufactured_case, \
     apply_interaction, hjb_residual, make_problem_spec, manufactured_source, \
     residuals, solve_fokker_planck, write_case
 import mfg_forecast.experiments as experiments
@@ -27,43 +27,29 @@ def _interaction_at(kernel, grid, m, j):
 
 def _const_spec(grid, kernel_value=1.0, m0=0.5):
     return make_problem_spec(grid, np.zeros(grid.nx), np.full(grid.nx, m0),
-                             KernelSpec(constant=kernel_value))
+                             kernel_value)
 
 
-def test_kernel_spec_requires_exactly_one_kind():
-    with pytest.raises(ValueError):
-        KernelSpec()
-    with pytest.raises(ValueError):
-        KernelSpec(constant=1.0, table=np.ones((3, 3)))
-    with pytest.raises(ValueError):
-        KernelSpec(table=np.ones((3, 4)))
+def test_problem_spec_rejects_non_finite_kernel(grid):
+    for kernel in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="kernel must be finite"):
+            _const_spec(grid, kernel_value=kernel)
 
 
 def test_interaction_term_constant_density(grid):
     m = constant_field(grid, 0.5)
-    out = _interaction_at(KernelSpec(constant=1.0), grid, m, 0)
+    out = _interaction_at(1.0, grid, m, 0)
     assert np.allclose(out, 1.0, atol=1e-14)
-    out_neg = _interaction_at(KernelSpec(constant=-1.0), grid, m, 0)
+    out_neg = _interaction_at(-1.0, grid, m, 0)
     assert np.allclose(out_neg, -1.0, atol=1e-14)
 
 
 def test_interaction_term_gaussian_bump_unit_mass(grid):
     m0 = np.array([experiments.compact_bump(x) for x in grid.x_nodes()])
     m = Field(grid, np.tile(m0[:, None], (1, grid.nt)))
-    out = _interaction_at(KernelSpec(constant=1.0), grid, m, 0)
+    out = _interaction_at(1.0, grid, m, 0)
     assert np.allclose(out, out[0])  # x-independent for constant kernels
     assert out[0] == pytest.approx(1.0, abs=0.02)
-
-
-def test_tabulated_kernel_matches_constant(grid):
-    rng = np.random.default_rng(0)
-    m = Field(grid, rng.uniform(0.1, 1.0, (grid.nx, grid.nt)))
-    const = KernelSpec(constant=0.7)
-    table = KernelSpec(table=np.full((grid.nx, grid.nx), 0.7))
-    for j in (0, 5, grid.nt - 1):
-        a = _interaction_at(const, grid, m, j)
-        b = _interaction_at(table, grid, m, j)
-        assert np.allclose(a, b, atol=1e-13)
 
 
 def test_hjb_residual_zero_state_zero_source(grid):
@@ -156,20 +142,17 @@ def test_fokker_planck_self_convergence_first_order_in_dt():
 def test_manufactured_source_closed_form(grid):
     # u = 0, K = 1, m = 0.5: the interaction term is 1, so f = -2.
     f = manufactured_source(constant_field(grid, 0.0), constant_field(grid, 0.5),
-                            KernelSpec(constant=1.0))
+                            1.0)
     assert np.allclose(f.values, -2.0, atol=1e-12)
 
 
 def test_manufactured_source_cancels_hjb_residual(grid):
-    # the default (constant kernel, r = -1) and the other branches of the
-    # residual: a tabulated kernel and a coefficient r varying in x and t
+    # the default (kernel 1, r = -1) and a negative kernel with a
+    # coefficient r varying in x and t
     from mfg_forecast.carleman import sample_neumann_field
-    xs = grid.x_nodes()
-    table = np.exp(-(xs[:, None] - xs[None, :]) ** 2)
     varying_r = field_from_function(
         grid, lambda x, t: -1.0 - 0.3 * math.cos(math.pi * x) * (1.0 + t))
-    cases = ((KernelSpec(constant=1.0), None),
-             (KernelSpec(table=table), varying_r))
+    cases = ((1.0, None), (-0.7, varying_r))
     for kernel, r_field in cases:
         rng = np.random.default_rng(1)
         u = Field(grid, sample_neumann_field(grid, rng))
@@ -191,7 +174,7 @@ def test_manufactured_source_cancels_hjb_residual(grid):
 def test_manufactured_source_rejects_vanishing_density(grid):
     m = constant_field(grid, 1e-9)
     with pytest.raises(ValueError, match="dens"):
-        manufactured_source(constant_field(grid, 0.0), m, KernelSpec(constant=1.0))
+        manufactured_source(constant_field(grid, 0.0), m, 1.0)
 
 
 def test_build_case_t11(t11_case):
@@ -203,7 +186,7 @@ def test_build_case_t11(t11_case):
 
 def test_build_case_t12(grid):
     case = build_manufactured_case(experiments._u_t12, lambda x: 0.5,
-                                   KernelSpec(constant=1.0), grid, label="T1_2")
+                                   1.0, grid, label="T1_2")
     assert case.hjb_residual_norm < 1e-12
     assert np.allclose(case.spec.m0, 0.5)
 
@@ -211,18 +194,7 @@ def test_build_case_t12(grid):
 def test_build_case_rejects_non_neumann_choice(grid):
     with pytest.raises(ValueError, match="boundary"):
         build_manufactured_case(lambda x, t: x * t, lambda x: 0.5,
-                                KernelSpec(constant=1.0), grid)
-
-
-def test_density_flag_validation(grid):
-    with pytest.raises(ValueError, match="negative"):
-        make_problem_spec(grid, np.zeros(grid.nx), np.full(grid.nx, -0.1),
-                          KernelSpec(constant=1.0), density_data=True)
-    with pytest.raises(ValueError, match="mass"):
-        make_problem_spec(grid, np.zeros(grid.nx), np.full(grid.nx, 2.0),
-                          KernelSpec(constant=1.0), density_data=True)
-    make_problem_spec(grid, np.zeros(grid.nx), np.full(grid.nx, 0.5),
-                      KernelSpec(constant=1.0), density_data=True)
+                                1.0, grid)
 
 
 def test_case_export_import_roundtrip(tmp_path, t11_case):

@@ -4,7 +4,7 @@ import pytest
 from mfg_forecast import calculus, model, objective
 from mfg_forecast.carleman import ConvexParams, sample_neumann_field
 from mfg_forecast.grid import Field, constant_field, make_grid
-from mfg_forecast.model import KernelSpec, make_problem_spec
+from mfg_forecast.model import make_problem_spec
 from mfg_forecast.objective import Objective, StatePair, convexity_probe, \
     gradient_fd_check
 from mfg_forecast.optimizer import OptimizerConfig, make_start, minimize
@@ -25,15 +25,14 @@ def params():
 
 @pytest.fixture()
 def zero_spec(grid):
-    return make_problem_spec(grid, np.zeros(grid.nx), np.zeros(grid.nx),
-                             KernelSpec(constant=1.0))
+    return make_problem_spec(grid, np.zeros(grid.nx), np.zeros(grid.nx), 1.0)
 
 
 @pytest.fixture()
 def data_spec(grid):
     """Nonzero initial data, so the start state is not stationary."""
     return make_problem_spec(grid, grid.x_nodes() ** 2 - 1.0,
-                             np.full(grid.nx, 0.5), KernelSpec(constant=1.0))
+                             np.full(grid.nx, 0.5), 1.0)
 
 
 def _random_state(grid, rng, amplitude=1.0):
@@ -99,16 +98,6 @@ def test_gradient_fd_check_without_work_raises(params, t11_case):
         with pytest.raises(ValueError, match="n_states >= 1"):
             gradient_fd_check(t11_case.spec, params, n_states=states,
                               n_directions=directions)
-
-
-def test_gradient_fd_with_tabulated_kernel(grid, params):
-    # the table path has its own adjoint; verify it the same way
-    rng = np.random.default_rng(12)
-    table = rng.uniform(-1.0, 1.0, (grid.nx, grid.nx))
-    spec = make_problem_spec(grid, np.zeros(grid.nx), np.full(grid.nx, 0.5),
-                             KernelSpec(table=table))
-    report = gradient_fd_check(spec, params, n_states=2, n_directions=8, seed=3)
-    assert report["max_rel_error"] < 1e-6
 
 
 def test_gradient_masked_entries_zero(grid, params, data_spec, monkeypatch):
@@ -274,7 +263,7 @@ def fine_grid():
 
 def test_h2_gram_form_matches_norm_oracle(fine_grid, params):
     spec = make_problem_spec(fine_grid, np.zeros(fine_grid.nx),
-                             np.zeros(fine_grid.nx), KernelSpec(constant=1.0))
+                             np.zeros(fine_grid.nx), 1.0)
     obj = Objective(spec, params)
     rng = np.random.default_rng(13)
     for amplitude in (1e-3, 1.0, 1e3):
@@ -288,7 +277,7 @@ def test_hessian_diag_regularizer_matches_four_term_formula(fine_grid, params,
                                                            residuals_off):
     # a zero weight profile leaves only the regularizer block in both diagonals
     spec = make_problem_spec(fine_grid, np.zeros(fine_grid.nx),
-                             np.full(fine_grid.nx, 0.5), KernelSpec(constant=1.0))
+                             np.full(fine_grid.nx, 0.5), 1.0)
     obj = Objective(spec, params)
     assert not obj.w1.any() and not obj.w2.any()
     rng = np.random.default_rng(14)
@@ -300,15 +289,6 @@ def test_hessian_diag_regularizer_matches_four_term_formula(fine_grid, params,
                                      (dxxm**2).T @ wq)
     np.testing.assert_allclose(diag_u, expected, rtol=1e-12, atol=0)
     np.testing.assert_allclose(diag_m, expected, rtol=1e-12, atol=0)
-
-
-def test_gradient_fd_tabulated_kernel_on_fine_grid(fine_grid, params):
-    rng = np.random.default_rng(15)
-    table = rng.uniform(-1.0, 1.0, (fine_grid.nx, fine_grid.nx))
-    spec = make_problem_spec(fine_grid, np.zeros(fine_grid.nx),
-                             np.full(fine_grid.nx, 0.5), KernelSpec(table=table))
-    report = gradient_fd_check(spec, params, n_states=2, n_directions=8, seed=4)
-    assert report["max_rel_error"] < 1e-6
 
 
 def test_fd_oracle_reports_a_planted_gradient_error(params, t11_case, monkeypatch):
@@ -368,17 +348,14 @@ def _stack(grid, seed, shape=(2, 3)):
 
 
 @pytest.fixture()
-def tabulated_spec(grid):
-    rng = np.random.default_rng(28)
-    table = rng.uniform(-1.0, 1.0, (grid.nx, grid.nx))
-    return make_problem_spec(grid, np.zeros(grid.nx), np.full(grid.nx, 0.5),
-                             KernelSpec(table=table))
+def negative_kernel_spec(grid):
+    return make_problem_spec(grid, np.zeros(grid.nx), np.full(grid.nx, 0.5), -1.0)
 
 
-@pytest.mark.parametrize("kernel", ["constant", "tabulated"])
+@pytest.mark.parametrize("kernel", ["constant", "negative"])
 def test_stacked_evaluation_matches_per_state(grid, params, t11_case,
-                                              tabulated_spec, kernel):
-    spec = t11_case.spec if kernel == "constant" else tabulated_spec
+                                              negative_kernel_spec, kernel):
+    spec = t11_case.spec if kernel == "constant" else negative_kernel_spec
     u, m = _stack(grid, 29)
     obj = Objective(spec, params)
     stacked = model.residuals(u, m, spec, obj.stencils)
@@ -409,7 +386,7 @@ def test_gradient_fd_check_covers_several_chunks(fine_grid, params, monkeypatch)
     # 41x21 nodes give chunks of 4 directions, so 10 directions take three
     # stacked calls per state, the last one short
     spec = make_problem_spec(fine_grid, np.zeros(fine_grid.nx),
-                             np.full(fine_grid.nx, 0.5), KernelSpec(constant=1.0))
+                             np.full(fine_grid.nx, 0.5), 1.0)
     chunk = objective.FD_STACK_NODES // (4 * fine_grid.nx * fine_grid.nt)
     assert chunk == 4
     shapes = []
@@ -490,17 +467,16 @@ def _line_case(grid, seed):
 
 
 @pytest.fixture()
-def tabulated_fine_spec(fine_grid):
-    rng = np.random.default_rng(24)
-    table = rng.uniform(-1.0, 1.0, (fine_grid.nx, fine_grid.nx))
+def negative_kernel_fine_spec(fine_grid):
     return make_problem_spec(fine_grid, np.zeros(fine_grid.nx),
-                             np.full(fine_grid.nx, 0.5), KernelSpec(table=table))
+                             np.full(fine_grid.nx, 0.5), -1.0)
 
 
-@pytest.mark.parametrize("case", ["T1_1", "tabulated 41x21"])
+@pytest.mark.parametrize("case", ["T1_1", "kernel -1 41x21"])
 def test_line_quartic_reproduces_objective_along_line(params, t11_case,
-                                                      tabulated_fine_spec, case):
-    spec = t11_case.spec if case == "T1_1" else tabulated_fine_spec
+                                                      negative_kernel_fine_spec,
+                                                      case):
+    spec = t11_case.spec if case == "T1_1" else negative_kernel_fine_spec
     for seed in (25, 26, 27):
         u, m, pu, pm = _line_case(spec.grid, seed)
         obj = Objective(spec, params)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from mfg_forecast.carleman import ConvexParams
 from mfg_forecast.grid import make_grid
 from mfg_forecast import model
-from mfg_forecast.model import KernelSpec, make_problem_spec
+from mfg_forecast.model import make_problem_spec
 from mfg_forecast.objective import Objective
 from mfg_forecast.optimizer import BUDGET, CONVERGED, STALLED, OptimizerConfig, \
     make_start, minimize
@@ -25,8 +26,9 @@ def params():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="tol"):
-        OptimizerConfig(tol=0.0)
+    for tol in (0.0, 1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            OptimizerConfig(tol=tol)
     with pytest.raises(ValueError, match="max_iters"):
         OptimizerConfig(max_iters=0)
 
@@ -34,7 +36,7 @@ def test_config_validation():
 def test_make_start_constant_extension(grid):
     u0 = grid.x_nodes() ** 2
     m0 = np.full(grid.nx, 0.5)
-    spec = make_problem_spec(grid, u0, m0, KernelSpec(constant=1.0))
+    spec = make_problem_spec(grid, u0, m0, 1.0)
     start = make_start(spec)
     for j in range(grid.nt):
         assert np.array_equal(start.u.values[:, j], u0)
@@ -43,8 +45,7 @@ def test_make_start_constant_extension(grid):
 
 def test_stationary_start_converges_immediately(grid, params):
     # zero data with zero source: the start state is a stationary point
-    spec = make_problem_spec(grid, np.zeros(grid.nx), np.zeros(grid.nx),
-                             KernelSpec(constant=1.0))
+    spec = make_problem_spec(grid, np.zeros(grid.nx), np.zeros(grid.nx), 1.0)
     result = minimize(spec, params, OptimizerConfig())
     assert result.status == CONVERGED
     assert len(result.trace.rows) == 1
@@ -73,16 +74,6 @@ def test_lbfgs_converges_on_manufactured_test(params):
     assert np.array_equal(result.state.u.values[:, 0], spec.u0)
 
 
-def test_lbfgs_handles_tabulated_kernel(grid, params):
-    # exercises the preconditioner's table branch
-    rng = np.random.default_rng(13)
-    table = rng.uniform(0.5, 1.0, (grid.nx, grid.nx))
-    spec = make_problem_spec(grid, grid.x_nodes() ** 2 - 1.0,
-                             np.full(grid.nx, 0.5), KernelSpec(table=table))
-    result = minimize(spec, params, OptimizerConfig(tol=1e-2, max_iters=2000))
-    assert result.status == CONVERGED
-
-
 def test_minimize_deterministic(params):
     cfg = experiments.resolve_config("T1_2", {})
     _, spec, _ = experiments._build_problem("T1_2", cfg)
@@ -97,7 +88,7 @@ def test_minimize_deterministic(params):
 
 def test_inconsistent_gradient_surfaces_as_stall(grid, params, monkeypatch):
     spec = make_problem_spec(grid, grid.x_nodes() ** 2 - 1.0,
-                             np.full(grid.nx, 0.5), KernelSpec(constant=1.0))
+                             np.full(grid.nx, 0.5), 1.0)
 
     original = Objective.value_and_gradient_arrays
 
