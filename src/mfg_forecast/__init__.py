@@ -1,6 +1,6 @@
 """Forecasting solver for 1-D mean field games via Carleman-weighted convexification."""
 
-from mfg_forecast.calculus import h10_norm_gamma, integrate_x, l2_norm_qt
+from mfg_forecast.calculus import h10_norm_gamma, l2_norm_qt
 from mfg_forecast.carleman import ConvexParams, alpha_min, check_carleman_estimate, \
     check_quasi_carleman, min_c, q_factor
 from mfg_forecast.experiments import NoiseSpec, RunReport, add_noise, \

@@ -9,16 +9,31 @@ second derivative there into 2*(f[1]-f[0])/dx^2.
 
 Quadrature is the trapezoid rule on both axes, consistent with the
 second-order stencils.
+
+The stencils are banded, so on a refined grid a dense product with one
+wastes almost all of its work.  ``stencil_products`` applies each of them,
+and the two Gram factors of the discrete H2 form, by blocks of at most
+``BLOCK`` rows, each multiplying only the columns its rows touch; a matrix
+that fits in one block keeps its single dense product.  ``inner`` sums
+long vectors in fixed-order chunks, so inner products, and every solve
+built on them, do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from mfg_forecast.grid import Field, Grid
+
+# Rows (columns, for f @ A) per block of a stencil product.
+BLOCK = 32
+# Entries per partial sum of ``inner``: short enough that BLAS sums each
+# partial on one thread.
+DOT_CHUNK = 8192
 
 
 @lru_cache(maxsize=None)
@@ -73,6 +88,106 @@ def diff_matrices(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             space_diff2_matrix(grid.nx, grid.dx))
 
 
+class BlockedProduct:
+    """f -> A @ f (``side="left"``) or f -> f @ A (``side="right"``) for a
+    fixed banded matrix A, over the last two axes of f.
+
+    A is applied by blocks of at most ``BLOCK`` rows (columns, on the
+    right), and each block multiplies only the span of columns (rows) that
+    its nonzero entries touch, so a product costs O(bandwidth) per entry
+    instead of O(n).  A block whose entries are all zero writes zeros.  A
+    matrix that fits in one block is applied as the one product A @ f
+    (f @ A), with A itself as the operand.
+    """
+
+    def __init__(self, matrix: np.ndarray, side: str):
+        self.matrix = matrix
+        self.left = side == "left"
+        a = matrix if self.left else matrix.T  # blocks are rows of a
+        self.blocks = []  # (output slice, input slice or None, sub-matrix)
+        if a.shape[0] <= BLOCK:
+            return
+        for start in range(0, a.shape[0], BLOCK):
+            rows = slice(start, start + BLOCK)
+            touched = np.flatnonzero(a[rows].any(axis=0))
+            if touched.size == 0:
+                self.blocks.append((rows, None, None))
+                continue
+            span = slice(int(touched[0]), int(touched[-1]) + 1)
+            sub = a[rows, span] if self.left else a[rows, span].T
+            self.blocks.append((rows, span, np.ascontiguousarray(sub)))
+
+    def __call__(self, f: np.ndarray) -> np.ndarray:
+        if not self.blocks:
+            return self.matrix @ f if self.left else f @ self.matrix
+        if self.left:
+            out = np.empty(f.shape[:-2] + (self.matrix.shape[0], f.shape[-1]))
+            for rows, span, sub in self.blocks:
+                if sub is None:
+                    out[..., rows, :] = 0.0
+                else:
+                    np.matmul(sub, f[..., span, :], out=out[..., rows, :])
+        else:
+            out = np.empty(f.shape[:-1] + (self.matrix.shape[1],))
+            for cols, span, sub in self.blocks:
+                if sub is None:
+                    out[..., cols] = 0.0
+                else:
+                    np.matmul(f[..., span], sub, out=out[..., cols])
+        return out
+
+
+@dataclass(frozen=True)
+class StencilProducts:
+    """The stencil products of the residuals, their adjoints and the H2
+    Gram form on one grid (``stencil_products``).  ``gram_t`` and
+    ``gram_x`` apply the factors ct and bx of the objective's separable H2
+    form (see the ``objective`` module).
+    """
+
+    d_dt: BlockedProduct  # f @ Dt^T
+    d_dt_adjoint: BlockedProduct  # f @ Dt
+    d_dx: BlockedProduct  # Dx @ f
+    d_dx_adjoint: BlockedProduct  # Dx^T @ f
+    d2_dx2: BlockedProduct  # Dxx @ f
+    d2_dx2_adjoint: BlockedProduct  # Dxx^T @ f
+    gram_t: BlockedProduct  # f @ ct
+    gram_x: BlockedProduct  # bx @ f
+
+
+@lru_cache(maxsize=None)
+def stencil_products(grid: Grid) -> StencilProducts:
+    """The blocked stencil and Gram products for a grid; cached and shared."""
+    dtm, dxm, dxxm = diff_matrices(grid)
+    wx_col = weights_x(grid)[:, None]
+    wt = weights_t(grid)
+    ct = np.diag(wt) + dtm.T @ (wt[:, None] * dtm)
+    bx = dxm.T @ (wx_col * dxm) + dxxm.T @ (wx_col * dxxm)
+    for gram in (ct, bx):
+        gram.setflags(write=False)
+    return StencilProducts(
+        BlockedProduct(dtm.T, "right"), BlockedProduct(dtm, "right"),
+        BlockedProduct(dxm, "left"), BlockedProduct(dxm.T, "left"),
+        BlockedProduct(dxxm, "left"), BlockedProduct(dxxm.T, "left"),
+        BlockedProduct(ct, "right"), BlockedProduct(bx, "left"))
+
+
+def inner(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> over all entries, the same for every BLAS thread count.
+
+    Up to ``DOT_CHUNK`` entries this is ``np.vdot`` itself; a longer pair
+    is summed as consecutive chunks of ``DOT_CHUNK`` entries, in order.
+    """
+    if a.size <= DOT_CHUNK:
+        return float(np.vdot(a, b))
+    a, b = a.ravel(), b.ravel()
+    total = 0.0
+    for start in range(0, a.size, DOT_CHUNK):
+        stop = start + DOT_CHUNK
+        total += float(np.vdot(a[start:stop], b[start:stop]))
+    return total
+
+
 @lru_cache(maxsize=None)
 def _trapezoid_weights(n: int, step: float) -> np.ndarray:
     w = np.full(n, step)
@@ -92,14 +207,6 @@ def weights_t(grid: Grid) -> np.ndarray:
 def weights_t_gamma(grid: Grid) -> np.ndarray:
     """Trapezoid weights on the time nodes with t_j <= gamma * t_max."""
     return _trapezoid_weights(grid.n_t_gamma(), grid.dt)
-
-
-def integrate_x(grid: Grid, values: np.ndarray) -> float:
-    """Trapezoid integral of nodal values over [x_min, x_max]."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.nx,):
-        raise ValueError(f"expected {grid.nx} nodal values, got shape {values.shape}")
-    return float(weights_x(grid) @ values)
 
 
 def integrate_qt(grid: Grid, values: np.ndarray) -> float:

@@ -87,6 +87,9 @@ class ConvexParams:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
+        for name in ("lam", "c", "a", "d"):  # inf passes the bounds above
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def q(self) -> float:

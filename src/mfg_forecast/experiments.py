@@ -45,6 +45,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not self.level >= 0:
             raise ValueError(f"noise level must be nonnegative, got {self.level}")
+        if not math.isfinite(self.level):
+            raise ValueError(f"noise level must be finite, got {self.level}")
 
 
 def add_noise(data: np.ndarray, noise: NoiseSpec) -> np.ndarray:
@@ -150,7 +152,7 @@ def relative_cost_curve(state: StatePair, spec: ProblemSpec) -> tuple[np.ndarray
     if state.grid != grid:
         raise ValueError("state must live on the spec grid")
     u, m = state.u.values, state.m.values
-    r1, r2, _ = model.residuals(u, m, spec, calculus.diff_matrices(grid))
+    r1, r2, _ = model.residuals(u, m, spec, calculus.stencil_products(grid))
     wx = calculus.weights_x(grid)
     numerator = wx @ (r1**2 + r2**2)  # (nt,)
     denominator = float(wx @ (u[:, 0] ** 2 + m[:, 0] ** 2))
@@ -287,11 +289,12 @@ def resolve_config(test_id: str, overrides: dict | None = None) -> dict:
         cfg["c"] = max(cfg["c"], min_c(cfg["t_max"]))
     cfg["test_id"] = test_id
     cfg["kind"] = case.kind
-    convex_params(cfg)
+    params = convex_params(cfg)
     OptimizerConfig(tol=cfg["tol"], max_iters=int(cfg["max_iters"]))
     NoiseSpec(cfg["noise"], cfg["seed"])
-    make_grid(cfg["x_min"], cfg["x_max"], cfg["t_max"], cfg["dx"], cfg["dt"],
-              cfg["gamma"])
+    grid = make_grid(cfg["x_min"], cfg["x_max"], cfg["t_max"], cfg["dx"],
+                     cfg["dt"], cfg["gamma"])
+    params.weight_profile(grid.t_nodes())  # refuses a weight that overflows
     if not math.isfinite(cfg["kernel"]):
         raise ValueError(f"kernel must be finite, got {cfg['kernel']}")
     return cfg

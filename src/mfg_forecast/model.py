@@ -107,25 +107,24 @@ def residuals(u: np.ndarray, m: np.ndarray, spec: ProblemSpec, stencils):
     """The two system residuals (R1, R2) and u_x at every node.
 
     ``u`` and ``m`` are (nx, nt) fields or stacks of them, (..., nx, nt);
-    the results have their shape.  ``stencils`` is the (Dt, Dx, Dxx) triple
-    of ``calculus.diff_matrices`` for the spec grid, passed in so callers
+    the results have their shape.  ``stencils`` is
+    ``calculus.stencil_products`` of the spec grid, passed in so callers
     that hold it pay nothing extra.
     """
-    dtm, dxm, dxxm = stencils
     r = spec.r_field.values
-    ux = dxm @ u
-    r1 = u @ dtm.T + dxxm @ u - 0.5 * r * ux * ux
+    ux = stencils.d_dx(u)
+    r1 = stencils.d_dt(u) + stencils.d2_dx2(u) - 0.5 * r * ux * ux
     r1 += apply_interaction(spec.kernel, spec.grid, m)
     r1 += spec.f_field.values * m
     flux = r * m * ux
-    r2 = m @ dtm.T - dxxm @ m - dxm @ flux
+    r2 = stencils.d_dt(m) - stencils.d2_dx2(m) - stencils.d_dx(flux)
     return r1, r2, ux
 
 
 def _field_residuals(u: Field, m: Field, spec: ProblemSpec):
     if u.grid != spec.grid or m.grid != spec.grid:
         raise ValueError("fields must live on the spec grid")
-    return residuals(u.values, m.values, spec, calculus.diff_matrices(spec.grid))
+    return residuals(u.values, m.values, spec, calculus.stencil_products(spec.grid))
 
 
 def hjb_residual(u: Field, m: Field, spec: ProblemSpec) -> Field:

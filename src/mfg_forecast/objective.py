@@ -22,8 +22,9 @@ norm is a Gram form |f|^2 = <f, H f> with
     ct  = diag(wt) + Dt^T diag(wt) Dt                  (nt x nt),
     bx  = Dx^T diag(wx) Dx + Dxx^T diag(wx) Dxx        (nx x nx).
 
-Both factors are symmetric and built once per ``Objective``.  One H f per
-field serves all three uses: alpha*<f, H f> is the regularizer's value,
+Both factors are symmetric and banded, and are built once per grid with
+the stencil products (``calculus.stencil_products``).  One H f per field
+serves all three uses: alpha*<f, H f> is the regularizer's value,
 2*alpha*H f its gradient, and 2*alpha*diag(H) its block of the
 preconditioner diagonal.
 
@@ -138,10 +139,11 @@ class ObjectiveBreakdown:
 class Objective:
     """Evaluator bound to one problem and one parameter set.
 
-    Precomputes stencil matrices and combined quadrature-times-weight
-    arrays; evaluations are then a handful of small dense products.  No
-    call changes the evaluator: what one evaluation gives the next call is
-    passed to it as an ``ObjectiveBreakdown``.
+    Precomputes combined quadrature-times-weight arrays and takes the
+    grid's blocked stencil products; evaluations are then a handful of
+    banded products and inner products.  No call changes the evaluator:
+    what one evaluation gives the next call is passed to it as an
+    ``ObjectiveBreakdown``.
     """
 
     def __init__(self, spec: ProblemSpec, params: ConvexParams):
@@ -152,8 +154,8 @@ class Objective:
         self.spec = spec
         self.params = params
         self.grid = grid
-        self.stencils = calculus.diff_matrices(grid)
-        self.dtm, self.dxm, self.dxxm = self.stencils
+        self.stencils = calculus.stencil_products(grid)
+        self.dtm, self.dxm, self.dxxm = calculus.diff_matrices(grid)
         wx, wt = calculus.weights_x(grid), calculus.weights_t(grid)
         wq = np.outer(wx, wt)
         profile = params.weight_profile(grid.t_nodes())
@@ -163,23 +165,19 @@ class Objective:
         self.f = spec.f_field.values
         self.alpha = params.alpha
         self.kernel = spec.kernel
-        # Gram factors of the H2 form (see the module docstring).
         self.wx_col = wx[:, None]
         self.wt_row = wt[None, :]
-        self.ct = np.diag(wt) + self.dtm.T @ (wt[:, None] * self.dtm)
-        self.bx = (self.dxm.T @ (self.wx_col * self.dxm) +
-                   self.dxxm.T @ (self.wx_col * self.dxxm))
 
     # -- pieces ---------------------------------------------------------
 
     def _h2_apply(self, f: np.ndarray) -> np.ndarray:
         """H f, so that |f|_H2^2 = <f, H f> and its gradient is 2 H f."""
-        out = self.wx_col * (f @ self.ct)
-        out += (self.bx @ f) * self.wt_row
+        out = self.wx_col * self.stencils.gram_t(f)
+        out += self.stencils.gram_x(f) * self.wt_row
         return out
 
     def _h2_quadratic(self, f: np.ndarray) -> float:
-        return float(np.vdot(f, self._h2_apply(f)))
+        return calculus.inner(f, self._h2_apply(f))
 
     # -- public evaluations ---------------------------------------------
 
@@ -200,9 +198,9 @@ class Objective:
             j3 = self.alpha * (np.einsum(_PER_STATE, u, hu) +
                                np.einsum(_PER_STATE, m, hm))
         else:
-            j1 = float(np.vdot(self.w1 * r1, r1))
-            j2 = float(np.vdot(self.w2 * r2, r2))
-            j3 = self.alpha * (float(np.vdot(u, hu)) + float(np.vdot(m, hm)))
+            j1 = calculus.inner(self.w1 * r1, r1)
+            j2 = calculus.inner(self.w2 * r2, r2)
+            j3 = self.alpha * (calculus.inner(u, hu) + calculus.inner(m, hm))
         for name, v in (("j1", j1), ("j2", j2), ("j3", j3)):
             if not (np.isfinite(v).all() if stacked else math.isfinite(v)):
                 raise ValueError(f"objective term {name} is non-finite")
@@ -228,8 +226,9 @@ class Objective:
         wx_sq = self.wx_col**2
         dm += 2.0 * self.kernel**2 * (wx_sq * self.w1.sum(axis=0))
         dm += 2.0 * self.w1 * self.f**2
-        reg = 2.0 * self.alpha * (self.wx_col * np.diag(self.ct) +
-                                  np.diag(self.bx)[:, None] * self.wt_row)
+        ct, bx = self.stencils.gram_t.matrix, self.stencils.gram_x.matrix
+        reg = 2.0 * self.alpha * (self.wx_col * np.diag(ct) +
+                                  np.diag(bx)[:, None] * self.wt_row)
         return du + reg, dm + reg
 
     def value_and_gradient_arrays(self, ev: ObjectiveBreakdown):
@@ -239,15 +238,17 @@ class Objective:
         g1 *= 2.0  # dJ/dr1 = 2*w1*r1, doubled in place to spare an array
         g2 = self.w2 * ev.r2
         g2 *= 2.0
+        s = self.stencils
         # Value-equation residual: adjoints of d_dt, d2_dx2, the gradient
         # square, the interaction integral, and the f*m coupling.
-        gu = g1 @ self.dtm + self.dxxm.T @ g1 - self.dxm.T @ (self.r * ev.ux * g1)
+        gu = (s.d_dt_adjoint(g1) + s.d2_dx2_adjoint(g1) -
+              s.d_dx_adjoint(self.r * ev.ux * g1))
         gm = model.interaction_adjoint(self.kernel, self.grid, g1) + self.f * g1
         # Density-equation residual: adjoints of d_dt, d2_dx2 and the
         # flux-form divergence, in both arguments.
-        dxt_g2 = self.dxm.T @ g2
-        gu -= self.dxm.T @ (self.r * ev.m * dxt_g2)
-        gm += g2 @ self.dtm - self.dxxm.T @ g2 - (self.r * ev.ux) * dxt_g2
+        dxt_g2 = s.d_dx_adjoint(g2)
+        gu -= s.d_dx_adjoint(self.r * ev.m * dxt_g2)
+        gm += s.d_dt_adjoint(g2) - s.d2_dx2_adjoint(g2) - (self.r * ev.ux) * dxt_g2
         two_alpha = 2.0 * self.alpha
         gu += two_alpha * ev.hu
         gm += two_alpha * ev.hm
@@ -272,16 +273,16 @@ class Objective:
                 a = 0.5 * (rp - rm)
                 b = 0.5 * (rp + rm) - r0
                 wa, wb = w * a, w * b
-                d01 += float(np.vdot(wa, r0))
-                d02 += float(np.vdot(wb, r0))
-                d11 += float(np.vdot(wa, a))
-                d12 += float(np.vdot(wa, b))
-                d22 += float(np.vdot(wb, b))
+                d01 += calculus.inner(wa, r0)
+                d02 += calculus.inner(wb, r0)
+                d11 += calculus.inner(wa, a)
+                d12 += calculus.inner(wa, b)
+                d22 += calculus.inner(wb, b)
             # the regularizer is quadratic: H p = H(z+p) - H z
-            d01 += self.alpha * (float(np.vdot(pu, at_z.hu)) +
-                                 float(np.vdot(pm, at_z.hm)))
-            d11 += self.alpha * (float(np.vdot(pu, at_unit.hu - at_z.hu)) +
-                                 float(np.vdot(pm, at_unit.hm - at_z.hm)))
+            d01 += self.alpha * (calculus.inner(pu, at_z.hu) +
+                                 calculus.inner(pm, at_z.hm))
+            d11 += self.alpha * (calculus.inner(pu, at_unit.hu - at_z.hu) +
+                                 calculus.inner(pm, at_unit.hm - at_z.hm))
         return LineQuartic((2.0 * d01, d11 + 2.0 * d02, 2.0 * d12, d22),
                            (math.sqrt(at_z.total), math.sqrt(abs(d11)),
                             math.sqrt(abs(d22))))

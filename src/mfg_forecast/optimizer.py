@@ -6,9 +6,10 @@ trial state is pinned exactly before it is evaluated.  The paper proves
 global convergence for gradient projection on this feasible set; the
 shipped solver is limited-memory BFGS (Nocedal & Wright, Alg. 7.4) with
 Armijo backtracking from a unit step, preconditioned by the Gauss-Newton
-diagonal at the start state.  The stopping rule is the first-order
-optimality ratio: the norm of the gradient on the free nodes over the full
-gradient norm at the start state.
+diagonal at the start state.  A trial must also lower J: a tie with J(z)
+makes no progress, however small its step.  The stopping rule is the
+first-order optimality ratio: the norm of the gradient on the free nodes
+over the full gradient norm at the start state.
 
 Each state is evaluated once (``Objective.value_arrays``), and the
 iteration hands that evaluation on: the gradient at an accepted trial is
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from mfg_forecast.calculus import inner
 from mfg_forecast.carleman import ConvexParams
 from mfg_forecast.grid import Field
 from mfg_forecast.model import ProblemSpec
@@ -166,7 +168,7 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
     status, message = BUDGET, "iteration budget exhausted"
     # One row per state, the returned one included: rows = steps + 1.
     for it in range(config.max_iters + 1):
-        g_norm = math.sqrt(float(g @ g))
+        g_norm = math.sqrt(inner(g, g))
         foo = g_norm / g0_norm
         trace.append(TraceRow(it, ev.j1, ev.j2, ev.j3, ev.total, g_norm, foo,
                               accepted_step, evaluations))
@@ -177,13 +179,13 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
             break
 
         p = _two_loop_direction(g, s_hist, y_hist, rho_hist, h0)
-        slope = float(p @ g)
+        slope = inner(p, g)
         if slope >= 0.0:  # not a descent direction; fall back to scaled steepest
             s_hist.clear()
             y_hist.clear()
             rho_hist.clear()
             p = -h0 * g
-            slope = float(p @ g)
+            slope = inner(p, g)
 
         xi = 1.0
         backtracks = evaluations = 0
@@ -198,7 +200,9 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
                 zm_new[:, 0] = spec.m0
                 trial = obj.value_arrays(zu_new, zm_new)
                 evaluations += 1
-                if trial.total <= ev.total + threshold:
+                # Once the threshold is below half an ulp of J, a tie with
+                # J(z) would pass the Armijo test alone.
+                if trial.total <= ev.total + threshold and trial.total < ev.total:
                     break
                 if backtracks == 0:  # the trial is the unit step z + p
                     quartic = obj.line_quartic(ev, trial, *split(p))
@@ -218,8 +222,8 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
         g_new = pinned(gu, gm)
         s = z_new - z
         y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-12 * math.sqrt(float(s @ s)) * math.sqrt(float(y @ y)):
+        sy = inner(s, y)
+        if sy > 1e-12 * math.sqrt(inner(s, s)) * math.sqrt(inner(y, y)):
             s_hist.append(s)
             y_hist.append(y)
             rho_hist.append(1.0 / sy)
@@ -255,12 +259,12 @@ def _two_loop_direction(g, s_hist, y_hist, rhos, h0):
         return h0 * q
     alphas = []
     for i in range(len(s_hist) - 1, -1, -1):
-        a = rhos[i] * float(s_hist[i] @ q)
+        a = rhos[i] * inner(s_hist[i], q)
         alphas.append(a)
         q -= a * y_hist[i]
     alphas.reverse()
     q = h0 * q
     for i in range(len(s_hist)):
-        b = rhos[i] * float(y_hist[i] @ q)
+        b = rhos[i] * inner(y_hist[i], q)
         q += (alphas[i] - b) * s_hist[i]
     return q

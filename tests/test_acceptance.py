@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from mfg_forecast import calculus
 from mfg_forecast.carleman import ConvexParams, alpha_min, \
     check_carleman_estimate, check_quasi_carleman, sample_neumann_field
 from mfg_forecast.grid import Field, make_grid
@@ -23,6 +22,7 @@ from mfg_forecast.experiments import resolve_config, run_test
 import mfg_forecast.experiments as experiments
 
 from carleman_reference import carleman_terms, quasi_terms, sequential_draws
+from mass_reference import integrate_x
 
 # Recorded values under the shipped defaults (grid step 0.1, seeds below).
 RECORDED_FP_RESIDUAL = 0.87039025753156873
@@ -57,8 +57,8 @@ def test_criterion_01_gradient_correctness(t11_case):
 def test_criterion_02_mass_conservation(t11_case):
     grid = t11_case.spec.grid
     m = solve_fokker_planck(t11_case.u_true, t11_case.spec.m0, t11_case.spec)
-    mass0 = calculus.integrate_x(grid, m.values[:, 0])
-    drift = max(abs(calculus.integrate_x(grid, m.values[:, j]) - mass0)
+    mass0 = integrate_x(grid, m.values[:, 0])
+    drift = max(abs(integrate_x(grid, m.values[:, j]) - mass0)
                 for j in range(grid.nt))
     assert drift < 1e-8
     print(f"\nACCEPTANCE 2 mass conservation: PASS (max drift {drift:.2e})")

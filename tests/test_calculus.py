@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from mfg_forecast import calculus
-from mfg_forecast.calculus import h10_norm_gamma, integrate_x, l2_norm_qt
+from mfg_forecast.calculus import h10_norm_gamma, l2_norm_qt
 from mfg_forecast.grid import Field, field_from_function, make_grid
 
 from h2_reference import h2_norm_discrete
+from mass_reference import integrate_x
 
 
 @pytest.fixture()
@@ -211,3 +212,71 @@ def test_h2_discrete_against_analytic_oracle(grid):
 def test_l2_norm_qt_constant(grid):
     f = field_from_function(grid, lambda x, t: 2.0)
     assert l2_norm_qt(f) == pytest.approx(math.sqrt(4.0 * 2.0), abs=1e-12)
+
+
+def _dense(product, f):
+    return product.matrix @ f if product.left else f @ product.matrix
+
+
+def test_blocked_products_match_dense_on_refined_grid():
+    fine = make_grid(-1, 1, 1, 0.0125, 0.0125, 0.6)  # 161x81
+    products = calculus.stencil_products(fine)
+    rng = np.random.default_rng(3)
+    single = rng.standard_normal((fine.nx, fine.nt))
+    stack = rng.standard_normal((3, fine.nx, fine.nt))
+    for name in products.__dataclass_fields__:
+        product = getattr(products, name)
+        assert len(product.blocks) > 1, name
+        for f in (single, stack):
+            got, want = product(f), _dense(product, f)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+        # a stack is applied state by state
+        assert np.array_equal(product(stack)[1], product(stack[1])), name
+
+
+def test_blocked_product_writes_zeros_for_an_all_zero_block():
+    # nx = 161: the last block of Dx is its last row alone, a boundary row
+    # that the ghost reflection makes identically zero
+    fine = make_grid(-1, 1, 1, 0.0125, 0.0125, 0.6)
+    d_dx = calculus.stencil_products(fine).d_dx
+    rows, span, sub = d_dx.blocks[-1]
+    assert (rows.start, span, sub) == (160, None, None)
+    f = np.random.default_rng(4).standard_normal((fine.nx, fine.nt))
+    out = d_dx(f)
+    assert np.array_equal(out[-1], np.zeros(fine.nt))
+    assert np.abs(out - d_dx.matrix @ f).max() <= 1e-13 * np.abs(out).max()
+
+
+def test_one_block_products_are_the_dense_products_bit_for_bit(grid):
+    products = calculus.stencil_products(grid)  # 21x11: one block each
+    rng = np.random.default_rng(5)
+    for f in (rng.standard_normal((grid.nx, grid.nt)),
+              rng.standard_normal((2, grid.nx, grid.nt))):
+        for name in products.__dataclass_fields__:
+            product = getattr(products, name)
+            assert product.blocks == []
+            assert np.array_equal(product(f), _dense(product, f)), name
+    dtm, dxm, dxxm = calculus.diff_matrices(grid)
+    assert products.d_dt.matrix.base is dtm  # f @ Dt^T, as the residuals used
+    assert products.d_dx_adjoint.matrix.base is dxm
+
+
+def test_inner_is_vdot_up_to_one_chunk():
+    rng = np.random.default_rng(6)
+    for n in (1, 231, calculus.DOT_CHUNK - 1, calculus.DOT_CHUNK):
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        assert calculus.inner(a, b) == float(np.vdot(a, b))
+    a, b = rng.standard_normal((21, 11)), rng.standard_normal((21, 11))
+    assert calculus.inner(a, b) == float(np.vdot(a, b))
+
+
+def test_inner_sums_longer_vectors_in_fixed_chunks():
+    rng = np.random.default_rng(7)
+    n = 3 * calculus.DOT_CHUNK + 17
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    chunks = [float(np.vdot(a[i:i + calculus.DOT_CHUNK], b[i:i + calculus.DOT_CHUNK]))
+              for i in range(0, n, calculus.DOT_CHUNK)]
+    assert calculus.inner(a, b) == ((chunks[0] + chunks[1]) + chunks[2]) + chunks[3]
+    assert calculus.inner(a, b) == pytest.approx(float(np.vdot(a, b)), rel=1e-12)
+    assert calculus.inner(a.reshape(1, n), b.reshape(1, n)) == calculus.inner(a, b)

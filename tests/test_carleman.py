@@ -108,6 +108,10 @@ def test_convex_params_validation():
                           ("a", "a must"), ("d", "d must")):
         with pytest.raises(ValueError, match=message):
             ConvexParams(**dict(base, **{name: math.nan}))
+    # inf passes those bounds, so it is refused by name on its own
+    for name in ("lam", "c", "a", "d"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf"):
+            ConvexParams(**dict(base, **{name: math.inf}))
 
 
 def test_derived_quantities_recomputed():

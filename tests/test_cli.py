@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mfg_forecast
 from mfg_forecast import experiments
 from mfg_forecast.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, \
     UsageError, main, parse_config
@@ -94,13 +99,17 @@ def test_run_invalid_parameter_is_numerical_failure(tmp_path):
     ("--tol", "inf", "tol must lie in (0, 1), got inf"),
     ("--tol", "nan", "tol must lie in (0, 1), got nan"),
     ("--lambda", "nan", "lam must be positive, got nan"),
+    ("--lambda", "inf", "lam must be finite, got inf"),
+    ("--lambda", "60", "combined weight exponent reaches"),
     ("--c", "nan", "c=nan must reach the admissible floor"),
+    ("--c", "inf", "c must be finite, got inf"),
     ("--a", "nan", "a must exceed 1, got nan"),
     ("--d", "nan", "d must be positive, got nan"),
     ("--dx", "nan", "dx must be positive, got nan"),
     ("--dt", "nan", "dt must be positive, got nan"),
     ("--kernel", "nan", "kernel must be finite, got nan"),
     ("--noise", "nan", "noise level must be nonnegative, got nan"),
+    ("--noise", "inf", "noise level must be finite, got inf"),
 ])
 def test_bad_values_exit_2_naming_the_parameter(tmp_path, capsys, command, flag,
                                                 value, message):
@@ -121,6 +130,25 @@ def test_rerun_bit_identical(tmp_path):
     for name in ("u_pred.csv", "m_pred.csv", "rel_cost.csv", "trace.csv",
                  "summary.json", "config.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_refined_run_independent_of_blas_thread_count(tmp_path):
+    # 101x51: the optimizer's vectors exceed one inner-product chunk and
+    # every stencil takes several blocks, so a reduction that BLAS splits
+    # across threads would show in the files
+    src = str(Path(mfg_forecast.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfg_forecast.cli", "run", "--test", "T1_2",
+             "--dx", "0.02", "--dt", "0.02", "--max-iters", "30",
+             "--out", str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_NUMERICAL, proc.stderr  # budget
+        outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "u_pred.csv" in outputs["1"]
+    assert outputs["1"] == outputs["2"]
 
 
 def test_run_extended_writes_full_horizon_fields(tmp_path):

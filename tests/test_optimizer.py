@@ -102,6 +102,30 @@ def test_inconsistent_gradient_surfaces_as_stall(grid, params, monkeypatch):
     assert "backtrack" in result.message
 
 
+def test_line_search_refuses_a_step_that_does_not_lower_j(grid, params,
+                                                         monkeypatch):
+    # With totals rounded to 8 digits, a short enough ascent step ties J(z)
+    # exactly, and once its Armijo threshold is below half an ulp of J the
+    # threshold test alone passes the tie, a step that makes no progress.
+    spec = make_problem_spec(grid, grid.x_nodes() ** 2 - 1.0,
+                             np.full(grid.nx, 0.5), 1.0)
+    value, gradient = Objective.value_arrays, Objective.value_and_gradient_arrays
+
+    def rounded_value(self, u, m):
+        ev = value(self, u, m)
+        return dataclasses.replace(ev, total=float(f"{ev.total:.8g}"))
+
+    def wrong_gradient(self, ev):
+        bd, gu, gm = gradient(self, ev)
+        return bd, -gu, -gm
+
+    monkeypatch.setattr(Objective, "value_arrays", rounded_value)
+    monkeypatch.setattr(Objective, "value_and_gradient_arrays", wrong_gradient)
+    result = minimize(spec, params, OptimizerConfig(max_iters=5))
+    assert result.status == STALLED
+    assert len(result.trace.rows) == 1  # no step was accepted
+
+
 def test_trace_csv_layout(tmp_path, params):
     cfg = experiments.resolve_config("T1_2", {})
     _, spec, _ = experiments._build_problem("T1_2", cfg)
