@@ -60,8 +60,8 @@ def alpha_min(lam: float, c: float, a: float) -> float:
 class ConvexParams:
     """Parameters of the weighted convex functional.
 
-    Derived quantities (q, balance, the alpha floor) are recomputed on
-    access, never stored.
+    Derived quantities (q, the log of the balancing multiplier, the alpha
+    floor) are recomputed on access, never stored.
     """
 
     lam: float
@@ -96,10 +96,6 @@ class ConvexParams:
         return q_factor(self.lam, self.c, self.t_max)
 
     @property
-    def balance(self) -> float:
-        return math.exp(-2.0 * self.a * self.c**self.lam)
-
-    @property
     def log_balance(self) -> float:
         return -2.0 * self.a * self.c**self.lam
 
@@ -108,14 +104,19 @@ class ConvexParams:
         return alpha_min(self.lam, self.c, self.a)
 
     def weight_profile(self, t_nodes: np.ndarray) -> np.ndarray:
-        """balance * cwf(t)^2 over the given times, formed in log space.
+        """exp(-2*a*c^lam) * cwf(t)^2 over times in [0, t_max], formed in
+        log space.
 
         This is the only weight combination the objective needs; it stays
-        finite whenever the functional itself is representable.
+        finite whenever the functional itself is representable.  A weight
+        whose exponent overflows is refused like one that exceeds the limit.
         """
-        exponent = 2.0 * log_cwf(np.asarray(t_nodes, float), self.lam, self.c,
-                                 self.t_max) + self.log_balance
-        if np.any(exponent > _EXP_LIMIT):
+        with np.errstate(over="ignore"):  # an overflow reads inf, refused below
+            exponent = 2.0 * log_cwf(np.asarray(t_nodes, float), self.lam,
+                                     self.c, self.t_max)
+        if np.isfinite(exponent).all():  # c^lam is at most each (t_max-t+c)^lam
+            exponent += self.log_balance
+        if not np.all(exponent <= _EXP_LIMIT):
             raise ValueError(
                 f"combined weight exponent reaches {exponent.max():.3g}; the "
                 f"functional is not representable at lam={self.lam}")

@@ -289,7 +289,7 @@ def _cmd_check_carleman(options: dict) -> int:
     quasi_g = None
     if options["quasi"]:
         case = experiments._build_problem("T1_1", cfg)[2]
-        quasi_g = Field(grid, case.spec.r_field.values * case.m_true.values)
+        quasi_g = Field(grid, -case.m_true.values)  # the drift coupling
     lambdas = range(options["lambda_min"], options["lambda_max"] + 1)
     reports = carleman.lambda_sweep(grid, cfg["c"], lambdas, quasi_g=quasi_g)
     threshold = carleman.first_passing_lambda(reports)

@@ -125,10 +125,6 @@ def field_from_function(grid: Grid, g: Callable[[float, float], float]) -> Field
     return Field(grid, vals)
 
 
-def constant_field(grid: Grid, value: float) -> Field:
-    return Field(grid, np.full((grid.nx, grid.nt), float(value)))
-
-
 def time_slice(field: Field, j: int) -> np.ndarray:
     """Writable copy of the values at time node j."""
     if not 0 <= j < field.grid.nt:

@@ -5,10 +5,10 @@ equation for the value function u and the Fokker-Planck equation for the
 density m), a forward Fokker-Planck solver, and the manufactured-solution
 builder used for ground-truth verification.
 
-Sign conventions, with r = -1 recovering the 1-D working form:
+The residuals of the 1-D working form:
 
-    hjb residual:  u_t + u_xx - r*(u_x)^2/2 + K * int m(y,t) dy + f*m
-    fp residual:   m_t - m_xx - d/dx( r * m * u_x )
+    hjb residual:  u_t + u_xx + (u_x)^2/2 + K * int m(y,t) dy + f*m
+    fp residual:   m_t - m_xx + d/dx( m * u_x )
 
 ``residuals`` is the one place these two are stated.  The objective, the
 relative-cost diagnostic, the Field wrapper ``hjb_residual``, the
@@ -43,14 +43,13 @@ POSITIVITY_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One forecasting instance: coefficients, kernel, source, initial data.
+    """One forecasting instance: kernel, source, initial data.
 
     ``kernel`` is the constant interaction kernel K(x, y) = K.  The initial
     data may be noisy: m0 may dip below zero.
     """
 
     grid: Grid
-    r_field: Field
     kernel: float
     f_field: Field
     u0: np.ndarray
@@ -66,8 +65,8 @@ class ProblemSpec:
                 raise ValueError(f"{name} must have length nx={self.grid.nx}")
             if not np.isfinite(vec).all():
                 raise ValueError(f"{name} contains non-finite entries")
-        if self.r_field.grid != self.grid or self.f_field.grid != self.grid:
-            raise ValueError("r_field and f_field must live on the spec grid")
+        if self.f_field.grid != self.grid:
+            raise ValueError("f_field must live on the spec grid")
         u0.setflags(write=False)
         m0.setflags(write=False)
         object.__setattr__(self, "u0", u0)
@@ -75,14 +74,11 @@ class ProblemSpec:
 
 
 def make_problem_spec(grid: Grid, u0, m0, kernel: float,
-                      f_field: Field | None = None,
-                      r_field: Field | None = None) -> ProblemSpec:
-    """Convenience constructor; f defaults to zero and r to the constant -1."""
+                      f_field: Field | None = None) -> ProblemSpec:
+    """Convenience constructor; f defaults to zero."""
     if f_field is None:
         f_field = Field(grid, np.zeros((grid.nx, grid.nt)))
-    if r_field is None:
-        r_field = Field(grid, np.full((grid.nx, grid.nt), -1.0))
-    return ProblemSpec(grid, r_field, kernel, f_field, np.asarray(u0, float),
+    return ProblemSpec(grid, kernel, f_field, np.asarray(u0, float),
                        np.asarray(m0, float))
 
 
@@ -111,13 +107,11 @@ def residuals(u: np.ndarray, m: np.ndarray, spec: ProblemSpec, stencils):
     ``calculus.stencil_products`` of the spec grid, passed in so callers
     that hold it pay nothing extra.
     """
-    r = spec.r_field.values
     ux = stencils.d_dx(u)
-    r1 = stencils.d_dt(u) + stencils.d2_dx2(u) - 0.5 * r * ux * ux
+    r1 = stencils.d_dt(u) + stencils.d2_dx2(u) + 0.5 * ux * ux
     r1 += apply_interaction(spec.kernel, spec.grid, m)
     r1 += spec.f_field.values * m
-    flux = r * m * ux
-    r2 = stencils.d_dt(m) - stencils.d2_dx2(m) - stencils.d_dx(flux)
+    r2 = stencils.d_dt(m) - stencils.d2_dx2(m) + stencils.d_dx(m * ux)
     return r1, r2, ux
 
 
@@ -154,7 +148,6 @@ def solve_fokker_planck(u: Field, m0: np.ndarray, spec: ProblemSpec) -> Field:
     nx, nt, dt, dx = grid.nx, grid.nt, grid.dt, grid.dx
     dxxm = calculus.space_diff2_matrix(nx, dx)
     ux = calculus.space_diff_matrix(nx, dx) @ u.values
-    r = spec.r_field.values
 
     # Banded form of I - dt*Dxx for scipy.linalg.solve_banded.
     ab = np.zeros((3, nx))
@@ -165,24 +158,22 @@ def solve_fokker_planck(u: Field, m0: np.ndarray, spec: ProblemSpec) -> Field:
     m = np.empty((nx, nt))
     m[:, 0] = m0
     for j in range(nt - 1):
-        flux = r[:, j] * m[:, j] * ux[:, j]
+        flux = m[:, j] * ux[:, j]
         div = np.empty(nx)
         div[1:-1] = (flux[2:] - flux[:-2]) / (2 * dx)
         div[0] = (flux[1] - flux[0]) / dx
         div[-1] = (flux[-1] - flux[-2]) / dx
-        m[:, j + 1] = solve_banded((1, 1), ab, m[:, j] + dt * div)
+        m[:, j + 1] = solve_banded((1, 1), ab, m[:, j] - dt * div)
     return Field(grid, m)
 
 
-def manufactured_source(u: Field, m: Field, kernel: float,
-                        r_field: Field | None = None) -> Field:
+def manufactured_source(u: Field, m: Field, kernel: float) -> Field:
     """Source f making the hjb residual vanish identically at the nodes.
 
-        f = -(1/m) * [ u_t + u_xx - r*(u_x)^2/2 + int K m dy ],
+        f = -(1/m) * [ u_t + u_xx + (u_x)^2/2 + int K m dy ],
 
     that is -R1/m for the source-free problem.  Requires m strictly
-    positive (min above 1e-8).  With the default r = -1 this is the
-    working-form construction f = -(1/m)[u_t + u_xx + u_x^2/2 + int K m dy].
+    positive (min above 1e-8).
     """
     grid = u.grid
     if m.grid != grid:
@@ -193,7 +184,7 @@ def manufactured_source(u: Field, m: Field, kernel: float,
             f"density touches {mmin:.3e} (floor {POSITIVITY_FLOOR:.0e}); "
             "source construction would divide by a vanishing density")
     source_free = make_problem_spec(grid, time_slice(u, 0), time_slice(m, 0),
-                                    kernel, r_field=r_field)
+                                    kernel)
     return Field(grid, -hjb_residual(u, m, source_free).values / m.values)
 
 
@@ -231,8 +222,7 @@ def _neumann_violation(u_fn: Callable[[float, float], float], grid: Grid) -> flo
 def build_manufactured_case(u_fn: Callable[[float, float], float],
                             m0_fn: Callable[[float], float],
                             kernel: float, grid: Grid,
-                            label: str = "",
-                            r_field: Field | None = None) -> ManufacturedCase:
+                            label: str = "") -> ManufacturedCase:
     """Construct an exact solution: pick u, march m forward, back out f.
 
     Rejects a u that violates the zero-flux boundary condition (checked on
@@ -246,18 +236,16 @@ def build_manufactured_case(u_fn: Callable[[float, float], float],
             "boundary conditions require u_x = 0 at the spatial endpoints")
     u_true = field_from_function(grid, u_fn)
     m0 = np.array([m0_fn(x) for x in grid.x_nodes()], dtype=float)
-    base_spec = make_problem_spec(grid, time_slice(u_true, 0), m0, kernel,
-                                  r_field=r_field)
+    base_spec = make_problem_spec(grid, time_slice(u_true, 0), m0, kernel)
     m_true = solve_fokker_planck(u_true, m0, base_spec)
     mmin = float(m_true.values.min())
     if mmin <= POSITIVITY_FLOOR:
         raise ValueError(
             f"marched density reaches {mmin:.3e}; the source construction "
             "needs a strictly positive density")
-    f_field = manufactured_source(u_true, m_true, kernel,
-                                  r_field=base_spec.r_field)
-    spec = ProblemSpec(grid, base_spec.r_field, kernel, f_field,
-                       time_slice(u_true, 0), time_slice(m_true, 0))
+    f_field = manufactured_source(u_true, m_true, kernel)
+    spec = ProblemSpec(grid, kernel, f_field, time_slice(u_true, 0),
+                       time_slice(m_true, 0))
     r1, r2, _ = _field_residuals(u_true, m_true, spec)
     return ManufacturedCase(u_true, m_true, f_field, spec,
                             calculus.l2_norm_qt(Field(grid, r1)),
@@ -270,7 +258,6 @@ def write_case(case: ManufacturedCase, outdir) -> None:
     write_field_csv(case.u_true, os.path.join(outdir, "u_true.csv"))
     write_field_csv(case.m_true, os.path.join(outdir, "m_true.csv"))
     write_field_csv(case.f_field, os.path.join(outdir, "source_f.csv"))
-    write_field_csv(case.spec.r_field, os.path.join(outdir, "coefficient_r.csv"))
     grid = case.spec.grid
     sidecar = {
         "label": case.label,

@@ -1,9 +1,10 @@
 """The weighted least-squares objective and its exact discrete gradient.
 
-The scalar being minimized is
+The state is one array z of shape (2, nx, nt): z[0] = u, z[1] = m.  The
+scalar being minimized is
 
-    J(u, m) = balance * int [ R1^2 + q*d*R2^2 ] * cwf^2
-              + alpha * ( |u|_H2^2 + |m|_H2^2 )
+    J(z) = balance * int [ R1^2 + q*d*R2^2 ] * cwf^2
+           + alpha * ( |u|_H2^2 + |m|_H2^2 )
 
 with R1, R2 the two system residuals (stated once, in
 ``model.residuals``), cwf the time-decaying exponential
@@ -26,14 +27,16 @@ Both factors are symmetric and banded, and are built once per grid with
 the stencil products (``calculus.stencil_products``).  One H f per field
 serves all three uses: alpha*<f, H f> is the regularizer's value,
 2*alpha*H f its gradient, and 2*alpha*diag(H) its block of the
-preconditioner diagonal.
+preconditioner diagonal.  Each field is applied and reduced on its own
+(one product and one inner product per field), which fixes the order of
+every floating-point sum.
 
-The t=0 plane (column 0 of both fields) holds the given initial data.  The
-gradient here is the full one, column 0 included; the optimizer zeroes that
-column before it steps, so the pinned data never move.
+The t=0 plane (z[:, :, 0]) holds the given initial data.  The gradient
+here is the full one, column 0 included; the optimizer zeroes that column
+before it steps, so the pinned data never move.
 
 ``value_arrays`` returns an evaluation: the breakdown of J together with
-the state and the intermediates R1, R2, u_x, H u and H m.  The gradient and
+the state and the intermediates R1, R2, u_x and H z.  The gradient and
 the line quartic take evaluations, so a caller that already holds the
 evaluation at a point hands it over instead of having it recomputed.
 
@@ -44,9 +47,10 @@ and b = (R(z+p) + R(z-p))/2 - R(z), and J(z + xi p) is a quartic in xi.
 the unit trial z + p, with H p = H(z+p) - H z, and one residual call at
 z - p.
 
-``model.residuals`` and ``value_arrays`` also take stacks of states,
-(..., nx, nt), and reduce each term per state; the finite-difference oracle
-evaluates the line points of many directions in one such call.
+``model.residuals`` and ``value_arrays`` also take stacks of states, with
+the field axis first, (2, ..., nx, nt), and reduce each term per state;
+the finite-difference oracle evaluates the line points of many directions
+in one such call.
 """
 
 from __future__ import annotations
@@ -83,6 +87,15 @@ class StatePair:
     def grid(self) -> Grid:
         return self.u.grid
 
+    @classmethod
+    def from_array(cls, grid: Grid, z: np.ndarray) -> "StatePair":
+        """The pair of a state array z, (2, nx, nt), copied into Fields."""
+        return cls(Field(grid, z[0]), Field(grid, z[1]))
+
+    def array(self) -> np.ndarray:
+        """The state as one new (2, nx, nt) array z."""
+        return np.stack((self.u.values, self.m.values))
+
 
 @dataclass(frozen=True)
 class LineQuartic:
@@ -118,22 +131,20 @@ class ObjectiveBreakdown:
     take.
 
     The parts are floats for one state and, for a stack of states, arrays
-    over its stack axes.  ``u`` and ``m`` are the evaluated arrays
-    themselves, not copies.  The arrays are neither compared nor shown, so
-    two breakdowns are equal when their parts are.
+    over its stack axes.  ``z`` is the evaluated array itself, not a copy.
+    The arrays are neither compared nor shown, so two breakdowns are equal
+    when their parts are.
     """
 
     j1: float
     j2: float
     j3: float
     total: float
-    u: np.ndarray = dataclass_field(compare=False, repr=False)
-    m: np.ndarray = dataclass_field(compare=False, repr=False)
+    z: np.ndarray = dataclass_field(compare=False, repr=False)
     r1: np.ndarray = dataclass_field(compare=False, repr=False)
     r2: np.ndarray = dataclass_field(compare=False, repr=False)
     ux: np.ndarray = dataclass_field(compare=False, repr=False)
-    hu: np.ndarray = dataclass_field(compare=False, repr=False)  # H u
-    hm: np.ndarray = dataclass_field(compare=False, repr=False)  # H m
+    h: np.ndarray = dataclass_field(compare=False, repr=False)  # H z, per field
 
 
 class Objective:
@@ -155,13 +166,11 @@ class Objective:
         self.params = params
         self.grid = grid
         self.stencils = calculus.stencil_products(grid)
-        self.dtm, self.dxm, self.dxxm = calculus.diff_matrices(grid)
         wx, wt = calculus.weights_x(grid), calculus.weights_t(grid)
         wq = np.outer(wx, wt)
         profile = params.weight_profile(grid.t_nodes())
         self.w1 = wq * profile[None, :]
         self.w2 = self.w1 * (params.q * params.d)
-        self.r = spec.r_field.values
         self.f = spec.f_field.values
         self.alpha = params.alpha
         self.kernel = spec.kernel
@@ -170,44 +179,50 @@ class Objective:
 
     # -- pieces ---------------------------------------------------------
 
-    def _h2_apply(self, f: np.ndarray) -> np.ndarray:
-        """H f, so that |f|_H2^2 = <f, H f> and its gradient is 2 H f."""
-        out = self.wx_col * self.stencils.gram_t(f)
-        out += self.stencils.gram_x(f) * self.wt_row
-        return out
+    def _h2_apply(self, z: np.ndarray) -> np.ndarray:
+        """H f for each field f of z, so that |f|_H2^2 = <f, H f> and its
+        gradient is 2 H f."""
+        h = np.empty_like(z)
+        for f, hf in zip(z, h):
+            np.multiply(self.wx_col, self.stencils.gram_t(f), out=hf)
+            hf += self.stencils.gram_x(f) * self.wt_row
+        return h
 
-    def _h2_quadratic(self, f: np.ndarray) -> float:
-        return calculus.inner(f, self._h2_apply(f))
+    def _h2_quadratic(self, z: np.ndarray) -> float:
+        """|u|_H2^2 + |m|_H2^2 for one state z."""
+        h = self._h2_apply(z)
+        return calculus.inner(z[0], h[0]) + calculus.inner(z[1], h[1])
 
     # -- public evaluations ---------------------------------------------
 
-    def value_arrays(self, u: np.ndarray, m: np.ndarray) -> ObjectiveBreakdown:
-        """J and its parts at (u, m), with the intermediates it computed.
+    def value_arrays(self, z: np.ndarray) -> ObjectiveBreakdown:
+        """J and its parts at z, with the intermediates it computed.
 
-        ``u`` and ``m`` may be stacks of states, (..., nx, nt); each part is
-        then an array over the stack axes.  The gradient and the line
-        quartic take the evaluation of one state; its caller keeps ``u``
-        and ``m`` unchanged while the evaluation is in use.
+        ``z`` may be a stack of states, (2, ..., nx, nt); each part is then
+        an array over the stack axes.  The gradient and the line quartic
+        take the evaluation of one state; its caller keeps ``z`` unchanged
+        while the evaluation is in use.
         """
+        u, m = z
         r1, r2, ux = model.residuals(u, m, self.spec, self.stencils)
-        hu, hm = self._h2_apply(u), self._h2_apply(m)
-        stacked = u.ndim > 2
+        h = self._h2_apply(z)
+        stacked = z.ndim > 3
         if stacked:  # one inner product per state, over the last two axes
             j1 = np.einsum(_PER_STATE, self.w1 * r1, r1)
             j2 = np.einsum(_PER_STATE, self.w2 * r2, r2)
-            j3 = self.alpha * (np.einsum(_PER_STATE, u, hu) +
-                               np.einsum(_PER_STATE, m, hm))
+            j3 = self.alpha * (np.einsum(_PER_STATE, u, h[0]) +
+                               np.einsum(_PER_STATE, m, h[1]))
         else:
             j1 = calculus.inner(self.w1 * r1, r1)
             j2 = calculus.inner(self.w2 * r2, r2)
-            j3 = self.alpha * (calculus.inner(u, hu) + calculus.inner(m, hm))
+            j3 = self.alpha * (calculus.inner(u, h[0]) + calculus.inner(m, h[1]))
         for name, v in (("j1", j1), ("j2", j2), ("j3", j3)):
             if not (np.isfinite(v).all() if stacked else math.isfinite(v)):
                 raise ValueError(f"objective term {name} is non-finite")
-        return ObjectiveBreakdown(j1, j2, j3, j1 + j2 + j3, u, m, r1, r2, ux, hu, hm)
+        return ObjectiveBreakdown(j1, j2, j3, j1 + j2 + j3, z, r1, r2, ux, h)
 
-    def hessian_diag(self, u: np.ndarray, m: np.ndarray):
-        """Gauss-Newton diagonal of the Hessian at (u, m).
+    def hessian_diag(self, z: np.ndarray) -> np.ndarray:
+        """Gauss-Newton diagonal of the Hessian at z, shaped like z.
 
         Keeps only the residual-Jacobian and regularizer contributions,
         which is what a diagonal preconditioner needs: the entries span the
@@ -215,25 +230,27 @@ class Objective:
         parameters) and equilibrating them is what makes the quasi-Newton
         path converge in the ill-conditioned tail.
         """
-        dt2, dx2, dxx2 = self.dtm**2, self.dxm**2, self.dxxm**2
-        ux = self.dxm @ u
-        r_ux_sq = (self.r * ux) ** 2
+        # the cached matrices that the stencil products apply
+        dtm, dxm, dxxm = calculus.diff_matrices(self.grid)
+        dt2, dx2, dxx2 = dtm**2, dxm**2, dxxm**2
+        u, m = z
+        ux_sq = (dxm @ u) ** 2
         du = 2.0 * (self.w1 @ dt2) + 2.0 * (dxx2.T @ self.w1)
-        du += 2.0 * (dx2.T @ (self.w1 * r_ux_sq))
-        du += 2.0 * (dx2.T @ ((self.r * m) ** 2 * (dx2.T @ self.w2)))
+        du += 2.0 * (dx2.T @ (self.w1 * ux_sq))
+        du += 2.0 * (dx2.T @ (m**2 * (dx2.T @ self.w2)))
         dm = 2.0 * (self.w2 @ dt2) + 2.0 * (dxx2.T @ self.w2)
-        dm += 2.0 * r_ux_sq * (dx2.T @ self.w2)
+        dm += 2.0 * ux_sq * (dx2.T @ self.w2)
         wx_sq = self.wx_col**2
         dm += 2.0 * self.kernel**2 * (wx_sq * self.w1.sum(axis=0))
         dm += 2.0 * self.w1 * self.f**2
         ct, bx = self.stencils.gram_t.matrix, self.stencils.gram_x.matrix
         reg = 2.0 * self.alpha * (self.wx_col * np.diag(ct) +
                                   np.diag(bx)[:, None] * self.wt_row)
-        return du + reg, dm + reg
+        return np.stack((du, dm)) + reg
 
     def value_and_gradient_arrays(self, ev: ObjectiveBreakdown):
         """The breakdown ``ev`` of one state (from ``value_arrays``) and the
-        exact partials of J for every node value there."""
+        exact partials of J for every node value there, shaped like z."""
         g1 = self.w1 * ev.r1
         g1 *= 2.0  # dJ/dr1 = 2*w1*r1, doubled in place to spare an array
         g2 = self.w2 * ev.r2
@@ -241,24 +258,24 @@ class Objective:
         s = self.stencils
         # Value-equation residual: adjoints of d_dt, d2_dx2, the gradient
         # square, the interaction integral, and the f*m coupling.
-        gu = (s.d_dt_adjoint(g1) + s.d2_dx2_adjoint(g1) -
-              s.d_dx_adjoint(self.r * ev.ux * g1))
+        gu = (s.d_dt_adjoint(g1) + s.d2_dx2_adjoint(g1) +
+              s.d_dx_adjoint(ev.ux * g1))
         gm = model.interaction_adjoint(self.kernel, self.grid, g1) + self.f * g1
         # Density-equation residual: adjoints of d_dt, d2_dx2 and the
         # flux-form divergence, in both arguments.
         dxt_g2 = s.d_dx_adjoint(g2)
-        gu -= s.d_dx_adjoint(self.r * ev.m * dxt_g2)
-        gm += s.d_dt_adjoint(g2) - s.d2_dx2_adjoint(g2) - (self.r * ev.ux) * dxt_g2
-        two_alpha = 2.0 * self.alpha
-        gu += two_alpha * ev.hu
-        gm += two_alpha * ev.hm
-        if not (np.isfinite(gu).all() and np.isfinite(gm).all()):
+        gu += s.d_dx_adjoint(ev.z[1] * dxt_g2)
+        gm += s.d_dt_adjoint(g2) - s.d2_dx2_adjoint(g2) + ev.ux * dxt_g2
+        g = np.stack((gu, gm))
+        g += (2.0 * self.alpha) * ev.h
+        if not np.isfinite(g).all():
             raise ValueError("objective gradient is non-finite")
-        return ev, gu, gm
+        return ev, g
 
     def line_quartic(self, at_z: ObjectiveBreakdown, at_unit: ObjectiveBreakdown,
-                     pu: np.ndarray, pm: np.ndarray) -> LineQuartic:
-        """J(z + xi p) - J(z) as a quartic in xi, p = (pu, pm).
+                     p: np.ndarray) -> LineQuartic:
+        """J(z + xi p) - J(z) as a quartic in xi, for a direction p shaped
+        like z.
 
         ``at_z`` and ``at_unit`` are the evaluations at z and at the unit
         trial z + p; the residuals are evaluated once more, at z - p.  The
@@ -266,8 +283,8 @@ class Objective:
         """
         d01 = d02 = d11 = d12 = d22 = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            r1m, r2m, _ = model.residuals(at_z.u - pu, at_z.m - pm, self.spec,
-                                          self.stencils)
+            u, m = at_z.z - p
+            r1m, r2m, _ = model.residuals(u, m, self.spec, self.stencils)
             for w, r0, rp, rm in ((self.w1, at_z.r1, at_unit.r1, r1m),
                                   (self.w2, at_z.r2, at_unit.r2, r2m)):
                 a = 0.5 * (rp - rm)
@@ -279,10 +296,11 @@ class Objective:
                 d12 += calculus.inner(wa, b)
                 d22 += calculus.inner(wb, b)
             # the regularizer is quadratic: H p = H(z+p) - H z
-            d01 += self.alpha * (calculus.inner(pu, at_z.hu) +
-                                 calculus.inner(pm, at_z.hm))
-            d11 += self.alpha * (calculus.inner(pu, at_unit.hu - at_z.hu) +
-                                 calculus.inner(pm, at_unit.hm - at_z.hm))
+            hp = at_unit.h - at_z.h
+            d01 += self.alpha * (calculus.inner(p[0], at_z.h[0]) +
+                                 calculus.inner(p[1], at_z.h[1]))
+            d11 += self.alpha * (calculus.inner(p[0], hp[0]) +
+                                 calculus.inner(p[1], hp[1]))
         return LineQuartic((2.0 * d01, d11 + 2.0 * d02, 2.0 * d12, d22),
                            (math.sqrt(at_z.total), math.sqrt(abs(d11)),
                             math.sqrt(abs(d22))))
@@ -309,14 +327,13 @@ def convexity_probe(state1: StatePair, state2: StatePair, params: ConvexParams,
             np.array_equal(state1.m.values[:, 0], state2.m.values[:, 0])):
         raise ValueError("states must carry identical pinned initial data")
     obj = Objective(spec, params)
-    u1, m1 = state1.u.values, state1.m.values
-    u2, m2 = state2.u.values, state2.m.values
-    b1, gu, gm = obj.value_and_gradient_arrays(obj.value_arrays(u1, m1))
-    b2 = obj.value_arrays(u2, m2)
-    inner = float(np.sum(gu * (u2 - u1)) + np.sum(gm * (m2 - m1)))
+    z1, z2 = state1.array(), state2.array()
+    b1, g = obj.value_and_gradient_arrays(obj.value_arrays(z1))
+    b2 = obj.value_arrays(z2)
+    dz = z2 - z1
+    inner = float(np.sum(g[0] * dz[0]) + np.sum(g[1] * dz[1]))
     gap = b2.total - b1.total - inner
-    floor = 0.5 * params.alpha * (obj._h2_quadratic(u2 - u1) +
-                                  obj._h2_quadratic(m2 - m1))
+    floor = 0.5 * params.alpha * obj._h2_quadratic(dz)
     return ConvexityGap(gap, floor)
 
 
@@ -346,23 +363,23 @@ def gradient_fd_check(spec: ProblemSpec, params: ConvexParams,
     chunk = max(1, FD_STACK_NODES // (4 * grid.nx * grid.nt))
     worst = 0.0
     for _ in range(n_states):
-        u = sample_neumann_field(grid, rng)
-        m = sample_neumann_field(grid, rng)
-        _, gu, gm = obj.value_and_gradient_arrays(obj.value_arrays(u, m))
-        h = 1e-2 * (1.0 + max(np.abs(u).max(), np.abs(m).max()))
+        z = np.stack([sample_neumann_field(grid, rng) for _ in range(2)])
+        _, g = obj.value_and_gradient_arrays(obj.value_arrays(z))
+        h = 1e-2 * (1.0 + np.abs(z).max())
         steps = np.array([h, -h, 2 * h, -2 * h])[:, None, None, None]
         for start in range(0, n_directions, chunk):
-            # (du, dm) of each direction in turn: the same stream as one
-            # draw per field and direction, and per-field sums, so every
-            # direction and analytic derivative is that of one at a time
+            # drawn direction by direction, (u, m) each, then viewed field
+            # first; sums per field, so every direction and analytic
+            # derivative is that of one at a time
             d = rng.standard_normal((min(chunk, n_directions - start), 2,
-                                     grid.nx, grid.nt))
+                                     grid.nx, grid.nt)).swapaxes(0, 1)
             d[..., 0] = 0.0
-            du, dm = d[:, 0], d[:, 1]
-            scale = np.sqrt(np.sum(du**2, axis=(1, 2)) + np.sum(dm**2, axis=(1, 2)))
-            d /= scale[:, None, None, None]
-            analytic = np.sum(gu * du, axis=(1, 2)) + np.sum(gm * dm, axis=(1, 2))
-            j = obj.value_arrays(u + steps * du, m + steps * dm).total
+            scale = np.sqrt(np.sum(d[0]**2, axis=(1, 2)) + np.sum(d[1]**2, axis=(1, 2)))
+            d /= scale[:, None, None]
+            analytic = (np.sum(g[0] * d[0], axis=(1, 2)) +
+                        np.sum(g[1] * d[1], axis=(1, 2)))
+            # the four line points of each direction: (2, 4, chunk, nx, nt)
+            j = obj.value_arrays(z[:, None, None] + steps * d[:, None]).total
             fd = (8.0 * (j[0] - j[1]) - (j[2] - j[3])) / (12 * h)
             rel = np.abs(analytic - fd) / (np.abs(analytic) + 1e-12)
             worst = np.maximum(worst, rel.max())  # max() would drop a NaN

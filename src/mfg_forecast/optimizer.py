@@ -1,15 +1,17 @@
 """Preconditioned L-BFGS over states with pinned initial data.
 
-The t=0 plane (column 0 of both fields) holds the given data and is never
-moved: the gradient the iteration steps along is zero there, and every
-trial state is pinned exactly before it is evaluated.  The paper proves
-global convergence for gradient projection on this feasible set; the
-shipped solver is limited-memory BFGS (Nocedal & Wright, Alg. 7.4) with
-Armijo backtracking from a unit step, preconditioned by the Gauss-Newton
-diagonal at the start state.  A trial must also lower J: a tie with J(z)
-makes no progress, however small its step.  The stopping rule is the
-first-order optimality ratio: the norm of the gradient on the free nodes
-over the full gradient norm at the start state.
+The state is the objective's (2, nx, nt) array z, and every vector of the
+iteration (gradient, direction, curvature pairs) has its shape.  The t=0
+plane z[:, :, 0] holds the given data and is never moved: the gradient the
+iteration steps along is zero there, and every trial state is pinned
+exactly before it is evaluated.  The paper proves global convergence for
+gradient projection on this feasible set; the shipped solver is
+limited-memory BFGS (Nocedal & Wright, Alg. 7.4) with Armijo backtracking
+from a unit step, preconditioned by the Gauss-Newton diagonal at the start
+state.  A trial must also lower J: a tie with J(z) makes no progress,
+however small its step.  The stopping rule is the first-order optimality
+ratio: the norm of the gradient on the free nodes over the full gradient
+norm at the start state.
 
 Each state is evaluated once (``Objective.value_arrays``), and the
 iteration hands that evaluation on: the gradient at an accepted trial is
@@ -33,7 +35,6 @@ import numpy as np
 
 from mfg_forecast.calculus import inner
 from mfg_forecast.carleman import ConvexParams
-from mfg_forecast.grid import Field
 from mfg_forecast.model import ProblemSpec
 from mfg_forecast.objective import Objective, StatePair
 
@@ -111,9 +112,8 @@ class MinimizeResult:
 
 def make_start(spec: ProblemSpec) -> StatePair:
     """Constant-in-time extension of the initial data."""
-    u = np.tile(spec.u0[:, None], (1, spec.grid.nt))
-    m = np.tile(spec.m0[:, None], (1, spec.grid.nt))
-    return StatePair(Field(spec.grid, u), Field(spec.grid, m))
+    data = np.stack((spec.u0, spec.m0))[:, :, None]
+    return StatePair.from_array(spec.grid, np.repeat(data, spec.grid.nt, axis=2))
 
 
 def minimize(spec: ProblemSpec, params: ConvexParams,
@@ -132,35 +132,24 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
     """
     obj = Objective(spec, params)
     start = make_start(spec)
-    u, m = start.u.values, start.m.values
-    nx, nt = spec.grid.nx, spec.grid.nt
-    n = nx * nt
-
-    def split(z):
-        return z[:n].reshape(nx, nt), z[n:].reshape(nx, nt)
-
-    def pinned(gu, gm):
-        """The gradient as one vector, zeroed on the fixed t=0 column."""
-        gu[:, 0] = 0.0
-        gm[:, 0] = 0.0
-        return np.concatenate([gu.ravel(), gm.ravel()])
+    z = start.array()
+    data = z[:, :, 0].copy()
 
     trace = IterationTrace()
-    ev = obj.value_arrays(u, m)  # the evaluation at z, the current state
-    gu, gm = obj.value_and_gradient_arrays(ev)[1:]
-    g0_norm = _nodal_norm(gu, gm)  # the full gradient, pinned column included
+    ev = obj.value_arrays(z)  # the evaluation at z, the current state
+    g = obj.value_and_gradient_arrays(ev)[1]
+    # the full gradient's norm, pinned column included, summed per field
+    g0_norm = math.sqrt(float(np.sum(g[0]**2) + np.sum(g[1]**2)))
     if g0_norm == 0.0:
         trace.append(TraceRow(0, ev.j1, ev.j2, ev.j3, ev.total, 0.0, 0.0, 0.0, 0))
         return MinimizeResult(start, trace, CONVERGED,
                               "start state is already stationary")
-    g = pinned(gu, gm)
+    g[:, :, 0] = 0.0
 
     # Fixed diagonal preconditioner from the start state; the weight
     # profile makes the raw problem too ill-conditioned for plain scaling.
-    diag_u, diag_m = obj.hessian_diag(u, m)
-    h0 = 1.0 / np.concatenate([diag_u.ravel(), diag_m.ravel()])
+    h0 = 1.0 / obj.hessian_diag(z)
 
-    z = np.concatenate([u.ravel(), m.ravel()])
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
     rho_hist: list[float] = []  # 1 / (y^T s) of each stored pair
@@ -195,31 +184,29 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
             if quartic is None or not _quartic_rejects(quartic, xi, threshold):
                 z_new = z + xi * p
                 # Direction is zero on the pinned plane; re-pin exactly anyway.
-                zu_new, zm_new = split(z_new)
-                zu_new[:, 0] = spec.u0
-                zm_new[:, 0] = spec.m0
-                trial = obj.value_arrays(zu_new, zm_new)
+                z_new[:, :, 0] = data
+                trial = obj.value_arrays(z_new)
                 evaluations += 1
                 # Once the threshold is below half an ulp of J, a tie with
                 # J(z) would pass the Armijo test alone.
                 if trial.total <= ev.total + threshold and trial.total < ev.total:
                     break
                 if backtracks == 0:  # the trial is the unit step z + p
-                    quartic = obj.line_quartic(ev, trial, *split(p))
+                    quartic = obj.line_quartic(ev, trial, p)
                     if not quartic.is_finite():
                         quartic = None
             backtracks += 1
             if backtracks > MAX_BACKTRACKS:
                 return MinimizeResult(
-                    _wrap(ev.u, ev.m, spec), trace, STALLED,
+                    StatePair.from_array(spec.grid, ev.z), trace, STALLED,
                     f"line search failed after {MAX_BACKTRACKS} "
                     "backtracks; gradient and objective are likely inconsistent")
             xi *= BACKTRACK_FACTOR
         # Only the accepted trial's evaluation stays referenced: the one at
         # the old z is freed before the gradient's arrays are made.
         ev = trial
-        gu, gm = obj.value_and_gradient_arrays(ev)[1:]
-        g_new = pinned(gu, gm)
+        g_new = obj.value_and_gradient_arrays(ev)[1]
+        g_new[:, :, 0] = 0.0
         s = z_new - z
         y = g_new - g
         sy = inner(s, y)
@@ -233,20 +220,13 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
                 rho_hist.pop(0)
         z, g = z_new, g_new
         accepted_step = xi
-    return MinimizeResult(_wrap(ev.u, ev.m, spec), trace, status, message)
+    return MinimizeResult(StatePair.from_array(spec.grid, ev.z), trace, status,
+                          message)
 
 
 def _quartic_rejects(quartic, xi, threshold) -> bool:
     """Whether J(z + xi p) - J(z) certainly exceeds the Armijo threshold."""
     return quartic.phi(xi) > threshold + QUARTIC_MARGIN * quartic.size(xi)
-
-
-def _nodal_norm(u, m) -> float:
-    return math.sqrt(float(np.sum(u**2) + np.sum(m**2)))
-
-
-def _wrap(u, m, spec) -> StatePair:
-    return StatePair(Field(spec.grid, u), Field(spec.grid, m))
 
 
 def _two_loop_direction(g, s_hist, y_hist, rhos, h0):

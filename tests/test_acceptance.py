@@ -141,7 +141,7 @@ def test_criterion_07_carleman_estimate_thresholds(t11_case):
                   (carleman_terms(u, threshold, 3.0, grid) for u in draws[:100]))
     assert min_gap >= 0.0
 
-    coupling = Field(grid, t11_case.spec.r_field.values * t11_case.m_true.values)
+    coupling = Field(grid, -t11_case.m_true.values)
     q_threshold = None
     for lam in range(1, 51):
         rep = check_quasi_carleman(coupling, lam, 3.0, grid)

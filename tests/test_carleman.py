@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ def _smooth_coupling(grid):
 
 def _t11_coupling(t11_case):
     return Field(t11_case.spec.grid,
-                 t11_case.spec.r_field.values * t11_case.m_true.values)
+                 -t11_case.m_true.values)
 
 
 def _assert_samples_hold(rep, coupling, grid, count):
@@ -117,7 +118,7 @@ def test_convex_params_validation():
 def test_derived_quantities_recomputed():
     p = ConvexParams(lam=2, c=3, a=1.1, d=1, alpha=1e-5, gamma=0.6, t_max=1)
     assert p.q == pytest.approx(0.125)
-    assert p.balance == pytest.approx(math.exp(-2 * 1.1 * 9), rel=1e-12)
+    assert p.log_balance == pytest.approx(-2 * 1.1 * 9, rel=1e-12)
 
 
 def test_weight_profile_dynamic_range_bound():
@@ -140,6 +141,14 @@ def test_weight_profile_overflow_rejected():
     p = ConvexParams(lam=6, c=3, a=1.1, d=1, alpha=1e-5, gamma=0.6, t_max=1)
     with pytest.raises(ValueError, match="exponent"):
         p.weight_profile(np.array([0.0, 1.0]))
+    # an exponent beyond double precision is refused the same way, with no
+    # overflow warning on the way
+    p = ConvexParams(lam=1000, c=3, a=1.1, d=1, alpha=1e-5, gamma=0.6, t_max=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="reaches inf; the functional is "
+                                             "not representable at lam=1000"):
+            p.weight_profile(np.array([0.0, 1.0]))
 
 
 def test_sampled_fields_have_vanishing_boundary_slope():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mfg_forecast import calculus
-from mfg_forecast.grid import Field, constant_field, field_from_function, \
-    make_grid, read_field_csv, time_slice
+from mfg_forecast.grid import Field, field_from_function, make_grid, \
+    read_field_csv, time_slice
 from mfg_forecast.model import ProblemSpec, build_manufactured_case, \
     apply_interaction, hjb_residual, make_problem_spec, manufactured_source, \
     residuals, solve_fokker_planck, write_case
@@ -25,6 +25,10 @@ def _interaction_at(kernel, grid, m, j):
     full = np.broadcast_to(apply_interaction(kernel, grid, m.values),
                            (grid.nx, grid.nt))
     return full[:, j]
+
+
+def constant_field(grid, value):
+    return Field(grid, np.full((grid.nx, grid.nt), value))
 
 
 def _const_spec(grid, kernel_value=1.0, m0=0.5):
@@ -94,6 +98,35 @@ def test_fp_residual_heat_oracle(grid):
     assert err.max() < bound
 
 
+@pytest.mark.parametrize("step", [0.1, 0.05])
+def test_residuals_drift_oracle(step):
+    # u = cos(pi x)(1 + t) has u_x != 0 inside and u_x = 0 at both ends; with
+    # m = 1/2 constant, K = 1 and f = 0 the working form gives
+    #   R1 = u_t + u_xx + u_x^2/2 + K * int m = cos - pi^2 cos (1+t)
+    #        + pi^2 sin^2 (1+t)^2 / 2 + 1,
+    #   R2 = m_t - m_xx + (m u_x)_x = -(pi^2/2) cos (1+t).
+    # u is linear in t, so the time stencils are exact; the rest is the
+    # stencils' dx^2 truncation.  A flipped sign of u_x^2/2 moves R1 by
+    # u_x^2 (up to 4 pi^2), one of the drift moves R2 by 2 (m u_x)_x (up
+    # to 2 pi^2), far outside the bounds.
+    grid = make_grid(-1, 1, 1, step, step, 0.6)
+    spec = _const_spec(grid, kernel_value=1.0, m0=0.5)
+    u = field_from_function(grid, lambda x, t: math.cos(math.pi * x) * (1.0 + t))
+    r1, r2, _ = residuals(u.values, constant_field(grid, 0.5).values, spec,
+                          calculus.stencil_products(grid))
+    x, t = np.meshgrid(grid.x_nodes(), grid.t_nodes(), indexing="ij")
+    cos, sin, s = np.cos(math.pi * x), np.sin(math.pi * x), 1.0 + t
+    exact1 = cos - math.pi**2 * cos * s + 0.5 * math.pi**2 * sin**2 * s**2 + 1.0
+    exact2 = -0.5 * math.pi**2 * cos * s
+    inner = slice(1, -1)  # d_dx is zero on the boundary rows by reflection
+    err1 = np.abs(r1 - exact1)[inner].max()
+    err2 = np.abs(r2 - exact2)[inner].max()
+    # u_xx: pi^4 dx^2 (1+t) / 12; u_x^2/2: pi^4 dx^2 (1+t)^2 / 6 at most;
+    # m * Dx(Dx u) spans 2 dx: (1/2) pi^4 (2 dx)^2 (1+t) / 12
+    assert err1 < math.pi**4 * step**2 * (2.0 / 12 + 4.0 / 6)
+    assert err2 < 0.5 * math.pi**4 * (2 * step)**2 * 2.0 / 12
+
+
 def test_fp_residual_shape_mismatch(grid):
     # fields off the spec grid are refused, by the Field wrapper's grid
     # check and by the stencil products of the residuals themselves
@@ -149,25 +182,19 @@ def test_manufactured_source_closed_form(grid):
 
 
 def test_manufactured_source_cancels_hjb_residual(grid):
-    # the default (kernel 1, r = -1) and a negative kernel with a
-    # coefficient r varying in x and t
+    # the default kernel 1 and a negative kernel
     from mfg_forecast.carleman import sample_neumann_field
-    varying_r = field_from_function(
-        grid, lambda x, t: -1.0 - 0.3 * math.cos(math.pi * x) * (1.0 + t))
-    cases = ((1.0, None), (-0.7, varying_r))
-    for kernel, r_field in cases:
+    for kernel in (1.0, -0.7):
         rng = np.random.default_rng(1)
         u = Field(grid, sample_neumann_field(grid, rng))
         m = Field(grid, 0.5 + 0.1 * np.abs(sample_neumann_field(grid, rng)))
-        f = manufactured_source(u, m, kernel, r_field=r_field)
-        r_spec = constant_field(grid, -1.0) if r_field is None else r_field
-        spec = ProblemSpec(grid, r_spec, kernel, f, time_slice(u, 0),
-                           time_slice(m, 0))
+        f = manufactured_source(u, m, kernel)
+        spec = ProblemSpec(grid, kernel, f, time_slice(u, 0), time_slice(m, 0))
         res = hjb_residual(u, m, spec)
         assert np.abs(res.values).max() < 1e-12
 
         case = build_manufactured_case(experiments._u_t12, lambda x: 0.5,
-                                       kernel, grid, r_field=r_field)
+                                       kernel, grid)
         res = hjb_residual(case.u_true, case.m_true, case.spec)
         assert np.abs(res.values).max() < 1e-12
         assert case.hjb_residual_norm < 1e-12
@@ -203,8 +230,7 @@ def test_case_export_import_roundtrip(tmp_path, t11_case):
     write_case(t11_case, tmp_path)
     for name, field in (("u_true.csv", t11_case.u_true),
                         ("m_true.csv", t11_case.m_true),
-                        ("source_f.csv", t11_case.f_field),
-                        ("coefficient_r.csv", t11_case.spec.r_field)):
+                        ("source_f.csv", t11_case.f_field)):
         assert np.array_equal(read_field_csv(tmp_path / name).values,
                               field.values), name
     sidecar = json.loads((tmp_path / "case.json").read_text())

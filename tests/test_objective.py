@@ -3,7 +3,7 @@ import pytest
 
 from mfg_forecast import calculus, model, objective
 from mfg_forecast.carleman import ConvexParams, sample_neumann_field
-from mfg_forecast.grid import Field, constant_field, make_grid
+from mfg_forecast.grid import Field, make_grid
 from mfg_forecast.model import make_problem_spec
 from mfg_forecast.objective import Objective, StatePair, convexity_probe, \
     gradient_fd_check
@@ -42,19 +42,17 @@ def _random_state(grid, rng, amplitude=1.0):
 
 
 def _value(state, params, spec):
-    return Objective(spec, params).value_arrays(state.u.values, state.m.values)
+    return Objective(spec, params).value_arrays(state.array())
 
 
 def _gradient(state, params, spec):
+    """The gradient at ``state``, (2, nx, nt): unpacks as (gu, gm)."""
     obj = Objective(spec, params)
-    _, gu, gm = obj.value_and_gradient_arrays(
-        obj.value_arrays(state.u.values, state.m.values))
-    return gu, gm
+    return obj.value_and_gradient_arrays(obj.value_arrays(state.array()))[1]
 
 
 def test_zero_state_zero_objective(grid, params, zero_spec):
-    state = StatePair(constant_field(grid, 0.0), constant_field(grid, 0.0))
-    bd = _value(state, params, zero_spec)
+    bd = Objective(zero_spec, params).value_arrays(np.zeros((2, grid.nx, grid.nt)))
     assert bd.j1 == bd.j2 == bd.j3 == bd.total == 0.0
 
 
@@ -112,7 +110,8 @@ def test_gradient_masked_entries_zero(grid, params, data_spec, monkeypatch):
     two_loop = optimizer._two_loop_direction
 
     def recording(g, *history):
-        seen.append(g.reshape(2, grid.nx, grid.nt).copy())
+        assert g.shape == (2, grid.nx, grid.nt)
+        seen.append(g.copy())
         return two_loop(g, *history)
 
     monkeypatch.setattr(optimizer, "_two_loop_direction", recording)
@@ -131,14 +130,12 @@ def test_objective_constant_along_masked_directions(grid, params, zero_spec):
     # changing only the pinned plane and re-pinning it, as minimize does
     # after every step, returns the same objective
     rng = np.random.default_rng(4)
-    u = sample_neumann_field(grid, rng)
-    m = sample_neumann_field(grid, rng)
-    u[:, 0] = zero_spec.u0
-    m[:, 0] = zero_spec.m0
-    b0 = Objective(zero_spec, params).value_arrays(u, m)
-    u[:, 0] += rng.standard_normal(grid.nx)
-    u[:, 0] = zero_spec.u0
-    b1 = Objective(zero_spec, params).value_arrays(u, m)
+    z = np.stack([sample_neumann_field(grid, rng) for _ in range(2)])
+    z[:, :, 0] = (zero_spec.u0, zero_spec.m0)
+    b0 = Objective(zero_spec, params).value_arrays(z)
+    z[0, :, 0] += rng.standard_normal(grid.nx)
+    z[0, :, 0] = zero_spec.u0
+    b1 = Objective(zero_spec, params).value_arrays(z)
     assert b0.total == b1.total
 
 
@@ -170,13 +167,13 @@ def test_eval_and_gradient_deterministic(grid, params, t11_case):
     b2 = _value(state, params, t11_case.spec)
     assert b1 == b2
     obj = Objective(t11_case.spec, params)
-    ev = obj.value_arrays(state.u.values, state.m.values)
-    b3, gu1, gm1 = obj.value_and_gradient_arrays(ev)
-    b4, gu2, gm2 = obj.value_and_gradient_arrays(ev)
+    ev = obj.value_arrays(state.array())
+    b3, g1 = obj.value_and_gradient_arrays(ev)
+    b4, g2 = obj.value_and_gradient_arrays(ev)
     assert b3 == b4 == b1
-    assert np.array_equal(gu1, gu2)
-    assert np.array_equal(gm1, gm2)
-    assert np.array_equal(gu1, _gradient(state, params, t11_case.spec)[0])
+    assert g1.shape == (2, grid.nx, grid.nt)
+    assert np.array_equal(g1, g2)
+    assert np.array_equal(g1, _gradient(state, params, t11_case.spec))
 
 
 def test_convexity_probe_identical_states(grid, params, zero_spec):
@@ -231,10 +228,9 @@ def test_same_gradients_give_unit_ratio(grid, params, data_spec, monkeypatch):
     exact = Objective.value_and_gradient_arrays
 
     def zero_on_pinned(self, ev):
-        breakdown, gu, gm = exact(self, ev)
-        gu[:, 0] = 0.0
-        gm[:, 0] = 0.0
-        return breakdown, gu, gm
+        breakdown, g = exact(self, ev)
+        g[:, :, 0] = 0.0
+        return breakdown, g
 
     monkeypatch.setattr(Objective, "value_and_gradient_arrays", zero_on_pinned)
     assert _first_row_ratio(data_spec, params) == pytest.approx(1.0, rel=1e-12)
@@ -250,9 +246,10 @@ def test_non_finite_intermediate_identifies_term(grid, params, zero_spec):
     # values large enough that the squared residual overflows: the
     # offending term must be named in the rejection
     obj = Objective(zero_spec, params)
-    huge = np.full((grid.nx, grid.nt), 1e200)
+    huge = np.zeros((2, grid.nx, grid.nt))
+    huge[0] = 1e200
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="j1"):
-        obj.value_arrays(huge, np.zeros((grid.nx, grid.nt)))
+        obj.value_arrays(huge)
 
 
 @pytest.fixture()
@@ -267,10 +264,11 @@ def test_h2_gram_form_matches_norm_oracle(fine_grid, params):
     obj = Objective(spec, params)
     rng = np.random.default_rng(13)
     for amplitude in (1e-3, 1.0, 1e3):
-        f = sample_neumann_field(fine_grid, rng, amplitude=amplitude)
-        f += amplitude * rng.standard_normal(f.shape)  # rough, not only smooth
-        expected = h2_norm_discrete(Field(fine_grid, f)) ** 2
-        assert obj._h2_quadratic(f) == pytest.approx(expected, rel=1e-12)
+        z = np.stack([sample_neumann_field(fine_grid, rng, amplitude=amplitude)
+                      for _ in range(2)])
+        z += amplitude * rng.standard_normal(z.shape)  # rough, not only smooth
+        expected = sum(h2_norm_discrete(Field(fine_grid, f)) ** 2 for f in z)
+        assert obj._h2_quadratic(z) == pytest.approx(expected, rel=1e-12)
 
 
 def test_hessian_diag_regularizer_matches_four_term_formula(fine_grid, params,
@@ -282,7 +280,7 @@ def test_hessian_diag_regularizer_matches_four_term_formula(fine_grid, params,
     assert not obj.w1.any() and not obj.w2.any()
     rng = np.random.default_rng(14)
     state = _random_state(fine_grid, rng)
-    diag_u, diag_m = obj.hessian_diag(state.u.values, state.m.values)
+    diag_u, diag_m = obj.hessian_diag(state.array())
     dtm, dxm, dxxm = calculus.diff_matrices(fine_grid)
     wq = np.outer(calculus.weights_x(fine_grid), calculus.weights_t(fine_grid))
     expected = 2.0 * params.alpha * (wq + wq @ dtm**2 + (dxm**2).T @ wq +
@@ -303,8 +301,9 @@ def test_fd_oracle_reports_a_planted_gradient_error(params, t11_case, monkeypatc
     pattern = np.random.default_rng(16).choice([-1.0, 1.0], (grid.nx, grid.nt))
 
     def planted(self, ev):
-        breakdown, gu, gm = exact(self, ev)
-        return breakdown, gu * (1.0 + 1e-5 * pattern), gm
+        breakdown, g = exact(self, ev)
+        g[0] *= 1.0 + 1e-5 * pattern
+        return breakdown, g
 
     monkeypatch.setattr(Objective, "value_and_gradient_arrays", planted)
     report = gradient_fd_check(t11_case.spec, params, n_states=3, n_directions=12,
@@ -321,12 +320,11 @@ def test_fd_oracle_fails_on_a_nan_reading(params, t11_case, monkeypatch,
     calls = []
 
     def planted(self, ev):
-        breakdown, gu, gm = exact(self, ev)
+        breakdown, g = exact(self, ev)
         if len(calls) == planted_state:
-            gu = gu.copy()
-            gu[5, 5] = np.nan
+            g[0, 5, 5] = np.nan
         calls.append(1)
-        return breakdown, gu, gm
+        return breakdown, g
 
     monkeypatch.setattr(Objective, "value_and_gradient_arrays", planted)
     report = gradient_fd_check(t11_case.spec, params, n_states=2, n_directions=6,
@@ -339,12 +337,12 @@ def test_fd_oracle_fails_on_a_nan_reading(params, t11_case, monkeypatch,
 
 
 def _stack(grid, seed, shape=(2, 3)):
-    """Random states stacked on leading axes: u and m of shape (*shape, nx, nt)."""
+    """Random states stacked on the axes after the field axis: z of shape
+    (2, *shape, nx, nt)."""
     rng = np.random.default_rng(seed)
     states = [_random_state(grid, rng) for _ in range(int(np.prod(shape)))]
-    u = np.array([s.u.values for s in states]).reshape(*shape, grid.nx, grid.nt)
-    m = np.array([s.m.values for s in states]).reshape(*shape, grid.nx, grid.nt)
-    return u, m
+    z = np.stack([s.array() for s in states], axis=1)
+    return z.reshape(2, *shape, grid.nx, grid.nt)
 
 
 @pytest.fixture()
@@ -356,30 +354,31 @@ def negative_kernel_spec(grid):
 def test_stacked_evaluation_matches_per_state(grid, params, t11_case,
                                               negative_kernel_spec, kernel):
     spec = t11_case.spec if kernel == "constant" else negative_kernel_spec
-    u, m = _stack(grid, 29)
+    z = _stack(grid, 29)
     obj = Objective(spec, params)
-    stacked = model.residuals(u, m, spec, obj.stencils)
-    breakdown = obj.value_arrays(u, m)
+    stacked = model.residuals(z[0], z[1], spec, obj.stencils)
+    breakdown = obj.value_arrays(z)
     assert breakdown.total.shape == (2, 3)
     for index in np.ndindex(2, 3):
-        single = model.residuals(u[index], m[index], spec, obj.stencils)
+        one = z[(slice(None), *index)]
+        single = model.residuals(one[0], one[1], spec, obj.stencils)
         for got, expected in zip(stacked, single):
             assert got[index].shape == expected.shape
             np.testing.assert_allclose(got[index], expected, rtol=1e-13,
                                        atol=1e-13 * np.abs(expected).max())
-        expected = obj.value_arrays(u[index], m[index])
+        expected = obj.value_arrays(one)
         for part in ("j1", "j2", "j3", "total"):
             assert getattr(breakdown, part)[index] == pytest.approx(
                 getattr(expected, part), rel=1e-13)
 
 
 def test_stacked_evaluation_names_overflowing_term(grid, params, zero_spec):
-    u, m = _stack(grid, 30)
-    u[1, 2] = 1e200  # one state of the stack overflows its squared residual
+    z = _stack(grid, 30)
+    z[0, 1, 2] = 1e200  # one state of the stack overflows its squared residual
     obj = Objective(zero_spec, params)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="j1"):
-        obj.value_arrays(u, m)
+        obj.value_arrays(z)
 
 
 def test_gradient_fd_check_covers_several_chunks(fine_grid, params, monkeypatch):
@@ -392,15 +391,16 @@ def test_gradient_fd_check_covers_several_chunks(fine_grid, params, monkeypatch)
     shapes = []
     value_arrays = Objective.value_arrays
 
-    def recorded(self, u, m):
-        shapes.append(u.shape)
-        return value_arrays(self, u, m)
+    def recorded(self, z):
+        shapes.append(z.shape)
+        return value_arrays(self, z)
 
     monkeypatch.setattr(Objective, "value_arrays", recorded)
     report = gradient_fd_check(spec, params, n_states=2, n_directions=10, seed=5)
     stack = (fine_grid.nx, fine_grid.nt)
     # each state's own evaluation, for its gradient, then its stacks
-    assert shapes == [stack, (4, 4, *stack), (4, 4, *stack), (4, 2, *stack)] * 2
+    assert shapes == [(2, *stack), (2, 4, 4, *stack), (2, 4, 4, *stack),
+                      (2, 4, 2, *stack)] * 2
     assert report["max_rel_error"] < 1e-8
 
 
@@ -409,24 +409,23 @@ def test_gradient_fd_check_covers_several_chunks(fine_grid, params, monkeypatch)
 
 def _two_states(grid, seed):
     rng = np.random.default_rng(seed)
-    a, b = _random_state(grid, rng), _random_state(grid, rng)
-    return (a.u.values, a.m.values), (b.u.values, b.m.values)
+    return _random_state(grid, rng).array(), _random_state(grid, rng).array()
 
 
 def test_objective_keeps_no_state(grid, params, t11_case):
     # no call may change an attribute: what one evaluation gives the next
     # call is passed to it
-    (u, m), (ub, mb) = _two_states(grid, 20)
-    pu, pm = ub - u, mb - m
+    z, zb = _two_states(grid, 20)
+    p = zb - z
     obj = Objective(t11_case.spec, params)
     before = {name: (value, value.copy() if isinstance(value, np.ndarray) else None)
               for name, value in vars(obj).items()}
-    ev = obj.value_arrays(u, m)
+    ev = obj.value_arrays(z)
     obj.value_and_gradient_arrays(ev)
-    obj.value_arrays(np.stack([u, ub]), np.stack([m, mb]))
-    obj.line_quartic(ev, obj.value_arrays(u + pu, m + pm), pu, pm)
-    obj.value_and_gradient_arrays(obj.value_arrays(ub, mb))
-    obj.hessian_diag(u, m)
+    obj.value_arrays(np.stack([z, zb], axis=1))
+    obj.line_quartic(ev, obj.value_arrays(z + p), p)
+    obj.value_and_gradient_arrays(obj.value_arrays(zb))
+    obj.hessian_diag(z)
     assert vars(obj).keys() == before.keys()
     for name, value in vars(obj).items():
         kept, contents = before[name]
@@ -439,17 +438,16 @@ def test_gradient_from_evaluation_matches_fresh_objective(grid, params, t11_case
     # an evaluation handed on after other calls gives, bit for bit, the
     # gradient a fresh Objective gives at equal copies of the state
     spec = t11_case.spec
-    (u, m), (ub, mb) = _two_states(grid, 21)
+    z, zb = _two_states(grid, 21)
     obj = Objective(spec, params)
-    ev = obj.value_arrays(u, m)
-    obj.value_and_gradient_arrays(obj.value_arrays(ub, mb))
-    obj.value_arrays(np.stack([ub, u]), np.stack([mb, m]))
-    breakdown, gu, gm = obj.value_and_gradient_arrays(ev)
+    ev = obj.value_arrays(z)
+    obj.value_and_gradient_arrays(obj.value_arrays(zb))
+    obj.value_arrays(np.stack([zb, z], axis=1))
+    breakdown, g = obj.value_and_gradient_arrays(ev)
     fresh = Objective(spec, params)
-    fresh_bd, fresh_gu, fresh_gm = fresh.value_and_gradient_arrays(
-        fresh.value_arrays(u.copy(), m.copy()))
+    fresh_bd, fresh_g = fresh.value_and_gradient_arrays(fresh.value_arrays(z.copy()))
     assert breakdown == fresh_bd
-    assert np.array_equal(gu, fresh_gu) and np.array_equal(gm, fresh_gm)
+    assert np.array_equal(g, fresh_g)
 
 
 # -- the objective along a line is an exact quartic ---------------------------
@@ -458,12 +456,10 @@ def test_gradient_from_evaluation_matches_fresh_objective(grid, params, t11_case
 def _line_case(grid, seed):
     """A random state z and a random direction p that is zero on column 0."""
     rng = np.random.default_rng(seed)
-    z = _random_state(grid, rng)
-    pu = sample_neumann_field(grid, rng)
-    pm = sample_neumann_field(grid, rng)
-    pu[:, 0] = 0.0
-    pm[:, 0] = 0.0
-    return z.u.values, z.m.values, pu, pm
+    z = _random_state(grid, rng).array()
+    p = np.stack([sample_neumann_field(grid, rng) for _ in range(2)])
+    p[:, :, 0] = 0.0
+    return z, p
 
 
 @pytest.fixture()
@@ -478,13 +474,13 @@ def test_line_quartic_reproduces_objective_along_line(params, t11_case,
                                                       case):
     spec = t11_case.spec if case == "T1_1" else negative_kernel_fine_spec
     for seed in (25, 26, 27):
-        u, m, pu, pm = _line_case(spec.grid, seed)
+        z, p = _line_case(spec.grid, seed)
         obj = Objective(spec, params)
-        at_z = obj.value_arrays(u, m)
+        at_z = obj.value_arrays(z)
         j0 = at_z.total
-        quartic = obj.line_quartic(at_z, obj.value_arrays(u + pu, m + pm), pu, pm)
+        quartic = obj.line_quartic(at_z, obj.value_arrays(z + p), p)
         assert quartic.is_finite()
         for xi in (1.0, 0.5, 0.125, 2.0**-10):
-            direct = obj.value_arrays(u + xi * pu, m + xi * pm).total - j0
+            direct = obj.value_arrays(z + xi * p).total - j0
             assert abs(quartic.phi(xi) - direct) <= 1e-10 * j0
             assert abs(direct) <= quartic.size(xi)

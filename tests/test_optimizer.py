@@ -93,8 +93,8 @@ def test_inconsistent_gradient_surfaces_as_stall(grid, params, monkeypatch):
     original = Objective.value_and_gradient_arrays
 
     def wrong_gradient(self, ev):
-        bd, gu, gm = original(self, ev)
-        return bd, -gu, -gm  # ascent direction disguised as the gradient
+        bd, g = original(self, ev)
+        return bd, -g  # ascent direction disguised as the gradient
 
     monkeypatch.setattr(Objective, "value_and_gradient_arrays", wrong_gradient)
     result = minimize(spec, params, OptimizerConfig(max_iters=5))
@@ -111,13 +111,13 @@ def test_line_search_refuses_a_step_that_does_not_lower_j(grid, params,
                              np.full(grid.nx, 0.5), 1.0)
     value, gradient = Objective.value_arrays, Objective.value_and_gradient_arrays
 
-    def rounded_value(self, u, m):
-        ev = value(self, u, m)
+    def rounded_value(self, z):
+        ev = value(self, z)
         return dataclasses.replace(ev, total=float(f"{ev.total:.8g}"))
 
     def wrong_gradient(self, ev):
-        bd, gu, gm = gradient(self, ev)
-        return bd, -gu, -gm
+        bd, g = gradient(self, ev)
+        return bd, -g
 
     monkeypatch.setattr(Objective, "value_arrays", rounded_value)
     monkeypatch.setattr(Objective, "value_and_gradient_arrays", wrong_gradient)
@@ -149,7 +149,7 @@ def _rho_checked(two_loop, ascent_at=None):
     calls = []
 
     def checked(g, s_hist, y_hist, rhos, h0):
-        assert rhos == [1.0 / float(y @ s) for s, y in zip(s_hist, y_hist)]
+        assert rhos == [1.0 / float(np.vdot(y, s)) for s, y in zip(s_hist, y_hist)]
         calls.append(len(s_hist))
         p = two_loop(g, s_hist, y_hist, rhos, h0)
         return -p if len(calls) == ascent_at else p
@@ -172,12 +172,12 @@ def test_lbfgs_run_bit_identical_without_evaluation_reuse(params, monkeypatch):
     gradient, quartic = Objective.value_and_gradient_arrays, Objective.line_quartic
 
     def fresh(ev):
-        return Objective(spec, params).value_arrays(ev.u.copy(), ev.m.copy())
+        return Objective(spec, params).value_arrays(ev.z.copy())
 
     monkeypatch.setattr(Objective, "value_and_gradient_arrays",
                         lambda self, ev: gradient(self, fresh(ev)))
-    monkeypatch.setattr(Objective, "line_quartic", lambda self, at_z, at_unit, pu, pm:
-                        quartic(self, fresh(at_z), fresh(at_unit), pu, pm))
+    monkeypatch.setattr(Objective, "line_quartic", lambda self, at_z, at_unit, p:
+                        quartic(self, fresh(at_z), fresh(at_unit), p))
     recomputed = minimize(spec, params, config)
     assert len(reused.trace.rows) == 338
     assert reused.status == recomputed.status == CONVERGED
@@ -220,9 +220,9 @@ def test_lbfgs_run_unchanged_by_stacked_values(params, monkeypatch):
     plain = minimize(spec, params, config)
     value_arrays = Objective.value_arrays
 
-    def with_stack(self, u, m):
-        breakdown = value_arrays(self, u, m)
-        stacked = value_arrays(self, np.stack([u, 0.5 * u]), np.stack([m, 0.5 * m]))
+    def with_stack(self, z):
+        breakdown = value_arrays(self, z)
+        stacked = value_arrays(self, np.stack([z, 0.5 * z], axis=1))
         assert stacked.total[0] == pytest.approx(breakdown.total, rel=1e-13)
         return breakdown
 
@@ -303,8 +303,7 @@ def test_budget_exit_row_describes_returned_state(params):
     assert len(result.trace.rows) == 31
     last = result.trace.rows[-1]
     assert last.iteration == 30
-    returned = Objective(spec, params).value_arrays(result.state.u.values,
-                                                    result.state.m.values)
+    returned = Objective(spec, params).value_arrays(result.state.array())
     assert last.total == returned.total
     assert (last.j1, last.j2, last.j3) == (returned.j1, returned.j2, returned.j3)
 
@@ -314,9 +313,9 @@ def _counted_run(spec, params, config, monkeypatch):
     calls = []
     value_arrays = Objective.value_arrays
 
-    def counted(self, u, m):
+    def counted(self, z):
         calls.append(1)
-        return value_arrays(self, u, m)
+        return value_arrays(self, z)
 
     with monkeypatch.context() as mp:
         mp.setattr(Objective, "value_arrays", counted)
