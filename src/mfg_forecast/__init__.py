@@ -6,11 +6,10 @@ from mfg_forecast.carleman import ConvexParams, alpha_min, check_carleman_estima
 from mfg_forecast.experiments import NoiseSpec, RunReport, add_noise, \
     recovery_errors, relative_cost_curve, run_test
 from mfg_forecast.grid import Field, Grid, field_from_function, make_grid, \
-    read_field_csv, time_slice, write_field_csv
+    write_field_csv
 from mfg_forecast.model import ManufacturedCase, ProblemSpec, \
-    build_manufactured_case, hjb_residual, manufactured_source, \
-    solve_fokker_planck
-from mfg_forecast.objective import ObjectiveBreakdown, StatePair, convexity_probe
+    build_manufactured_case, manufactured_source, solve_fokker_planck
+from mfg_forecast.objective import ObjectiveBreakdown, convexity_probe
 from mfg_forecast.optimizer import IterationTrace, MinimizeResult, OptimizerConfig, \
     make_start, minimize
 

@@ -368,10 +368,21 @@ def check_quasi_carleman(g: Field, lam: float, c: float,
 
 def lambda_sweep(grid: Grid, c: float, lambdas,
                  quasi_g: Field | None = None) -> list[EstimateCheckReport]:
-    """Run the estimate checker over a list of weight exponents."""
-    if quasi_g is None:
-        return [check_carleman_estimate(lam, c, grid) for lam in lambdas]
-    return [check_quasi_carleman(quasi_g, lam, c, grid) for lam in lambdas]
+    """Run the estimate checker over a list of weight exponents, in order.
+
+    Stops after the first ``unresolved`` report and keeps it, so the list
+    shows where double precision ran out; a larger exponent only widens
+    the weight's range further.
+    """
+    reports = []
+    for lam in lambdas:
+        if quasi_g is None:
+            reports.append(check_carleman_estimate(lam, c, grid))
+        else:
+            reports.append(check_quasi_carleman(quasi_g, lam, c, grid))
+        if reports[-1].status == "unresolved":
+            break
+    return reports
 
 
 def first_passing_lambda(reports: list[EstimateCheckReport]) -> float | None:

@@ -217,6 +217,9 @@ def _cmd_sweep(options: dict) -> int:
                              f"write {tag}; give values that differ in the first "
                              "six significant digits")
     base = _overrides_from(options)
+    if options["test"] == KERNEL_COMPARE and "kernel" in (param, *base):
+        raise UsageError(f"{KERNEL_COMPARE} runs kernel +1 and kernel -1; it "
+                         "takes no kernel")
     os.makedirs(options["out"], exist_ok=True)
     rows = []
     worst = EXIT_OK

@@ -23,10 +23,9 @@ import numpy as np
 
 from mfg_forecast import calculus, model
 from mfg_forecast.carleman import ConvexParams, min_c
-from mfg_forecast.grid import Field, make_grid, write_field_csv
+from mfg_forecast.grid import Field, Grid, make_grid, write_field_csv
 from mfg_forecast.model import ManufacturedCase, ProblemSpec, \
     build_manufactured_case, make_problem_spec
-from mfg_forecast.objective import StatePair
 from mfg_forecast.optimizer import IterationTrace, OptimizerConfig, minimize
 
 DEFAULTS = {
@@ -140,8 +139,9 @@ class RecoveryErrors:
     m_rel_l2: np.ndarray
 
 
-def relative_cost_curve(state: StatePair, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-time residual norm of the system, normalized by the data norm.
+def relative_cost_curve(z: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per-time residual norm of a state z = (u, m), normalized by the data
+    norm.
 
         F(t) = sqrt( int [R1^2 + R2^2](x, t) dx / int [u^2 + m^2](x, 0) dx )
 
@@ -149,9 +149,9 @@ def relative_cost_curve(state: StatePair, spec: ProblemSpec) -> tuple[np.ndarray
     diagnoses how well a state satisfies the system at each time.
     """
     grid = spec.grid
-    if state.grid != grid:
+    if z.shape != (2, grid.nx, grid.nt):
         raise ValueError("state must live on the spec grid")
-    u, m = state.u.values, state.m.values
+    u, m = z
     r1, r2, _ = model.residuals(u, m, spec, calculus.stencil_products(grid))
     wx = calculus.weights_x(grid)
     numerator = wx @ (r1**2 + r2**2)  # (nt,)
@@ -161,13 +161,14 @@ def relative_cost_curve(state: StatePair, spec: ProblemSpec) -> tuple[np.ndarray
     return grid.t_nodes(), np.sqrt(numerator / denominator)
 
 
-def recovery_errors(pred: StatePair, truth: ManufacturedCase) -> RecoveryErrors:
-    """Early-time H^{1,0} errors plus per-time relative L2 error curves."""
-    grid = pred.grid
-    if truth.u_true.grid != grid:
+def recovery_errors(z: np.ndarray, truth: ManufacturedCase) -> RecoveryErrors:
+    """Early-time H^{1,0} errors of a predicted state z = (u, m) plus
+    per-time relative L2 error curves."""
+    grid = truth.spec.grid
+    if z.shape != (2, grid.nx, grid.nt):
         raise ValueError("prediction and truth must share a grid")
-    du = pred.u.values - truth.u_true.values
-    dm = pred.m.values - truth.m_true.values
+    du = z[0] - truth.u_true.values
+    dm = z[1] - truth.m_true.values
     u_h10 = calculus.h10_norm_gamma(Field(grid, du))
     m_h10 = calculus.h10_norm_gamma(Field(grid, dm))
     wx = calculus.weights_x(grid)
@@ -178,11 +179,15 @@ def recovery_errors(pred: StatePair, truth: ManufacturedCase) -> RecoveryErrors:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Everything one run produces, exportable as a stable file layout."""
+    """Everything one run produces, exportable as a stable file layout.
+
+    ``predicted`` is the returned state z, (2, nx, nt), on ``grid``.
+    """
 
     test_id: str
     config: dict
-    predicted: StatePair
+    grid: Grid
+    predicted: np.ndarray
     truth: ManufacturedCase | None
     rel_cost_t: np.ndarray
     rel_cost: np.ndarray
@@ -196,7 +201,7 @@ class RunReport:
                "config": self.config}
         out.update(self.trace.summary_dict())
         # search-ball diagnostics: monitored, never enforced
-        u, m = self.predicted.u.values, self.predicted.m.values
+        u, m = self.predicted
         out["final_state_norm"] = math.sqrt(float(np.sum(u**2) + np.sum(m**2)))
         # j3 = alpha * (|u|_H2^2 + |m|_H2^2); the last row is the returned state
         out["state_h2_norm"] = math.sqrt(self.trace.rows[-1].j3 / self.config["alpha"])
@@ -219,15 +224,16 @@ class RunReport:
         with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(self.summary_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        write_field_csv(self.predicted.u, os.path.join(outdir, "u_pred.csv"))
-        write_field_csv(self.predicted.m, os.path.join(outdir, "m_pred.csv"))
+        for name, values in zip(("u_pred.csv", "m_pred.csv"), self.predicted):
+            write_field_csv(Field(self.grid, values), os.path.join(outdir, name))
         _write_curve_csv(os.path.join(outdir, "rel_cost.csv"), "t,F",
                          self.rel_cost_t, self.rel_cost)
         self.trace.to_csv(os.path.join(outdir, "trace.csv"))
         if self.truth is not None:
             write_field_csv(self.truth.u_true, os.path.join(outdir, "u_true.csv"))
             write_field_csv(self.truth.m_true, os.path.join(outdir, "m_true.csv"))
-            write_field_csv(self.truth.f_field, os.path.join(outdir, "source_f.csv"))
+            write_field_csv(self.truth.spec.f_field,
+                            os.path.join(outdir, "source_f.csv"))
         if self.errors is not None:
             with open(os.path.join(outdir, "error_curves.csv"), "w",
                       encoding="utf-8") as fh:
@@ -316,7 +322,7 @@ def _build_problem(test_id: str, cfg: dict):
         truth = build_manufactured_case(case.u_fn, case.m0_fn, cfg["kernel"],
                                         grid, label=test_id)
         u0_clean, m0_clean = truth.spec.u0, truth.spec.m0
-        f_field = truth.f_field
+        f_field = truth.spec.f_field
     else:
         truth = None
         xs = grid.x_nodes()
@@ -336,17 +342,18 @@ def run_test(test_id: str, **overrides):
     kernel signs and returns a KernelComparison instead.
     """
     if test_id == KERNEL_COMPARE:
-        base = dict(overrides)
-        base.pop("kernel", None)
-        plus = run_test("T2_2", kernel=1.0, **base)
-        minus = run_test("T2_2", kernel=-1.0, **base)
+        if "kernel" in overrides:
+            raise ValueError(f"{KERNEL_COMPARE} runs kernel +1 and kernel -1; it "
+                             f"takes no kernel override, got {overrides['kernel']}")
+        plus = run_test("T2_2", kernel=1.0, **overrides)
+        minus = run_test("T2_2", kernel=-1.0, **overrides)
         return KernelComparison(plus, minus)
 
     cfg = resolve_config(test_id, overrides)
-    _, spec, truth = _build_problem(test_id, cfg)
+    grid, spec, truth = _build_problem(test_id, cfg)
     opt = OptimizerConfig(tol=cfg["tol"], max_iters=int(cfg["max_iters"]))
     result = minimize(spec, convex_params(cfg), opt)
     t_nodes, rel = relative_cost_curve(result.state, spec)
     errors = recovery_errors(result.state, truth) if truth is not None else None
-    return RunReport(test_id, cfg, result.state, truth, t_nodes, rel, errors,
+    return RunReport(test_id, cfg, grid, result.state, truth, t_nodes, rel, errors,
                      result.trace, result.status, result.message)

@@ -125,13 +125,6 @@ def field_from_function(grid: Grid, g: Callable[[float, float], float]) -> Field
     return Field(grid, vals)
 
 
-def time_slice(field: Field, j: int) -> np.ndarray:
-    """Writable copy of the values at time node j."""
-    if not 0 <= j < field.grid.nt:
-        raise ValueError(f"time index {j} outside [0, {field.grid.nt})")
-    return field.values[:, j].copy()
-
-
 def write_field_csv(field: Field, path) -> None:
     """Write `x,t,value` rows, grouped by time slice, 17 significant digits.
 
@@ -145,38 +138,3 @@ def write_field_csv(field: Field, path) -> None:
         for t, column in zip(ts, field.values.T.tolist()):
             tail = f"{t:.17g},"
             fh.write("".join([f"{x}{tail}{v:.17g}\n" for x, v in zip(xs, column)]))
-
-
-def read_field_csv(path, gamma: float = 0.6) -> Field:
-    """Rebuild a Field from the CSV layout produced by write_field_csv.
-
-    The lattice is inferred from the coordinate columns; ``gamma`` is not
-    stored in the file and must be supplied when it matters downstream.
-    """
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    if data.ndim == 1:
-        data = data.reshape(1, -1)
-    if data.shape[1] != 3:
-        raise ValueError(f"expected 3 columns in {path}, got {data.shape[1]}")
-    xs = np.unique(data[:, 0])
-    ts = np.unique(data[:, 1])
-    nx, nt = len(xs), len(ts)
-    if nx * nt != data.shape[0]:
-        raise ValueError(f"{path} does not contain a full lattice of samples")
-    # Steps from the extents, not adjacent diffs: keeps the round trip
-    # bit-exact when the endpoints are representable.
-    dx = _uniform_step(xs, axis="x", path=path)
-    dt = _uniform_step(ts, axis="t", path=path)
-    grid = make_grid(xs[0], xs[-1], ts[-1], dx, dt, gamma)
-    # Rows are written t-outer, x-inner; rely on that ordering.
-    vals = data[:, 2].reshape(nt, nx).T.copy()
-    return Field(grid, vals)
-
-
-def _uniform_step(coords: np.ndarray, axis: str, path) -> float:
-    if len(coords) < 2:
-        raise ValueError(f"{path}: need at least two {axis}-coordinates")
-    step = (coords[-1] - coords[0]) / (len(coords) - 1)
-    if np.any(np.abs(np.diff(coords) - step) > 1e-9 * max(1.0, abs(step))):
-        raise ValueError(f"{path}: non-uniform {axis}-coordinates")
-    return float(step)

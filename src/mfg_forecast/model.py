@@ -11,9 +11,8 @@ The residuals of the 1-D working form:
     fp residual:   m_t - m_xx + d/dx( m * u_x )
 
 ``residuals`` is the one place these two are stated.  The objective, the
-relative-cost diagnostic, the Field wrapper ``hjb_residual``, the
-manufactured-case builder and the manufactured source (-R1/m with f = 0)
-all call it.
+relative-cost diagnostic, the manufactured-case builder and the
+manufactured source (-R1/m with f = 0) all call it.
 
 The whole coupled system is never time-marched: the u-equation is unstable
 forward in time, which is exactly why the convexification route exists.
@@ -33,8 +32,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from mfg_forecast import calculus
-from mfg_forecast.grid import Field, Grid, field_from_function, time_slice, \
-    write_field_csv
+from mfg_forecast.grid import Field, Grid, field_from_function, write_field_csv
 
 # Below this floor the manufactured-source division amplifies noise
 # beyond usefulness.
@@ -115,18 +113,7 @@ def residuals(u: np.ndarray, m: np.ndarray, spec: ProblemSpec, stencils):
     return r1, r2, ux
 
 
-def _field_residuals(u: Field, m: Field, spec: ProblemSpec):
-    if u.grid != spec.grid or m.grid != spec.grid:
-        raise ValueError("fields must live on the spec grid")
-    return residuals(u.values, m.values, spec, calculus.stencil_products(spec.grid))
-
-
-def hjb_residual(u: Field, m: Field, spec: ProblemSpec) -> Field:
-    """Pointwise residual of the value-function equation."""
-    return Field(spec.grid, _field_residuals(u, m, spec)[0])
-
-
-def solve_fokker_planck(u: Field, m0: np.ndarray, spec: ProblemSpec) -> Field:
+def solve_fokker_planck(u: Field, m0: np.ndarray) -> Field:
     """March the density equation forward from m0 for a given u.
 
     Semi-implicit scheme: diffusion is backward-in-time (one tridiagonal
@@ -134,16 +121,14 @@ def solve_fokker_planck(u: Field, m0: np.ndarray, spec: ProblemSpec) -> Field:
     current level.  The drift divergence is central in the interior and
     one-sided at the boundary nodes; combined with the reflection stencil
     for diffusion this conserves the trapezoid mass of m exactly, since
-    the drift flux vanishes on the boundary.
+    the drift flux vanishes on the boundary.  The density lives on u's grid.
     """
-    grid = spec.grid
+    grid = u.grid
     m0 = np.asarray(m0, dtype=float)
     if m0.shape != (grid.nx,):
         raise ValueError(f"m0 must have length nx={grid.nx}")
     if not np.isfinite(m0).all() or not np.isfinite(u.values).all():
         raise ValueError("non-finite input to the Fokker-Planck solver")
-    if u.grid != grid:
-        raise ValueError("u must live on the spec grid")
 
     nx, nt, dt, dx = grid.nx, grid.nt, grid.dt, grid.dx
     dxxm = calculus.space_diff2_matrix(nx, dx)
@@ -183,9 +168,9 @@ def manufactured_source(u: Field, m: Field, kernel: float) -> Field:
         raise ValueError(
             f"density touches {mmin:.3e} (floor {POSITIVITY_FLOOR:.0e}); "
             "source construction would divide by a vanishing density")
-    source_free = make_problem_spec(grid, time_slice(u, 0), time_slice(m, 0),
-                                    kernel)
-    return Field(grid, -hjb_residual(u, m, source_free).values / m.values)
+    source_free = make_problem_spec(grid, u.values[:, 0], m.values[:, 0], kernel)
+    r1 = residuals(u.values, m.values, source_free, calculus.stencil_products(grid))[0]
+    return Field(grid, -r1 / m.values)
 
 
 @dataclass(frozen=True)
@@ -201,8 +186,7 @@ class ManufacturedCase:
 
     u_true: Field
     m_true: Field
-    f_field: Field
-    spec: ProblemSpec
+    spec: ProblemSpec  # its f_field is the manufactured source
     hjb_residual_norm: float
     fp_residual_norm: float
     label: str = ""
@@ -236,18 +220,17 @@ def build_manufactured_case(u_fn: Callable[[float, float], float],
             "boundary conditions require u_x = 0 at the spatial endpoints")
     u_true = field_from_function(grid, u_fn)
     m0 = np.array([m0_fn(x) for x in grid.x_nodes()], dtype=float)
-    base_spec = make_problem_spec(grid, time_slice(u_true, 0), m0, kernel)
-    m_true = solve_fokker_planck(u_true, m0, base_spec)
+    m_true = solve_fokker_planck(u_true, m0)
     mmin = float(m_true.values.min())
     if mmin <= POSITIVITY_FLOOR:
         raise ValueError(
             f"marched density reaches {mmin:.3e}; the source construction "
             "needs a strictly positive density")
-    f_field = manufactured_source(u_true, m_true, kernel)
-    spec = ProblemSpec(grid, kernel, f_field, time_slice(u_true, 0),
-                       time_slice(m_true, 0))
-    r1, r2, _ = _field_residuals(u_true, m_true, spec)
-    return ManufacturedCase(u_true, m_true, f_field, spec,
+    spec = ProblemSpec(grid, kernel, manufactured_source(u_true, m_true, kernel),
+                       u_true.values[:, 0], m_true.values[:, 0])
+    r1, r2, _ = residuals(u_true.values, m_true.values, spec,
+                          calculus.stencil_products(grid))
+    return ManufacturedCase(u_true, m_true, spec,
                             calculus.l2_norm_qt(Field(grid, r1)),
                             calculus.l2_norm_qt(Field(grid, r2)), label)
 
@@ -257,7 +240,7 @@ def write_case(case: ManufacturedCase, outdir) -> None:
     os.makedirs(outdir, exist_ok=True)
     write_field_csv(case.u_true, os.path.join(outdir, "u_true.csv"))
     write_field_csv(case.m_true, os.path.join(outdir, "m_true.csv"))
-    write_field_csv(case.f_field, os.path.join(outdir, "source_f.csv"))
+    write_field_csv(case.spec.f_field, os.path.join(outdir, "source_f.csv"))
     grid = case.spec.grid
     sidecar = {
         "label": case.label,

@@ -62,7 +62,6 @@ import numpy as np
 
 from mfg_forecast import calculus, model
 from mfg_forecast.carleman import ConvexParams, sample_neumann_field
-from mfg_forecast.grid import Field, Grid
 from mfg_forecast.model import ProblemSpec
 
 # Nodes per field in one stacked evaluation of the finite-difference oracle
@@ -70,31 +69,6 @@ from mfg_forecast.model import ProblemSpec
 FD_STACK_NODES = 16384
 
 _PER_STATE = "...ij,...ij->..."  # einsum of <a, b> for each state of a stack
-
-
-@dataclass(frozen=True)
-class StatePair:
-    """A candidate (u, m) pair sharing one grid."""
-
-    u: Field
-    m: Field
-
-    def __post_init__(self):
-        if self.u.grid != self.m.grid:
-            raise ValueError("u and m must share a grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.u.grid
-
-    @classmethod
-    def from_array(cls, grid: Grid, z: np.ndarray) -> "StatePair":
-        """The pair of a state array z, (2, nx, nt), copied into Fields."""
-        return cls(Field(grid, z[0]), Field(grid, z[1]))
-
-    def array(self) -> np.ndarray:
-        """The state as one new (2, nx, nt) array z."""
-        return np.stack((self.u.values, self.m.values))
 
 
 @dataclass(frozen=True)
@@ -248,9 +222,9 @@ class Objective:
                                   np.diag(bx)[:, None] * self.wt_row)
         return np.stack((du, dm)) + reg
 
-    def value_and_gradient_arrays(self, ev: ObjectiveBreakdown):
-        """The breakdown ``ev`` of one state (from ``value_arrays``) and the
-        exact partials of J for every node value there, shaped like z."""
+    def value_and_gradient_arrays(self, ev: ObjectiveBreakdown) -> np.ndarray:
+        """The exact partials of J, one per node value, at the state that
+        ``ev`` evaluated (from ``value_arrays``); shaped like z."""
         g1 = self.w1 * ev.r1
         g1 *= 2.0  # dJ/dr1 = 2*w1*r1, doubled in place to spare an array
         g2 = self.w2 * ev.r2
@@ -270,7 +244,7 @@ class Objective:
         g += (2.0 * self.alpha) * ev.h
         if not np.isfinite(g).all():
             raise ValueError("objective gradient is non-finite")
-        return ev, g
+        return g
 
     def line_quartic(self, at_z: ObjectiveBreakdown, at_unit: ObjectiveBreakdown,
                      p: np.ndarray) -> LineQuartic:
@@ -314,21 +288,22 @@ class ConvexityGap:
     floor: float
 
 
-def convexity_probe(state1: StatePair, state2: StatePair, params: ConvexParams,
+def convexity_probe(z1: np.ndarray, z2: np.ndarray, params: ConvexParams,
                     spec: ProblemSpec) -> ConvexityGap:
-    """J(s2) - J(s1) - <J'(s1), s2 - s1>, with floor (alpha/2)*|s2 - s1|^2.
+    """J(z2) - J(z1) - <J'(z1), z2 - z1>, with floor (alpha/2)*|z2 - z1|^2.
 
-    Both states must share the grid and carry identical pinned t=0 data;
-    the strong-convexity comparison is only defined for such pairs.
+    Both states must be (2, nx, nt) arrays on the spec grid and carry
+    identical pinned t=0 data; the strong-convexity comparison is only
+    defined for such pairs.
     """
-    if state1.grid != state2.grid:
+    shape = (2, spec.grid.nx, spec.grid.nt)
+    if z1.shape != shape or z2.shape != shape:
         raise ValueError("states must share a grid")
-    if not (np.array_equal(state1.u.values[:, 0], state2.u.values[:, 0]) and
-            np.array_equal(state1.m.values[:, 0], state2.m.values[:, 0])):
+    if not np.array_equal(z1[:, :, 0], z2[:, :, 0]):
         raise ValueError("states must carry identical pinned initial data")
     obj = Objective(spec, params)
-    z1, z2 = state1.array(), state2.array()
-    b1, g = obj.value_and_gradient_arrays(obj.value_arrays(z1))
+    b1 = obj.value_arrays(z1)
+    g = obj.value_and_gradient_arrays(b1)
     b2 = obj.value_arrays(z2)
     dz = z2 - z1
     inner = float(np.sum(g[0] * dz[0]) + np.sum(g[1] * dz[1]))
@@ -364,7 +339,7 @@ def gradient_fd_check(spec: ProblemSpec, params: ConvexParams,
     worst = 0.0
     for _ in range(n_states):
         z = np.stack([sample_neumann_field(grid, rng) for _ in range(2)])
-        _, g = obj.value_and_gradient_arrays(obj.value_arrays(z))
+        g = obj.value_and_gradient_arrays(obj.value_arrays(z))
         h = 1e-2 * (1.0 + np.abs(z).max())
         steps = np.array([h, -h, 2 * h, -2 * h])[:, None, None, None]
         for start in range(0, n_directions, chunk):

@@ -36,7 +36,7 @@ import numpy as np
 from mfg_forecast.calculus import inner
 from mfg_forecast.carleman import ConvexParams
 from mfg_forecast.model import ProblemSpec
-from mfg_forecast.objective import Objective, StatePair
+from mfg_forecast.objective import Objective
 
 CONVERGED = "converged"
 BUDGET = "budget"
@@ -104,16 +104,16 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    state: StatePair
+    state: np.ndarray  # the returned z, (2, nx, nt)
     trace: IterationTrace
     status: str
     message: str = ""
 
 
-def make_start(spec: ProblemSpec) -> StatePair:
-    """Constant-in-time extension of the initial data."""
+def make_start(spec: ProblemSpec) -> np.ndarray:
+    """Constant-in-time extension of the initial data, as a state z."""
     data = np.stack((spec.u0, spec.m0))[:, :, None]
-    return StatePair.from_array(spec.grid, np.repeat(data, spec.grid.nt, axis=2))
+    return np.repeat(data, spec.grid.nt, axis=2)
 
 
 def minimize(spec: ProblemSpec, params: ConvexParams,
@@ -131,18 +131,17 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
     of the step that reached it.
     """
     obj = Objective(spec, params)
-    start = make_start(spec)
-    z = start.array()
+    z = make_start(spec)
     data = z[:, :, 0].copy()
 
     trace = IterationTrace()
     ev = obj.value_arrays(z)  # the evaluation at z, the current state
-    g = obj.value_and_gradient_arrays(ev)[1]
+    g = obj.value_and_gradient_arrays(ev)
     # the full gradient's norm, pinned column included, summed per field
     g0_norm = math.sqrt(float(np.sum(g[0]**2) + np.sum(g[1]**2)))
     if g0_norm == 0.0:
         trace.append(TraceRow(0, ev.j1, ev.j2, ev.j3, ev.total, 0.0, 0.0, 0.0, 0))
-        return MinimizeResult(start, trace, CONVERGED,
+        return MinimizeResult(z, trace, CONVERGED,
                               "start state is already stationary")
     g[:, :, 0] = 0.0
 
@@ -198,14 +197,14 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
             backtracks += 1
             if backtracks > MAX_BACKTRACKS:
                 return MinimizeResult(
-                    StatePair.from_array(spec.grid, ev.z), trace, STALLED,
+                    ev.z, trace, STALLED,
                     f"line search failed after {MAX_BACKTRACKS} "
                     "backtracks; gradient and objective are likely inconsistent")
             xi *= BACKTRACK_FACTOR
         # Only the accepted trial's evaluation stays referenced: the one at
         # the old z is freed before the gradient's arrays are made.
         ev = trial
-        g_new = obj.value_and_gradient_arrays(ev)[1]
+        g_new = obj.value_and_gradient_arrays(ev)
         g_new[:, :, 0] = 0.0
         s = z_new - z
         y = g_new - g
@@ -220,8 +219,7 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
                 rho_hist.pop(0)
         z, g = z_new, g_new
         accepted_step = xi
-    return MinimizeResult(StatePair.from_array(spec.grid, ev.z), trace, status,
-                          message)
+    return MinimizeResult(ev.z, trace, status, message)
 
 
 def _quartic_rejects(quartic, xi, threshold) -> bool:

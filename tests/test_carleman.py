@@ -294,6 +294,19 @@ def test_lambda_sweep_and_threshold():
     assert first_passing_lambda([failed]) is None
 
 
+
+def test_lambda_sweep_stops_at_the_first_unresolved_exponent(t11_case):
+    # on the working grid lam >= 4 is past double precision; the sweep keeps
+    # the first unresolved report and solves no larger exponent
+    g = t11_case.spec.grid
+    coupling = _t11_coupling(t11_case)
+    standard = lambda_sweep(g, 3.0, range(1, 51))
+    quasi = lambda_sweep(g, 3.0, range(1, 51), quasi_g=coupling)
+    assert standard == [check_carleman_estimate(lam, 3.0, g) for lam in range(1, 5)]
+    assert quasi == [check_quasi_carleman(coupling, lam, 3.0, g) for lam in range(1, 5)]
+    for reports in (standard, quasi):
+        assert [r.status for r in reports] == ["constant"] * 3 + ["unresolved"]
+
 def test_report_json_roundtrip():
     g = make_grid(-1, 1, 1, 0.1, 0.1, 0.6)
     rep = check_carleman_estimate(2.0, 3.0, g)

@@ -252,6 +252,35 @@ def test_sweep_rejects_values_sharing_a_run_directory(tmp_path, capsys, values,
     assert not out.exists()
 
 
+
+def test_kernel_compare_refuses_a_kernel_override(tmp_path, capsys):
+    # kernel_compare runs kernels +1 and -1 itself: --kernel is refused,
+    # not silently dropped
+    out = tmp_path / "run"
+    code = main(["run", "--test", "kernel_compare", "--kernel", "5",
+                 "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "takes no kernel override, got 5.0" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--param", "kernel", "--values", "1,2"],
+                                  ["--param", "lambda", "--values", "1,2",
+                                   "--kernel", "3"]])
+def test_sweep_of_kernel_compare_with_a_kernel_is_usage_error(tmp_path, capsys,
+                                                              args):
+    # refused before any run, rather than writing one identical row per
+    # value, or one error row per value
+    out = tmp_path / "s"
+    code = main(["sweep", "--test", "kernel_compare", *args, "--out", str(out)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "takes no kernel" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
 def test_check_gradient_cli(tmp_path):
     out = tmp_path / "grad"
     code = main(["check-gradient", "--states", "2", "--directions", "6",
@@ -265,9 +294,9 @@ def test_check_gradient_nan_reading_is_numerical_failure(tmp_path, monkeypatch):
     exact = Objective.value_and_gradient_arrays
 
     def planted(self, ev):
-        breakdown, g = exact(self, ev)
+        g = exact(self, ev)
         g[0, 5, 5] = math.nan
-        return breakdown, g
+        return g
 
     monkeypatch.setattr(Objective, "value_and_gradient_arrays", planted)
     out = tmp_path / "grad"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,7 +8,6 @@ import pytest
 
 from mfg_forecast.carleman import min_c
 from mfg_forecast.grid import Field
-from mfg_forecast.objective import StatePair
 from mfg_forecast.experiments import CASES, KernelComparison, NoiseSpec, \
     RunReport, add_noise, compact_bump, recovery_errors, relative_cost_curve, \
     resolve_config, run_test, smooth_transition
@@ -95,10 +95,15 @@ def test_extended_horizon_raises_shift_constant():
         resolve_config("T1_1_extended", {"c": 3.0})
 
 
+def _truth_state(case):
+    """The manufactured (u, m) as one state z, (2, nx, nt)."""
+    return np.stack((case.u_true.values, case.m_true.values))
+
+
 def test_relative_cost_ignores_weight_parameters(t11_case):
     # same state, same spec: the curve involves neither lam nor alpha,
     # so it must be bitwise identical whatever they are
-    state = StatePair(t11_case.u_true, t11_case.m_true)
+    state = _truth_state(t11_case)
     t1, f1 = relative_cost_curve(state, t11_case.spec)
     t2, f2 = relative_cost_curve(state, t11_case.spec)
     assert np.array_equal(f1, f2)
@@ -107,7 +112,7 @@ def test_relative_cost_ignores_weight_parameters(t11_case):
 
 
 def test_relative_cost_of_truth_is_recorded_scale(t11_case):
-    state = StatePair(t11_case.u_true, t11_case.m_true)
+    state = _truth_state(t11_case)
     _, f = relative_cost_curve(state, t11_case.spec)
     # dominated by the flux-divergence stencil mismatch at the two
     # boundary columns; stays order-one at the working resolution
@@ -122,8 +127,7 @@ def test_extended_truth_does_not_blow_up():
     g = make_grid(-1, 1, 2, 0.1, 0.1, 0.6)
     case = build_manufactured_case(experiments._u_t11, experiments._m0_t11,
                                    1.0, g)
-    state = StatePair(case.u_true, case.m_true)
-    t, f = relative_cost_curve(state, case.spec)
+    t, f = relative_cost_curve(_truth_state(case), case.spec)
     assert f[t > 1.0].max() < 3.0
     assert f.max() < 3.0
 
@@ -132,15 +136,20 @@ def test_relative_cost_rejects_zero_data(t11_case):
     grid = t11_case.spec.grid
     from mfg_forecast.model import make_problem_spec
     spec0 = make_problem_spec(grid, np.zeros(grid.nx), np.zeros(grid.nx), 1.0)
-    zero = StatePair(Field(grid, np.zeros((grid.nx, grid.nt))),
-                     Field(grid, np.zeros((grid.nx, grid.nt))))
     with pytest.raises(ValueError, match="undefined"):
-        relative_cost_curve(zero, spec0)
+        relative_cost_curve(np.zeros((2, grid.nx, grid.nt)), spec0)
+
+
+def test_diagnostics_refuse_states_off_the_grid(t11_case):
+    for z in (_truth_state(t11_case)[:, :-1], _truth_state(t11_case)[0]):
+        with pytest.raises(ValueError, match="spec grid"):
+            relative_cost_curve(z, t11_case.spec)
+        with pytest.raises(ValueError, match="share a grid"):
+            recovery_errors(z, t11_case)
 
 
 def test_recovery_errors_zero_for_truth(t11_case):
-    pred = StatePair(t11_case.u_true, t11_case.m_true)
-    err = recovery_errors(pred, t11_case)
+    err = recovery_errors(_truth_state(t11_case), t11_case)
     assert err.u_h10 == 0.0 and err.m_h10 == 0.0
     assert np.all(err.u_rel_l2 == 0.0) and np.all(err.m_rel_l2 == 0.0)
 
@@ -148,8 +157,8 @@ def test_recovery_errors_zero_for_truth(t11_case):
 def test_recovery_errors_constant_offset_closed_form(t11_case):
     grid = t11_case.spec.grid
     eps = 0.01
-    pred = StatePair(Field(grid, t11_case.u_true.values + eps),
-                     t11_case.m_true)
+    pred = _truth_state(t11_case)
+    pred[0] += eps
     err = recovery_errors(pred, t11_case)
     gamma_t = grid.dt * (grid.n_t_gamma() - 1)
     assert err.u_h10 == pytest.approx(eps * math.sqrt(2 * gamma_t), rel=1e-10)
@@ -171,9 +180,18 @@ def test_run_test_returns_report_with_truth(tmp_path):
     assert summary["test_id"] == "T1_2"
     assert "errors" in summary
     # read off the returned state's j3; the term-by-term norm agrees
-    expected = math.hypot(h2_norm_discrete(rep.predicted.u),
-                          h2_norm_discrete(rep.predicted.m))
+    expected = math.hypot(h2_norm_discrete(Field(rep.grid, rep.predicted[0])),
+                          h2_norm_discrete(Field(rep.grid, rep.predicted[1])))
     assert summary["state_h2_norm"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_export_refuses_a_non_finite_prediction(tmp_path):
+    # the predicted fields are checked as they are written
+    rep = run_test("T1_2", tol=1e-2, max_iters=500)
+    bad = rep.predicted.copy()
+    bad[1, 3, 4] = math.nan
+    with pytest.raises(ValueError, match=r"non-finite field value at node \(i=3, j=4"):
+        dataclasses.replace(rep, predicted=bad).export(tmp_path)
 
 
 def test_run_test_realistic_has_no_truth(tmp_path):
@@ -191,7 +209,7 @@ def test_kernel_compare_runs_both_signs(tmp_path):
     assert cmp.minus.config["kernel"] == -1.0
     # identical noisy data on both sides: same seed, same clean data
     assert np.array_equal(
-        cmp.plus.predicted.u.values[:, 0], cmp.minus.predicted.u.values[:, 0])
+        cmp.plus.predicted[0, :, 0], cmp.minus.predicted[0, :, 0])
     cmp.export(tmp_path)
     assert (tmp_path / "kernel_plus" / "u_pred.csv").exists()
     assert (tmp_path / "comparison.csv").exists()
@@ -200,16 +218,15 @@ def test_kernel_compare_runs_both_signs(tmp_path):
 def test_run_reports_are_reproducible():
     a = run_test("T1_2", tol=1e-2, max_iters=500)
     b = run_test("T1_2", tol=1e-2, max_iters=500)
-    assert np.array_equal(a.predicted.u.values, b.predicted.u.values)
+    assert np.array_equal(a.predicted, b.predicted)
     assert np.array_equal(a.rel_cost, b.rel_cost)
     assert a.summary_dict() == b.summary_dict()
 
 
 def test_pinned_slices_equal_noisy_data_mass(t11_case):
     rep = run_test("T1_1", tol=1e-2, max_iters=500)
-    grid = rep.predicted.grid
     # the optimizer never touches the pinned plane: its mass is the data mass
-    m0 = rep.predicted.m.values[:, 0]
+    m0 = rep.predicted[1, :, 0]
     cfg = rep.config
     clean = t11_case.spec.m0
     noisy = add_noise(clean, NoiseSpec(cfg["noise"], cfg["seed"] + 1))

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from mfg_forecast import calculus
-from mfg_forecast.grid import Field, field_from_function, make_grid, \
-    read_field_csv, time_slice
+from mfg_forecast.grid import Field, field_from_function, make_grid
 from mfg_forecast.model import ProblemSpec, build_manufactured_case, \
-    apply_interaction, hjb_residual, make_problem_spec, manufactured_source, \
-    residuals, solve_fokker_planck, write_case
+    apply_interaction, make_problem_spec, manufactured_source, residuals, \
+    solve_fokker_planck, write_case
 import mfg_forecast.experiments as experiments
 
 from mass_reference import integrate_x
@@ -58,28 +57,29 @@ def test_interaction_term_gaussian_bump_unit_mass(grid):
     assert out[0] == pytest.approx(1.0, abs=0.02)
 
 
+def _residuals(u, m, spec):
+    """R1 and R2 of two Fields, from model.residuals."""
+    r1, r2, _ = residuals(u.values, m.values, spec, calculus.stencil_products(spec.grid))
+    return r1, r2
+
+
 def test_hjb_residual_zero_state_zero_source(grid):
     spec = _const_spec(grid, m0=0.0)
     u = constant_field(grid, 0.0)
     m = constant_field(grid, 0.0)
-    assert np.all(hjb_residual(u, m, spec).values == 0.0)
+    assert np.all(_residuals(u, m, spec)[0] == 0.0)
 
 
 def test_hjb_residual_kernel_term_only(grid):
     spec = _const_spec(grid, m0=0.5)
     u = constant_field(grid, 0.0)
     m = constant_field(grid, 0.5)
-    res = hjb_residual(u, m, spec)
-    assert np.allclose(res.values, 1.0, atol=1e-12)
-
-
-def _fp_residual(u, m, spec):
-    return residuals(u.values, m.values, spec, calculus.stencil_products(spec.grid))[1]
+    assert np.allclose(_residuals(u, m, spec)[0], 1.0, atol=1e-12)
 
 
 def test_fp_residual_constant_state(grid):
     spec = _const_spec(grid)
-    res = _fp_residual(constant_field(grid, 3.0), constant_field(grid, 0.5), spec)
+    res = _residuals(constant_field(grid, 3.0), constant_field(grid, 0.5), spec)[1]
     assert np.allclose(res, 0.0, atol=1e-12)
 
 
@@ -89,7 +89,7 @@ def test_fp_residual_heat_oracle(grid):
     spec = _const_spec(grid)
     u = constant_field(grid, 0.0)
     m = field_from_function(grid, lambda x, t: math.cos(math.pi * x) * math.exp(-t))
-    res = _fp_residual(u, m, spec)
+    res = _residuals(u, m, spec)[1]
     xs, ts = grid.x_nodes(), grid.t_nodes()
     analytic = (math.pi**2 - 1.0) * np.outer(np.cos(math.pi * xs), np.exp(-ts))
     err = np.abs(res - analytic)[1:-1, 1:-1]
@@ -128,29 +128,24 @@ def test_residuals_drift_oracle(step):
 
 
 def test_fp_residual_shape_mismatch(grid):
-    # fields off the spec grid are refused, by the Field wrapper's grid
-    # check and by the stencil products of the residuals themselves
+    # fields off the spec grid are refused by the stencil products
     other = make_grid(-1, 1, 1, 0.2, 0.1, 0.6)
     spec = _const_spec(grid)
-    with pytest.raises(ValueError, match="spec grid"):
-        hjb_residual(constant_field(other, 0.0), constant_field(grid, 0.0), spec)
     with pytest.raises(ValueError):
-        _fp_residual(constant_field(other, 0.0), constant_field(grid, 0.0), spec)
+        _residuals(constant_field(other, 0.0), constant_field(grid, 0.0), spec)
 
 
 def test_fokker_planck_constant_steady_state(grid):
-    spec = _const_spec(grid)
-    m = solve_fokker_planck(constant_field(grid, 0.0), np.full(grid.nx, 0.5), spec)
+    m = solve_fokker_planck(constant_field(grid, 0.0), np.full(grid.nx, 0.5))
     assert np.allclose(m.values, 0.5, atol=1e-13)
 
 
 def test_fokker_planck_conserves_mass_for_any_drift(grid):
     rng = np.random.default_rng(8)
-    spec = _const_spec(grid)
     from mfg_forecast.carleman import sample_neumann_field
     u = Field(grid, sample_neumann_field(grid, rng))
     m0 = np.abs(rng.uniform(0.2, 1.0, grid.nx))
-    m = solve_fokker_planck(u, m0, spec)
+    m = solve_fokker_planck(u, m0)
     mass0 = integrate_x(grid, m0)
     masses = [integrate_x(grid, m.values[:, j]) for j in range(grid.nt)]
     assert max(abs(v - mass0) for v in masses) < 1e-10 * grid.nt
@@ -163,10 +158,9 @@ def test_fokker_planck_self_convergence_first_order_in_dt():
     finals = []
     for dt in (0.04, 0.02, 0.01):
         g = make_grid(-1, 1, 1, 0.1, dt, 0.6)
-        spec = _const_spec(g)
         u = field_from_function(g, u_fn)
         m0 = np.array([m0_fn(x) for x in g.x_nodes()])
-        m = solve_fokker_planck(u, m0, spec)
+        m = solve_fokker_planck(u, m0)
         finals.append(m.values[:, -1])
     e1 = np.linalg.norm(finals[0] - finals[1])
     e2 = np.linalg.norm(finals[1] - finals[2])
@@ -189,14 +183,13 @@ def test_manufactured_source_cancels_hjb_residual(grid):
         u = Field(grid, sample_neumann_field(grid, rng))
         m = Field(grid, 0.5 + 0.1 * np.abs(sample_neumann_field(grid, rng)))
         f = manufactured_source(u, m, kernel)
-        spec = ProblemSpec(grid, kernel, f, time_slice(u, 0), time_slice(m, 0))
-        res = hjb_residual(u, m, spec)
-        assert np.abs(res.values).max() < 1e-12
+        spec = ProblemSpec(grid, kernel, f, u.values[:, 0], m.values[:, 0])
+        assert np.abs(_residuals(u, m, spec)[0]).max() < 1e-12
 
         case = build_manufactured_case(experiments._u_t12, lambda x: 0.5,
                                        kernel, grid)
-        res = hjb_residual(case.u_true, case.m_true, case.spec)
-        assert np.abs(res.values).max() < 1e-12
+        res = _residuals(case.u_true, case.m_true, case.spec)[0]
+        assert np.abs(res).max() < 1e-12
         assert case.hjb_residual_norm < 1e-12
 
 
@@ -228,11 +221,12 @@ def test_build_case_rejects_non_neumann_choice(grid):
 
 def test_case_export_import_roundtrip(tmp_path, t11_case):
     write_case(t11_case, tmp_path)
+    grid = t11_case.spec.grid
     for name, field in (("u_true.csv", t11_case.u_true),
                         ("m_true.csv", t11_case.m_true),
-                        ("source_f.csv", t11_case.f_field)):
-        assert np.array_equal(read_field_csv(tmp_path / name).values,
-                              field.values), name
+                        ("source_f.csv", t11_case.spec.f_field)):
+        values = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)[:, 2]
+        assert np.array_equal(values.reshape(grid.nt, grid.nx).T, field.values), name
     sidecar = json.loads((tmp_path / "case.json").read_text())
     assert sidecar["hjb_residual_norm"] == t11_case.hjb_residual_norm
     assert sidecar["fp_residual_norm"] == t11_case.fp_residual_norm

@@ -5,7 +5,7 @@ from mfg_forecast import calculus, model, objective
 from mfg_forecast.carleman import ConvexParams, sample_neumann_field
 from mfg_forecast.grid import Field, make_grid
 from mfg_forecast.model import make_problem_spec
-from mfg_forecast.objective import Objective, StatePair, convexity_probe, \
+from mfg_forecast.objective import Objective, convexity_probe, \
     gradient_fd_check
 from mfg_forecast.optimizer import OptimizerConfig, make_start, minimize
 import mfg_forecast.optimizer as optimizer
@@ -36,19 +36,19 @@ def data_spec(grid):
 
 
 def _random_state(grid, rng, amplitude=1.0):
-    u = Field(grid, sample_neumann_field(grid, rng, amplitude=amplitude))
-    m = Field(grid, sample_neumann_field(grid, rng, amplitude=amplitude))
-    return StatePair(u, m)
+    """A random smooth state z = (u, m), (2, nx, nt)."""
+    return np.stack([sample_neumann_field(grid, rng, amplitude=amplitude)
+                     for _ in range(2)])
 
 
 def _value(state, params, spec):
-    return Objective(spec, params).value_arrays(state.array())
+    return Objective(spec, params).value_arrays(state)
 
 
 def _gradient(state, params, spec):
     """The gradient at ``state``, (2, nx, nt): unpacks as (gu, gm)."""
     obj = Objective(spec, params)
-    return obj.value_and_gradient_arrays(obj.value_arrays(state.array()))[1]
+    return obj.value_and_gradient_arrays(obj.value_arrays(state))
 
 
 def test_zero_state_zero_objective(grid, params, zero_spec):
@@ -75,7 +75,7 @@ def test_doubling_d_doubles_only_j2(grid, zero_spec):
 
 
 def test_objective_at_manufactured_truth(t11_case, params):
-    state = StatePair(t11_case.u_true, t11_case.m_true)
+    state = np.stack((t11_case.u_true.values, t11_case.m_true.values))
     bd = _value(state, params, t11_case.spec)
     assert bd.j1 < 1e-20  # residual is machine-zero by construction
     assert bd.j2 > 0
@@ -121,9 +121,9 @@ def test_gradient_masked_entries_zero(grid, params, data_spec, monkeypatch):
         assert not g[:, :, 0].any()
     assert np.array_equal(seen[0][0, :, 1:], full_u[:, 1:])
     assert np.array_equal(seen[0][1, :, 1:], full_m[:, 1:])
-    assert np.array_equal(result.state.u.values[:, 0], data_spec.u0)
-    assert np.array_equal(result.state.m.values[:, 0], data_spec.m0)
-    assert not np.array_equal(result.state.u.values, start.u.values)
+    assert np.array_equal(result.state[0, :, 0], data_spec.u0)
+    assert np.array_equal(result.state[1, :, 0], data_spec.m0)
+    assert not np.array_equal(result.state[0], start[0])
 
 
 def test_objective_constant_along_masked_directions(grid, params, zero_spec):
@@ -156,7 +156,7 @@ def test_regularizer_gradient_against_norm_oracle(grid, params, zero_spec,
         def j3_u(vals):
             return params.alpha * h2_norm_discrete(Field(grid, vals)) ** 2
 
-        fd = (j3_u(state.u.values + h * du) - j3_u(state.u.values - h * du)) / (2 * h)
+        fd = (j3_u(state[0] + h * du) - j3_u(state[0] - h * du)) / (2 * h)
         assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-12)
 
 
@@ -167,10 +167,10 @@ def test_eval_and_gradient_deterministic(grid, params, t11_case):
     b2 = _value(state, params, t11_case.spec)
     assert b1 == b2
     obj = Objective(t11_case.spec, params)
-    ev = obj.value_arrays(state.array())
-    b3, g1 = obj.value_and_gradient_arrays(ev)
-    b4, g2 = obj.value_and_gradient_arrays(ev)
-    assert b3 == b4 == b1
+    ev = obj.value_arrays(state)
+    g1 = obj.value_and_gradient_arrays(ev)
+    g2 = obj.value_and_gradient_arrays(ev)
+    assert ev == b1
     assert g1.shape == (2, grid.nx, grid.nt)
     assert np.array_equal(g1, g2)
     assert np.array_equal(g1, _gradient(state, params, t11_case.spec))
@@ -193,8 +193,7 @@ def test_convexity_probe_quadratic_identity(grid, params, zero_spec,
     ramp = (grid.t_nodes() / grid.t_max)[None, :]
     du = sample_neumann_field(grid, rng) * ramp
     dm = sample_neumann_field(grid, rng) * ramp
-    other = StatePair(Field(grid, base.u.values + du),
-                      Field(grid, base.m.values + dm))
+    other = base + np.stack((du, dm))
     probe = convexity_probe(base, other, params, zero_spec)
     assert probe.gap == pytest.approx(2 * probe.floor, rel=1e-10)
 
@@ -205,6 +204,15 @@ def test_convexity_probe_rejects_differing_pinned_data(grid, params, zero_spec):
     s2 = _random_state(grid, rng)
     with pytest.raises(ValueError, match="pinned"):
         convexity_probe(s1, s2, params, zero_spec)
+
+
+def test_convexity_probe_rejects_states_off_the_grid(grid, params, zero_spec):
+    s = _random_state(grid, np.random.default_rng(9))
+    for other in (s[:, :-1], s[0], s[:, :, :, None]):
+        with pytest.raises(ValueError, match="share a grid"):
+            convexity_probe(s, other, params, zero_spec)
+        with pytest.raises(ValueError, match="share a grid"):
+            convexity_probe(other, s, params, zero_spec)
 
 
 def _first_row_ratio(spec, params):
@@ -228,9 +236,9 @@ def test_same_gradients_give_unit_ratio(grid, params, data_spec, monkeypatch):
     exact = Objective.value_and_gradient_arrays
 
     def zero_on_pinned(self, ev):
-        breakdown, g = exact(self, ev)
+        g = exact(self, ev)
         g[:, :, 0] = 0.0
-        return breakdown, g
+        return g
 
     monkeypatch.setattr(Objective, "value_and_gradient_arrays", zero_on_pinned)
     assert _first_row_ratio(data_spec, params) == pytest.approx(1.0, rel=1e-12)
@@ -280,7 +288,7 @@ def test_hessian_diag_regularizer_matches_four_term_formula(fine_grid, params,
     assert not obj.w1.any() and not obj.w2.any()
     rng = np.random.default_rng(14)
     state = _random_state(fine_grid, rng)
-    diag_u, diag_m = obj.hessian_diag(state.array())
+    diag_u, diag_m = obj.hessian_diag(state)
     dtm, dxm, dxxm = calculus.diff_matrices(fine_grid)
     wq = np.outer(calculus.weights_x(fine_grid), calculus.weights_t(fine_grid))
     expected = 2.0 * params.alpha * (wq + wq @ dtm**2 + (dxm**2).T @ wq +
@@ -301,9 +309,9 @@ def test_fd_oracle_reports_a_planted_gradient_error(params, t11_case, monkeypatc
     pattern = np.random.default_rng(16).choice([-1.0, 1.0], (grid.nx, grid.nt))
 
     def planted(self, ev):
-        breakdown, g = exact(self, ev)
+        g = exact(self, ev)
         g[0] *= 1.0 + 1e-5 * pattern
-        return breakdown, g
+        return g
 
     monkeypatch.setattr(Objective, "value_and_gradient_arrays", planted)
     report = gradient_fd_check(t11_case.spec, params, n_states=3, n_directions=12,
@@ -320,11 +328,11 @@ def test_fd_oracle_fails_on_a_nan_reading(params, t11_case, monkeypatch,
     calls = []
 
     def planted(self, ev):
-        breakdown, g = exact(self, ev)
+        g = exact(self, ev)
         if len(calls) == planted_state:
             g[0, 5, 5] = np.nan
         calls.append(1)
-        return breakdown, g
+        return g
 
     monkeypatch.setattr(Objective, "value_and_gradient_arrays", planted)
     report = gradient_fd_check(t11_case.spec, params, n_states=2, n_directions=6,
@@ -341,7 +349,7 @@ def _stack(grid, seed, shape=(2, 3)):
     (2, *shape, nx, nt)."""
     rng = np.random.default_rng(seed)
     states = [_random_state(grid, rng) for _ in range(int(np.prod(shape)))]
-    z = np.stack([s.array() for s in states], axis=1)
+    z = np.stack(states, axis=1)
     return z.reshape(2, *shape, grid.nx, grid.nt)
 
 
@@ -409,7 +417,7 @@ def test_gradient_fd_check_covers_several_chunks(fine_grid, params, monkeypatch)
 
 def _two_states(grid, seed):
     rng = np.random.default_rng(seed)
-    return _random_state(grid, rng).array(), _random_state(grid, rng).array()
+    return _random_state(grid, rng), _random_state(grid, rng)
 
 
 def test_objective_keeps_no_state(grid, params, t11_case):
@@ -443,10 +451,11 @@ def test_gradient_from_evaluation_matches_fresh_objective(grid, params, t11_case
     ev = obj.value_arrays(z)
     obj.value_and_gradient_arrays(obj.value_arrays(zb))
     obj.value_arrays(np.stack([zb, z], axis=1))
-    breakdown, g = obj.value_and_gradient_arrays(ev)
+    g = obj.value_and_gradient_arrays(ev)
     fresh = Objective(spec, params)
-    fresh_bd, fresh_g = fresh.value_and_gradient_arrays(fresh.value_arrays(z.copy()))
-    assert breakdown == fresh_bd
+    fresh_ev = fresh.value_arrays(z.copy())
+    fresh_g = fresh.value_and_gradient_arrays(fresh_ev)
+    assert ev == fresh_ev
     assert np.array_equal(g, fresh_g)
 
 
@@ -456,7 +465,7 @@ def test_gradient_from_evaluation_matches_fresh_objective(grid, params, t11_case
 def _line_case(grid, seed):
     """A random state z and a random direction p that is zero on column 0."""
     rng = np.random.default_rng(seed)
-    z = _random_state(grid, rng).array()
+    z = _random_state(grid, rng)
     p = np.stack([sample_neumann_field(grid, rng) for _ in range(2)])
     p[:, :, 0] = 0.0
     return z, p
