@@ -9,15 +9,16 @@ Subcommands:
     check-carleman exact weighted-inequality constants over a lambda sweep
     export-case    initial data (and manufactured fields) without optimizing
 
-Values resolve as: built-in defaults, then an optional flat key=value
-config file (--config), then command-line flags.  Exit codes: 0 success,
-1 usage error, 2 numerical failure, 3 I/O failure.
+Values resolve as built-in defaults, then command-line flags.  Removed
+flags are usage errors: --config (a key=value file), check-gradient's
+--states and --directions (the check always takes 10 states x 50
+directions) and check-carleman's --lambda-min (sweeps start at lambda 1).
+Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -27,7 +28,7 @@ import numpy as np
 
 from mfg_forecast import carleman, experiments, model
 from mfg_forecast.experiments import CASES, KERNEL_COMPARE, RUN_IDS
-from mfg_forecast.grid import Field, make_grid
+from mfg_forecast.grid import Field, make_grid, write_json, write_table_csv
 from mfg_forecast.objective import gradient_fd_check
 from mfg_forecast.optimizer import CONVERGED
 
@@ -86,7 +87,6 @@ def _build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="run one canned experiment")
     p_run.add_argument("--test", required=True, choices=RUN_IDS)
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--config", default=None, help="flat key=value config file")
     _add_override_flags(p_run)
 
     p_sweep = sub.add_parser("sweep", help="run one test across parameter values")
@@ -96,60 +96,30 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values, e.g. 1,2,3,4,5")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--config", default=None)
     _add_override_flags(p_sweep)
 
     p_grad = sub.add_parser("check-gradient",
                             help="finite-difference gradient verification")
     p_grad.add_argument("--test", default="T1_1", choices=tuple(CASES))
-    p_grad.add_argument("--states", type=int, default=10)
-    p_grad.add_argument("--directions", type=int, default=50)
     p_grad.add_argument("--fd-seed", type=int, default=7)
     p_grad.add_argument("--out", required=True, help="output directory")
-    p_grad.add_argument("--config", default=None)
     _add_override_flags(p_grad)
 
     p_carl = sub.add_parser("check-carleman",
                             help="exact weighted-inequality constants")
     p_carl.add_argument("--quasi", action="store_true",
                         help="check the two-test-function variant")
-    p_carl.add_argument("--lambda-min", type=int, default=1)
     p_carl.add_argument("--lambda-max", type=int, default=50)
     p_carl.add_argument("--out", required=True, help="output directory")
-    p_carl.add_argument("--config", default=None)
     _add_override_flags(p_carl)
 
     p_exp = sub.add_parser("export-case",
                            help="write initial data without optimizing")
     p_exp.add_argument("--test", required=True, choices=tuple(CASES))
     p_exp.add_argument("--out", required=True)
-    p_exp.add_argument("--config", default=None)
     _add_override_flags(p_exp)
 
     return parser
-
-
-def _read_config_file(path: str) -> dict:
-    """Flat `key = value` lines; keys use the flag spelling without dashes."""
-    key_map = {flag.lstrip("-"): (dest, typ) for flag, dest, typ, _ in _OVERRIDE_FLAGS}
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in key_map:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            dest, typ = key_map[key]
-            try:
-                out[dest] = typ(value.strip())
-            except ValueError as exc:
-                raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {exc}")
-    return out
 
 
 def parse_config(argv) -> RunConfig:
@@ -159,14 +129,7 @@ def parse_config(argv) -> RunConfig:
         raise UsageError("a subcommand is required (run, sweep, check-gradient, "
                          "check-carleman, export-case)")
     options = vars(ns).copy()
-    command = options.pop("command")
-    config_path = options.pop("config", None)
-    if config_path:
-        file_values = _read_config_file(config_path)
-        for dest, value in file_values.items():
-            if options.get(dest) is None:
-                options[dest] = value
-    return RunConfig(command, options)
+    return RunConfig(options.pop("command"), options)
 
 
 def _overrides_from(options: dict) -> dict:
@@ -259,32 +222,23 @@ def _cmd_sweep(options: dict) -> int:
 
 
 def _cmd_check_gradient(options: dict) -> int:
-    if options["states"] < 1 or options["directions"] < 1:
-        raise UsageError("--states and --directions must be at least 1")
     overrides = _overrides_from(options)
     cfg = experiments.resolve_config(options["test"], overrides)
     _, spec, _ = experiments._build_problem(options["test"], cfg)
     result = gradient_fd_check(spec, experiments.convex_params(cfg),
-                               n_states=options["states"],
-                               n_directions=options["directions"],
                                seed=options["fd_seed"])
     result["test_id"] = options["test"]
     os.makedirs(options["out"], exist_ok=True)
     path = os.path.join(options["out"], "gradient_check.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, result)
     print(f"max relative finite-difference error {result['max_rel_error']:.3e} "
           f"-> {path}")
     return EXIT_OK if result["max_rel_error"] < 1e-6 else EXIT_NUMERICAL
 
 
 def _cmd_check_carleman(options: dict) -> int:
-    if options["lambda_min"] < 1:
-        raise UsageError(f"--lambda-min must be at least 1, got {options['lambda_min']}")
-    if options["lambda_min"] > options["lambda_max"]:
-        raise UsageError(f"--lambda-min {options['lambda_min']} exceeds "
-                         f"--lambda-max {options['lambda_max']}")
+    if options["lambda_max"] < 1:
+        raise UsageError(f"--lambda-max must be at least 1, got {options['lambda_max']}")
     overrides = _overrides_from(options)
     cfg = experiments.resolve_config("T1_1", overrides)
     grid = make_grid(cfg["x_min"], cfg["x_max"], cfg["t_max"], cfg["dx"],
@@ -293,17 +247,14 @@ def _cmd_check_carleman(options: dict) -> int:
     if options["quasi"]:
         case = experiments._build_problem("T1_1", cfg)[2]
         quasi_g = Field(grid, -case.m_true.values)  # the drift coupling
-    lambdas = range(options["lambda_min"], options["lambda_max"] + 1)
-    reports = carleman.lambda_sweep(grid, cfg["c"], lambdas, quasi_g=quasi_g)
+    reports = carleman.lambda_sweep(grid, cfg["c"], range(1, options["lambda_max"] + 1),
+                                    quasi_g=quasi_g)
     threshold = carleman.first_passing_lambda(reports)
     os.makedirs(options["out"], exist_ok=True)
     name = "quasi_carleman_sweep.json" if options["quasi"] else "carleman_sweep.json"
     path = os.path.join(options["out"], name)
-    payload = {"threshold_lambda": threshold,
-               "reports": [r.to_dict() for r in reports]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"threshold_lambda": threshold,
+                      "reports": [r.to_dict() for r in reports]})
     kind = "quasi" if options["quasi"] else "standard"
     print(f"{kind} estimate first passes at lambda={threshold} -> {path}")
     return EXIT_OK if threshold is not None else EXIT_NUMERICAL
@@ -314,18 +265,12 @@ def _cmd_export_case(options: dict) -> int:
     cfg = experiments.resolve_config(options["test"], overrides)
     grid, spec, truth = experiments._build_problem(options["test"], cfg)
     os.makedirs(options["out"], exist_ok=True)
-    xs = grid.x_nodes()
     for name, vec in (("u0.csv", spec.u0), ("m0.csv", spec.m0)):
-        with open(os.path.join(options["out"], name), "w", encoding="utf-8") as fh:
-            fh.write("x,value\n")
-            for x, v in zip(xs, vec):
-                fh.write(f"{x:.17g},{v:.17g}\n")
+        write_table_csv(os.path.join(options["out"], name), "x,value",
+                        zip(grid.x_nodes(), vec))
     if truth is not None:
         model.write_case(truth, options["out"])
-    with open(os.path.join(options["out"], "config.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(options["out"], "config.json"), cfg)
     print(f"exported {options['test']} data -> {options['out']}")
     return EXIT_OK
 

@@ -13,7 +13,6 @@ so shipped numbers reproduce exactly; all of it can be overridden per run.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -23,7 +22,8 @@ import numpy as np
 
 from mfg_forecast import calculus, model
 from mfg_forecast.carleman import ConvexParams, min_c
-from mfg_forecast.grid import Field, Grid, make_grid, write_field_csv
+from mfg_forecast.grid import Field, Grid, make_grid, write_field_csv, \
+    write_json, write_table_csv
 from mfg_forecast.model import ManufacturedCase, ProblemSpec, \
     build_manufactured_case, make_problem_spec
 from mfg_forecast.optimizer import IterationTrace, OptimizerConfig, minimize
@@ -38,8 +38,8 @@ DEFAULTS = {
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    level: float = 0.03
-    seed: int = 0
+    level: float
+    seed: int
 
     def __post_init__(self):
         if not self.level >= 0:
@@ -102,26 +102,19 @@ class CaseDef:
     u0_fn: Callable[[float], float] | None = None  # realistic cases
     t_max: float = 1.0
     seed: int = 0
-    description: str = ""
 
 
 CASES = {
-    "T1_1": CaseDef("T1_1", "ideal", _m0_t11, u_fn=_u_t11, seed=101,
-                    description="double-well value function, bump density"),
-    "T1_2": CaseDef("T1_2", "ideal", lambda x: 0.5, u_fn=_u_t12, seed=102,
-                    description="oscillatory value function, flat density"),
+    "T1_1": CaseDef("T1_1", "ideal", _m0_t11, u_fn=_u_t11, seed=101),
+    "T1_2": CaseDef("T1_2", "ideal", lambda x: 0.5, u_fn=_u_t12, seed=102),
     "T2_1": CaseDef("T2_1", "realistic", compact_bump,
-                    u0_fn=lambda x: (x * x - 1.0) ** 2, seed=201,
-                    description="double-well data, centered bump density"),
+                    u0_fn=lambda x: (x * x - 1.0) ** 2, seed=201),
     "T2_2": CaseDef("T2_2", "realistic", lambda x: 0.5,
-                    u0_fn=lambda x: math.cos(2.0 * math.pi * x), seed=202,
-                    description="oscillatory data, flat density"),
+                    u0_fn=lambda x: math.cos(2.0 * math.pi * x), seed=202),
     "T3_1": CaseDef("T3_1", "realistic", lambda x: compact_bump(x, center=0.5),
-                    u0_fn=smooth_transition, seed=301,
-                    description="sentiment-like data: smooth step, decentered bump"),
+                    u0_fn=smooth_transition, seed=301),
     "T1_1_extended": CaseDef("T1_1_extended", "ideal", _m0_t11, u_fn=_u_t11,
-                             t_max=2.0, seed=111,
-                             description="T1_1 on the doubled horizon t in [0,2]"),
+                             t_max=2.0, seed=111),
 }
 
 KERNEL_COMPARE = "kernel_compare"
@@ -218,36 +211,25 @@ class RunReport:
     def export(self, outdir) -> None:
         """Write the documented file layout under ``outdir``."""
         os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "config.json"), "w", encoding="utf-8") as fh:
-            json.dump(self.config, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(self.summary_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(outdir, "config.json"), self.config)
+        write_json(os.path.join(outdir, "summary.json"), self.summary_dict())
         for name, values in zip(("u_pred.csv", "m_pred.csv"), self.predicted):
             write_field_csv(Field(self.grid, values), os.path.join(outdir, name))
-        _write_curve_csv(os.path.join(outdir, "rel_cost.csv"), "t,F",
-                         self.rel_cost_t, self.rel_cost)
-        self.trace.to_csv(os.path.join(outdir, "trace.csv"))
+        write_table_csv(os.path.join(outdir, "rel_cost.csv"), "t,F",
+                        zip(self.rel_cost_t, self.rel_cost))
+        write_table_csv(os.path.join(outdir, "trace.csv"),
+                        "iter,j1,j2,j3,total,grad_norm,foo_ratio,step,evaluations",
+                        self.trace.rows)
         if self.truth is not None:
             write_field_csv(self.truth.u_true, os.path.join(outdir, "u_true.csv"))
             write_field_csv(self.truth.m_true, os.path.join(outdir, "m_true.csv"))
             write_field_csv(self.truth.spec.f_field,
                             os.path.join(outdir, "source_f.csv"))
         if self.errors is not None:
-            with open(os.path.join(outdir, "error_curves.csv"), "w",
-                      encoding="utf-8") as fh:
-                fh.write("t,u_rel_l2,m_rel_l2\n")
-                for t, eu, em in zip(self.errors.t_nodes, self.errors.u_rel_l2,
-                                     self.errors.m_rel_l2):
-                    fh.write(f"{t:.17g},{eu:.17g},{em:.17g}\n")
-
-
-def _write_curve_csv(path, header, xs, ys) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for x, y in zip(xs, ys):
-            fh.write(f"{x:.17g},{y:.17g}\n")
+            write_table_csv(os.path.join(outdir, "error_curves.csv"),
+                            "t,u_rel_l2,m_rel_l2",
+                            zip(self.errors.t_nodes, self.errors.u_rel_l2,
+                                self.errors.m_rel_l2))
 
 
 @dataclass(frozen=True)
@@ -260,15 +242,9 @@ class KernelComparison:
     def export(self, outdir) -> None:
         self.plus.export(os.path.join(outdir, "kernel_plus"))
         self.minus.export(os.path.join(outdir, "kernel_minus"))
-        _write_comparison_csv(os.path.join(outdir, "comparison.csv"),
-                              self.plus, self.minus)
-
-
-def _write_comparison_csv(path, plus: RunReport, minus: RunReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,F_plus,F_minus\n")
-        for t, fp, fm in zip(plus.rel_cost_t, plus.rel_cost, minus.rel_cost):
-            fh.write(f"{t:.17g},{fp:.17g},{fm:.17g}\n")
+        write_table_csv(os.path.join(outdir, "comparison.csv"), "t,F_plus,F_minus",
+                        zip(self.plus.rel_cost_t, self.plus.rel_cost,
+                            self.minus.rel_cost))
 
 
 def resolve_config(test_id: str, overrides: dict | None = None) -> dict:

@@ -8,6 +8,7 @@ on lattice nodes.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -138,3 +139,18 @@ def write_field_csv(field: Field, path) -> None:
         for t, column in zip(ts, field.values.T.tolist()):
             tail = f"{t:.17g},"
             fh.write("".join([f"{x}{tail}{v:.17g}\n" for x, v in zip(xs, column)]))
+
+
+def write_table_csv(path, header: str, rows) -> None:
+    """Write a header line, then one line per row of numbers, 17 significant
+    digits each."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join([f"{v:.17g}" for v in row]) + "\n" for row in rows)
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

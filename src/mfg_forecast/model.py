@@ -22,7 +22,6 @@ The forward solver here integrates only the Fokker-Planck half for a
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -32,7 +31,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from mfg_forecast import calculus
-from mfg_forecast.grid import Field, Grid, field_from_function, write_field_csv
+from mfg_forecast.grid import Field, Grid, field_from_function, write_field_csv, \
+    write_json
 
 # Below this floor the manufactured-source division amplifies noise
 # beyond usefulness.
@@ -250,7 +250,5 @@ def write_case(case: ManufacturedCase, outdir) -> None:
         "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "t_max": grid.t_max,
                  "dx": grid.dx, "dt": grid.dt, "gamma": grid.gamma},
     }
-    with open(os.path.join(outdir, "case.json"), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "case.json"), sidecar)
 

@@ -137,7 +137,6 @@ class Objective:
             raise ValueError(
                 f"params.t_max={params.t_max} does not match grid t_max={grid.t_max}")
         self.spec = spec
-        self.params = params
         self.grid = grid
         self.stencils = calculus.stencil_products(grid)
         wx, wt = calculus.weights_x(grid), calculus.weights_t(grid)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +64,9 @@ class OptimizerConfig:
             raise ValueError("max_iters must be at least 1")
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
+    """One state of the iteration; a row of ``trace.csv`` as it stands."""
+
     iteration: int
     j1: float
     j2: float
@@ -82,14 +84,6 @@ class IterationTrace:
 
     def append(self, row: TraceRow) -> None:
         self.rows.append(row)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("iter,j1,j2,j3,total,grad_norm,foo_ratio,step,evaluations\n")
-            for r in self.rows:
-                fh.write(f"{r.iteration},{r.j1:.17g},{r.j2:.17g},{r.j3:.17g},"
-                         f"{r.total:.17g},{r.grad_norm:.17g},{r.foo_ratio:.17g},"
-                         f"{r.step:.17g},{r.evaluations}\n")
 
     def summary_dict(self) -> dict:
         if not self.rows:

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +12,11 @@ import pytest
 import mfg_forecast
 from mfg_forecast import experiments
 from mfg_forecast.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, \
-    UsageError, main, parse_config
+    UsageError, _build_parser, main, parse_config
 from mfg_forecast.objective import Objective
 
 FAST = ["--tol", "1e-2", "--max-iters", "300"]
+FLAG = r"(?<![\w-])--[a-z][a-z0-9-]*"
 
 
 def test_parse_run_defaults():
@@ -36,23 +39,6 @@ def test_parse_rejects_unknown_test():
 def test_usage_error_exit_code(capsys):
     assert main(["run", "--test", "T1_1"]) == EXIT_USAGE  # missing --out
     assert "usage error" in capsys.readouterr().err
-
-
-def test_config_file_precedence(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("noise = 0.01\nlambda = 3\n# comment\n")
-    cfg = parse_config(["run", "--test", "T1_1", "--out", "x",
-                        "--config", str(cfg_file), "--noise", "0.02"])
-    assert cfg.options["noise"] == 0.02  # flag beats file
-    assert cfg.options["lam"] == 3.0  # file beats default
-
-
-def test_config_file_unknown_key(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("bogus = 1\n")
-    with pytest.raises(UsageError, match="bogus"):
-        parse_config(["run", "--test", "T1_1", "--out", "x",
-                      "--config", str(cfg_file)])
 
 
 def test_run_writes_artifacts_and_exits_zero(tmp_path, capsys):
@@ -198,21 +184,48 @@ def test_sweep_records_a_failing_value_and_continues(tmp_path, capsys):
     assert not (out / "lambda_5").exists()
 
 
-@pytest.mark.parametrize("flags", [["--method", "gd"], ["--step0", "1"]])
-def test_removed_optimizer_flags_are_usage_errors(tmp_path, flags):
-    code = main(["run", "--test", "T1_2", "--out", str(tmp_path / "x")]
-                + FAST + flags)
-    assert code == EXIT_USAGE
+def test_removed_optimizer_config_keys_are_rejected():
+    for key in ("step0", "method"):
+        with pytest.raises(ValueError, match="unknown override keys"):
+            experiments.resolve_config("T1_1", {key: 1.0})
 
 
-def test_removed_optimizer_config_keys_are_rejected(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("method = gd\n")
-    code = main(["run", "--test", "T1_2", "--out", str(tmp_path / "x"),
-                 "--config", str(cfg_file)] + FAST)
+@pytest.mark.parametrize("command, flags", [
+    (["run", "--test", "T1_2"], ["--method", "gd"]),
+    (["run", "--test", "T1_2"], ["--step0", "1"]),
+    (["run", "--test", "T1_2"], ["--config", "x"]),
+    (["sweep", "--test", "T1_2", "--param", "lambda", "--values", "1"],
+     ["--config", "x"]),
+    (["check-gradient"], ["--config", "x"]),
+    (["check-carleman"], ["--config", "x"]),
+    (["export-case", "--test", "T2_1"], ["--config", "x"]),
+    (["check-gradient"], ["--states", "2"]),
+    (["check-gradient"], ["--directions", "6"]),
+    (["check-carleman"], ["--lambda-min", "1"]),
+])
+def test_removed_flags_are_usage_errors(tmp_path, capsys, command, flags):
+    out = tmp_path / "x"
+    code = main([*command, *flags, "--out", str(out)])
     assert code == EXIT_USAGE
-    with pytest.raises(ValueError, match="unknown override keys"):
-        experiments.resolve_config("T1_1", {"step0": 1.0})
+    assert flags[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_flags_are_accepted():
+    # every --flag the README names is an option of some subcommand, apart
+    # from pip's and the removed ones the README lists, which are refused
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    removed = set(re.findall(FLAG, next(
+        para for para in readme.split("\n\n") if para.startswith("Removed options"))))
+    assert removed == {"--config", "--states", "--directions", "--lambda-min"}
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    accepted = {flag for p in subparsers.values() for flag in p._option_string_actions}
+    named = set(re.findall(FLAG, readme)) - removed - {"--no-build-isolation"}
+    assert "--lambda-max" in named
+    assert named - accepted == set()
+    assert removed & accepted == set()
 
 
 @pytest.mark.parametrize("param", ["max_iters", "seed"])
@@ -283,8 +296,7 @@ def test_sweep_of_kernel_compare_with_a_kernel_is_usage_error(tmp_path, capsys,
 
 def test_check_gradient_cli(tmp_path):
     out = tmp_path / "grad"
-    code = main(["check-gradient", "--states", "2", "--directions", "6",
-                 "--out", str(out)])
+    code = main(["check-gradient", "--out", str(out)])
     assert code == EXIT_OK
     payload = json.loads((out / "gradient_check.json").read_text())
     assert payload["max_rel_error"] < 1e-6
@@ -300,28 +312,17 @@ def test_check_gradient_nan_reading_is_numerical_failure(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Objective, "value_and_gradient_arrays", planted)
     out = tmp_path / "grad"
-    code = main(["check-gradient", "--states", "2", "--directions", "6",
-                 "--out", str(out)])
+    code = main(["check-gradient", "--out", str(out)])
     assert code == EXIT_NUMERICAL
     assert math.isnan(json.loads((out / "gradient_check.json").read_text())
                       ["max_rel_error"])
 
 
-@pytest.mark.parametrize("counts", [("0", "6"), ("2", "0"), ("-1", "6")])
-def test_check_gradient_without_work_is_usage_error(tmp_path, capsys, counts):
-    out = tmp_path / "grad"
-    code = main(["check-gradient", "--states", counts[0], "--directions",
-                 counts[1], "--out", str(out)])
-    assert code == EXIT_USAGE
-    assert "at least 1" in capsys.readouterr().err
-    assert not (out / "gradient_check.json").exists()
-
-
 @pytest.mark.parametrize("flags, message", [
     (["--samples", "100"], "--samples"),  # removed: the constants are exact
     (["--samples", "-4"], "--samples"),
-    (["--lambda-min", "0"], "--lambda-min"),
-    (["--lambda-min", "5", "--lambda-max", "2"], "exceeds"),
+    (["--lambda-max", "0"], "--lambda-max must be at least 1, got 0"),
+    (["--lambda-max", "-3"], "--lambda-max must be at least 1, got -3"),
     (["--check-seed", "0"], "--check-seed"),  # removed: nothing is drawn
 ])
 def test_check_carleman_bad_inputs_are_usage_errors(tmp_path, capsys, flags,
@@ -336,8 +337,7 @@ def test_check_carleman_bad_inputs_are_usage_errors(tmp_path, capsys, flags,
 
 def test_check_carleman_cli(tmp_path):
     out = tmp_path / "carl"
-    code = main(["check-carleman", "--lambda-min", "1", "--lambda-max", "4",
-                 "--out", str(out)])
+    code = main(["check-carleman", "--lambda-max", "4", "--out", str(out)])
     assert code == EXIT_OK
     payload = json.loads((out / "carleman_sweep.json").read_text())
     assert payload["threshold_lambda"] == 1
@@ -360,19 +360,19 @@ def test_check_carleman_output_depends_on_no_seed(tmp_path):
 
 def test_check_carleman_quasi_cli(tmp_path):
     out = tmp_path / "quasi"
-    code = main(["check-carleman", "--quasi", "--lambda-min", "2",
-                 "--lambda-max", "2", "--out", str(out)])
+    code = main(["check-carleman", "--quasi", "--lambda-max", "2",
+                 "--out", str(out)])
     assert code == EXIT_OK
     payload = json.loads((out / "quasi_carleman_sweep.json").read_text())
-    assert payload["reports"][0]["kind"] == "quasi_carleman"
-    assert payload["reports"][0]["fitted_c"] == pytest.approx(0.16343212, rel=1e-6)
-    assert payload["threshold_lambda"] == 2
+    assert [r["kind"] for r in payload["reports"]] == ["quasi_carleman"] * 2
+    assert payload["reports"][1]["lambda"] == 2
+    assert payload["reports"][1]["fitted_c"] == pytest.approx(0.16343212, rel=1e-6)
 
 
 def test_check_carleman_quasi_threshold_matches_criterion_7(tmp_path):
     out = tmp_path / "quasi"
-    code = main(["check-carleman", "--quasi", "--lambda-min", "1",
-                 "--lambda-max", "3", "--out", str(out)])
+    code = main(["check-carleman", "--quasi", "--lambda-max", "3",
+                 "--out", str(out)])
     assert code == EXIT_OK
     payload = json.loads((out / "quasi_carleman_sweep.json").read_text())
     # criterion 7's recorded quasi threshold and constant

@@ -124,20 +124,21 @@ def test_line_search_refuses_a_step_that_does_not_lower_j(grid, params,
     assert len(result.trace.rows) == 1  # no step was accepted
 
 
-def test_trace_csv_layout(tmp_path, params):
-    cfg = experiments.resolve_config("T1_2", {})
-    _, spec, _ = experiments._build_problem("T1_2", cfg)
-    result = minimize(spec, params, OptimizerConfig(max_iters=5, tol=1e-30))
-    path = tmp_path / "trace.csv"
-    result.trace.to_csv(path)
-    lines = path.read_text().splitlines()
+def test_trace_csv_layout(tmp_path):
+    # the run's export writes the trace through grid.write_table_csv
+    report = experiments.run_test("T1_2", max_iters=5, tol=1e-30)
+    report.export(tmp_path)
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0] == "iter,j1,j2,j3,total,grad_norm,foo_ratio,step,evaluations"
-    assert len(lines) == 1 + len(result.trace.rows)
+    assert len(lines) == 1 + len(report.trace.rows) == 1 + 6
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(6))
     evaluations = [int(line.split(",")[-1]) for line in lines[1:]]
     assert evaluations[0] == 0  # the start state took no step
     assert all(e >= 1 for e in evaluations[1:])
-    summary = result.trace.summary_dict()
-    assert summary["iterations"] == len(result.trace.rows)
+    assert [float(v) for v in lines[-1].split(",")[1:-1]] == \
+        list(report.trace.rows[-1][1:-1])  # 17 digits read back exactly
+    summary = report.trace.summary_dict()
+    assert summary["iterations"] == len(report.trace.rows)
 
 
 def _rho_checked(two_loop, ascent_at=None):
@@ -331,7 +332,7 @@ def test_line_quartic_skips_trials_without_moving_the_run(params, monkeypatch):
     direct, direct_calls = _counted_run(spec, params, config, monkeypatch)
 
     def without_evaluations(rows):
-        return [dataclasses.replace(r, evaluations=0) for r in rows]
+        return [r._replace(evaluations=0) for r in rows]
 
     assert len(default.trace.rows) == 401
     assert without_evaluations(default.trace.rows) == \
