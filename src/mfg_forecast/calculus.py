@@ -204,11 +204,6 @@ def weights_t(grid: Grid) -> np.ndarray:
     return _trapezoid_weights(grid.nt, grid.dt)
 
 
-def weights_t_gamma(grid: Grid) -> np.ndarray:
-    """Trapezoid weights on the time nodes with t_j <= gamma * t_max."""
-    return _trapezoid_weights(grid.n_t_gamma(), grid.dt)
-
-
 def integrate_qt(grid: Grid, values: np.ndarray) -> float:
     """Trapezoid integral of an (nx, nt) array over the full cylinder."""
     return float(weights_x(grid) @ values @ weights_t(grid))
@@ -229,4 +224,4 @@ def h10_norm_gamma(field: Field) -> float:
     ng = grid.n_t_gamma()
     fx = space_diff_matrix(grid.nx, grid.dx) @ field.values[:, :ng]
     dens = fx**2 + field.values[:, :ng] ** 2
-    return math.sqrt(float(weights_x(grid) @ dens @ weights_t_gamma(grid)))
+    return math.sqrt(float(weights_x(grid) @ dens @ _trapezoid_weights(ng, grid.dt)))

@@ -3,7 +3,7 @@
 Subcommands:
 
     run            one canned experiment, full artifact directory out
-    sweep          repeat a run across a list of values of one parameter; a
+    sweep          repeat a run of one case over values of one parameter; a
                    value whose run fails numerically becomes an `error` row
     check-gradient finite-difference verification of the analytic gradient
     check-carleman exact weighted-inequality constants over a lambda sweep
@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
     _add_override_flags(p_run)
 
     p_sweep = sub.add_parser("sweep", help="run one test across parameter values")
-    p_sweep.add_argument("--test", required=True, choices=RUN_IDS)
+    p_sweep.add_argument("--test", required=True, choices=tuple(CASES))
     p_sweep.add_argument("--param", required=True,
                          help="override key to sweep (e.g. lambda, alpha, noise)")
     p_sweep.add_argument("--values", required=True,
@@ -180,15 +180,11 @@ def _cmd_sweep(options: dict) -> int:
                              f"write {tag}; give values that differ in the first "
                              "six significant digits")
     base = _overrides_from(options)
-    if options["test"] == KERNEL_COMPARE and "kernel" in (param, *base):
-        raise UsageError(f"{KERNEL_COMPARE} runs kernel +1 and kernel -1; it "
-                         "takes no kernel")
     os.makedirs(options["out"], exist_ok=True)
     rows = []
     worst = EXIT_OK
     for v, tag in zip(values, tags):
-        overrides = dict(base)
-        overrides[param] = flag_types[param](v)
+        overrides = {**base, param: flag_types[param](v)}
         try:
             report = experiments.run_test(options["test"], **overrides)
         except NUMERICAL_ERRORS as exc:
@@ -198,21 +194,12 @@ def _cmd_sweep(options: dict) -> int:
                   file=sys.stderr)
             continue
         report.export(os.path.join(options["out"], tag))
-        if options["test"] == KERNEL_COMPARE:
-            status = (report.plus.status if report.plus.status == report.minus.status
-                      else "mixed")
-            foo = max(report.plus.trace.rows[-1].foo_ratio,
-                      report.minus.trace.rows[-1].foo_ratio)
-            total = max(report.plus.trace.rows[-1].total,
-                        report.minus.trace.rows[-1].total)
-        else:
-            status = report.status
-            foo = report.trace.rows[-1].foo_ratio
-            total = report.trace.rows[-1].total
-        rows.append((v, status, foo, total))
-        if status != CONVERGED:
+        last = report.trace.rows[-1]
+        rows.append((v, report.status, last.foo_ratio, last.total))
+        if report.status != CONVERGED:
             worst = EXIT_NUMERICAL
-        print(f"{options['param']}={v:g}: {status}, optimality {foo:.3e}")
+        print(f"{options['param']}={v:g}: {report.status}, "
+              f"optimality {last.foo_ratio:.3e}")
     with open(os.path.join(options["out"], "sweep_summary.csv"), "w",
               encoding="utf-8") as fh:
         fh.write(f"{options['param']},status,foo_ratio,objective_total\n")
@@ -222,6 +209,8 @@ def _cmd_sweep(options: dict) -> int:
 
 
 def _cmd_check_gradient(options: dict) -> int:
+    if options["fd_seed"] < 0:
+        raise ValueError(f"fd seed must be nonnegative, got {options['fd_seed']}")
     overrides = _overrides_from(options)
     cfg = experiments.resolve_config(options["test"], overrides)
     _, spec, _ = experiments._build_problem(options["test"], cfg)

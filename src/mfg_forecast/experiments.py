@@ -46,6 +46,8 @@ class NoiseSpec:
             raise ValueError(f"noise level must be nonnegative, got {self.level}")
         if not math.isfinite(self.level):
             raise ValueError(f"noise level must be finite, got {self.level}")
+        if self.seed < 0:
+            raise ValueError(f"noise seed must be nonnegative, got {self.seed}")
 
 
 def add_noise(data: np.ndarray, noise: NoiseSpec) -> np.ndarray:
@@ -76,11 +78,14 @@ def _u_t12(x: float, t: float) -> float:
     return 0.1 * math.cos(2.0 * math.pi * x) * (t + 1.0)
 
 
-def compact_bump(x: float, center: float = 0.0, half_width: float = 0.4,
-                 scale: float = 5.57) -> float:
+BUMP_HALF_WIDTH = 0.4
+BUMP_SCALE = 5.57  # gives the bump a mass of about 1
+
+
+def compact_bump(x: float, center: float = 0.0) -> float:
     """Compactly supported density bump, zero at and outside the support edge."""
-    s = (x - center) ** 2 - half_width**2
-    return scale * math.exp(half_width**2 / s) if s < 0 else 0.0
+    s = (x - center) ** 2 - BUMP_HALF_WIDTH**2
+    return BUMP_SCALE * math.exp(BUMP_HALF_WIDTH**2 / s) if s < 0 else 0.0
 
 
 def smooth_transition(x: float) -> float:
@@ -127,12 +132,11 @@ class RecoveryErrors:
 
     u_h10: float
     m_h10: float
-    t_nodes: np.ndarray
     u_rel_l2: np.ndarray
     m_rel_l2: np.ndarray
 
 
-def relative_cost_curve(z: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+def relative_cost_curve(z: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Per-time residual norm of a state z = (u, m), normalized by the data
     norm.
 
@@ -151,7 +155,7 @@ def relative_cost_curve(z: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, n
     denominator = float(wx @ (u[:, 0] ** 2 + m[:, 0] ** 2))
     if denominator <= 0.0:
         raise ValueError("zero initial data; the relative cost is undefined")
-    return grid.t_nodes(), np.sqrt(numerator / denominator)
+    return np.sqrt(numerator / denominator)
 
 
 def recovery_errors(z: np.ndarray, truth: ManufacturedCase) -> RecoveryErrors:
@@ -167,7 +171,7 @@ def recovery_errors(z: np.ndarray, truth: ManufacturedCase) -> RecoveryErrors:
     wx = calculus.weights_x(grid)
     u_rel = np.sqrt(wx @ du**2) / np.sqrt(np.maximum(wx @ truth.u_true.values**2, 1e-300))
     m_rel = np.sqrt(wx @ dm**2) / np.sqrt(np.maximum(wx @ truth.m_true.values**2, 1e-300))
-    return RecoveryErrors(u_h10, m_h10, grid.t_nodes(), u_rel, m_rel)
+    return RecoveryErrors(u_h10, m_h10, u_rel, m_rel)
 
 
 @dataclass(frozen=True)
@@ -182,8 +186,7 @@ class RunReport:
     grid: Grid
     predicted: np.ndarray
     truth: ManufacturedCase | None
-    rel_cost_t: np.ndarray
-    rel_cost: np.ndarray
+    rel_cost: np.ndarray  # F at each of grid.t_nodes()
     errors: RecoveryErrors | None
     trace: IterationTrace
     status: str
@@ -216,7 +219,7 @@ class RunReport:
         for name, values in zip(("u_pred.csv", "m_pred.csv"), self.predicted):
             write_field_csv(Field(self.grid, values), os.path.join(outdir, name))
         write_table_csv(os.path.join(outdir, "rel_cost.csv"), "t,F",
-                        zip(self.rel_cost_t, self.rel_cost))
+                        zip(self.grid.t_nodes(), self.rel_cost))
         write_table_csv(os.path.join(outdir, "trace.csv"),
                         "iter,j1,j2,j3,total,grad_norm,foo_ratio,step,evaluations",
                         self.trace.rows)
@@ -228,7 +231,7 @@ class RunReport:
         if self.errors is not None:
             write_table_csv(os.path.join(outdir, "error_curves.csv"),
                             "t,u_rel_l2,m_rel_l2",
-                            zip(self.errors.t_nodes, self.errors.u_rel_l2,
+                            zip(self.grid.t_nodes(), self.errors.u_rel_l2,
                                 self.errors.m_rel_l2))
 
 
@@ -243,7 +246,7 @@ class KernelComparison:
         self.plus.export(os.path.join(outdir, "kernel_plus"))
         self.minus.export(os.path.join(outdir, "kernel_minus"))
         write_table_csv(os.path.join(outdir, "comparison.csv"), "t,F_plus,F_minus",
-                        zip(self.plus.rel_cost_t, self.plus.rel_cost,
+                        zip(self.plus.grid.t_nodes(), self.plus.rel_cost,
                             self.minus.rel_cost))
 
 
@@ -329,7 +332,7 @@ def run_test(test_id: str, **overrides):
     grid, spec, truth = _build_problem(test_id, cfg)
     opt = OptimizerConfig(tol=cfg["tol"], max_iters=int(cfg["max_iters"]))
     result = minimize(spec, convex_params(cfg), opt)
-    t_nodes, rel = relative_cost_curve(result.state, spec)
+    rel = relative_cost_curve(result.state, spec)
     errors = recovery_errors(result.state, truth) if truth is not None else None
-    return RunReport(test_id, cfg, grid, result.state, truth, t_nodes, rel, errors,
+    return RunReport(test_id, cfg, grid, result.state, truth, rel, errors,
                      result.trace, result.status, result.message)

@@ -67,6 +67,8 @@ from mfg_forecast.model import ProblemSpec
 # Nodes per field in one stacked evaluation of the finite-difference oracle
 # (four line points times a chunk of directions); bounds its memory.
 FD_STACK_NODES = 16384
+FD_STATES = 10  # random states of the finite-difference oracle
+FD_DIRECTIONS = 50  # random unit directions at each state
 
 _PER_STATE = "...ij,...ij->..."  # einsum of <a, b> for each state of a stack
 
@@ -311,9 +313,7 @@ def convexity_probe(z1: np.ndarray, z2: np.ndarray, params: ConvexParams,
     return ConvexityGap(gap, floor)
 
 
-def gradient_fd_check(spec: ProblemSpec, params: ConvexParams,
-                      n_states: int = 10, n_directions: int = 50,
-                      seed: int = 7) -> dict:
+def gradient_fd_check(spec: ProblemSpec, params: ConvexParams, seed: int = 7) -> dict:
     """Compare the analytic gradient against five-point finite differences.
 
     Random smooth states, random unit directions supported off the pinned
@@ -323,29 +323,25 @@ def gradient_fd_check(spec: ProblemSpec, params: ConvexParams,
     truncation error; the large step keeps round-off small.  The four line
     points of a chunk of directions are evaluated as one stack of states of
     at most ``FD_STACK_NODES`` nodes per field (one direction at least).
-    Returns the worst relative disagreement over all (state, direction)
-    pairs, NaN when any reading is NaN, so a reading that could not be made
-    fails the gate; with no pair to check it raises ValueError rather than
-    report a vacuous pass.
+    Returns the worst relative disagreement over all ``FD_STATES`` x
+    ``FD_DIRECTIONS`` (state, direction) pairs, NaN when any reading is NaN,
+    so a reading that could not be made fails the gate.
     """
-    if n_states < 1 or n_directions < 1:
-        raise ValueError(f"gradient check needs n_states >= 1 and n_directions "
-                         f">= 1, got {n_states} and {n_directions}")
     rng = np.random.default_rng(seed)
     grid = spec.grid
     obj = Objective(spec, params)
     chunk = max(1, FD_STACK_NODES // (4 * grid.nx * grid.nt))
     worst = 0.0
-    for _ in range(n_states):
+    for _ in range(FD_STATES):
         z = np.stack([sample_neumann_field(grid, rng) for _ in range(2)])
         g = obj.value_and_gradient_arrays(obj.value_arrays(z))
         h = 1e-2 * (1.0 + np.abs(z).max())
         steps = np.array([h, -h, 2 * h, -2 * h])[:, None, None, None]
-        for start in range(0, n_directions, chunk):
+        for start in range(0, FD_DIRECTIONS, chunk):
             # drawn direction by direction, (u, m) each, then viewed field
             # first; sums per field, so every direction and analytic
             # derivative is that of one at a time
-            d = rng.standard_normal((min(chunk, n_directions - start), 2,
+            d = rng.standard_normal((min(chunk, FD_DIRECTIONS - start), 2,
                                      grid.nx, grid.nt)).swapaxes(0, 1)
             d[..., 0] = 0.0
             scale = np.sqrt(np.sum(d[0]**2, axis=(1, 2)) + np.sum(d[1]**2, axis=(1, 2)))
@@ -357,6 +353,6 @@ def gradient_fd_check(spec: ProblemSpec, params: ConvexParams,
             fd = (8.0 * (j[0] - j[1]) - (j[2] - j[3])) / (12 * h)
             rel = np.abs(analytic - fd) / (np.abs(analytic) + 1e-12)
             worst = np.maximum(worst, rel.max())  # max() would drop a NaN
-    return {"max_rel_error": float(worst), "n_states": n_states,
-            "n_directions": n_directions, "seed": seed,
+    return {"max_rel_error": float(worst), "n_states": FD_STATES,
+            "n_directions": FD_DIRECTIONS, "seed": seed,
             "step_rule": "five-point, 1e-2*(1+max|state|)"}

@@ -29,6 +29,7 @@ are those of plain Armijo backtracking, at fewer evaluations.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
@@ -82,12 +83,7 @@ class TraceRow(NamedTuple):
 class IterationTrace:
     rows: list[TraceRow] = dataclass_field(default_factory=list)
 
-    def append(self, row: TraceRow) -> None:
-        self.rows.append(row)
-
     def summary_dict(self) -> dict:
-        if not self.rows:
-            return {"iterations": 0}
         last = self.rows[-1]
         return {"iterations": len(self.rows),
                 "final_objective": {"j1": last.j1, "j2": last.j2, "j3": last.j3,
@@ -134,7 +130,7 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
     # the full gradient's norm, pinned column included, summed per field
     g0_norm = math.sqrt(float(np.sum(g[0]**2) + np.sum(g[1]**2)))
     if g0_norm == 0.0:
-        trace.append(TraceRow(0, ev.j1, ev.j2, ev.j3, ev.total, 0.0, 0.0, 0.0, 0))
+        trace.rows.append(TraceRow(0, ev.j1, ev.j2, ev.j3, ev.total, 0.0, 0.0, 0.0, 0))
         return MinimizeResult(z, trace, CONVERGED,
                               "start state is already stationary")
     g[:, :, 0] = 0.0
@@ -143,29 +139,25 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
     # profile makes the raw problem too ill-conditioned for plain scaling.
     h0 = 1.0 / obj.hessian_diag(z)
 
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []  # 1 / (y^T s) of each stored pair
+    pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / (y^T s)), oldest first
     accepted_step, evaluations = 0.0, 0
     status, message = BUDGET, "iteration budget exhausted"
     # One row per state, the returned one included: rows = steps + 1.
     for it in range(config.max_iters + 1):
         g_norm = math.sqrt(inner(g, g))
         foo = g_norm / g0_norm
-        trace.append(TraceRow(it, ev.j1, ev.j2, ev.j3, ev.total, g_norm, foo,
-                              accepted_step, evaluations))
+        trace.rows.append(TraceRow(it, ev.j1, ev.j2, ev.j3, ev.total, g_norm,
+                                   foo, accepted_step, evaluations))
         if foo < config.tol:
             status, message = CONVERGED, ""
             break
         if it == config.max_iters:
             break
 
-        p = _two_loop_direction(g, s_hist, y_hist, rho_hist, h0)
+        p = _two_loop_direction(g, pairs, h0)
         slope = inner(p, g)
         if slope >= 0.0:  # not a descent direction; fall back to scaled steepest
-            s_hist.clear()
-            y_hist.clear()
-            rho_hist.clear()
+            pairs.clear()
             p = -h0 * g
             slope = inner(p, g)
 
@@ -204,13 +196,7 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
         y = g_new - g
         sy = inner(s, y)
         if sy > 1e-12 * math.sqrt(inner(s, s)) * math.sqrt(inner(y, y)):
-            s_hist.append(s)
-            y_hist.append(y)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > LBFGS_MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+            pairs.append((s, y, 1.0 / sy))  # evicts the oldest when full
         z, g = z_new, g_new
         accepted_step = xi
     return MinimizeResult(ev.z, trace, status, message)
@@ -221,22 +207,16 @@ def _quartic_rejects(quartic, xi, threshold) -> bool:
     return quartic.phi(xi) > threshold + QUARTIC_MARGIN * quartic.size(xi)
 
 
-def _two_loop_direction(g, s_hist, y_hist, rhos, h0):
-    """-H g by the two-loop recursion (Nocedal & Wright, Alg. 7.4).
-
-    ``rhos`` holds 1 / (y^T s) for each stored pair, kept with the pair.
-    """
+def _two_loop_direction(g, pairs, h0):
+    """-H g by the two-loop recursion (Nocedal & Wright, Alg. 7.4) over
+    the stored (s, y, 1 / (y^T s)) pairs, oldest first."""
     q = -g.copy()
-    if not s_hist:
-        return h0 * q
     alphas = []
-    for i in range(len(s_hist) - 1, -1, -1):
-        a = rhos[i] * inner(s_hist[i], q)
+    for s, y, rho in reversed(pairs):
+        a = rho * inner(s, q)
         alphas.append(a)
-        q -= a * y_hist[i]
-    alphas.reverse()
+        q -= a * y
     q = h0 * q
-    for i in range(len(s_hist)):
-        b = rhos[i] * inner(y_hist[i], q)
-        q += (alphas[i] - b) * s_hist[i]
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * inner(y, q)) * s
     return q

@@ -45,8 +45,7 @@ def test_criterion_01_gradient_correctness(t11_case):
     started = time.time()
     cfg = resolve_config("T1_1", {})
     _, spec, _ = experiments._build_problem("T1_1", cfg)
-    report = gradient_fd_check(spec, _params(), n_states=10, n_directions=50,
-                               seed=7)
+    report = gradient_fd_check(spec, _params(), seed=7)
     elapsed = time.time() - started
     assert report["max_rel_error"] < 1e-6
     assert elapsed < 60.0
@@ -115,7 +114,7 @@ def test_criterion_06_extended_time_blowup_shape():
     # Gauss-Newton-then-Newton solver ("switch" in ROADMAP.md) reaches
     # stationarity in 77 steps.
     report = run_test("T1_1_extended", max_iters=4000)
-    t, F = report.rel_cost_t, report.rel_cost
+    t, F = report.grid.t_nodes(), report.rel_cost
     mid = F[(t >= 0.3 - 1e-12) & (t <= 1.0 + 1e-12)]
     late = F[t > 1.0 + 1e-12]
     early = F[(t > 1e-12) & (t < 0.3 - 1e-12)]
@@ -207,7 +206,7 @@ def test_criterion_09_kernel_sign_similarity():
     cmp = run_test("kernel_compare")
     assert cmp.plus.status == CONVERGED
     assert cmp.minus.status == CONVERGED
-    t = cmp.plus.rel_cost_t
+    t = cmp.plus.grid.t_nodes()
     window = (t >= 0.3 - 1e-12) & (t <= 1.0 + 1e-12)
     fp, fm = cmp.plus.rel_cost[window], cmp.minus.rel_cost[window]
     ratio = float(np.maximum(fp / fm, fm / fp).max())

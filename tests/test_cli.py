@@ -97,6 +97,7 @@ def test_run_invalid_parameter_is_numerical_failure(tmp_path):
     ("--kernel", "nan", "kernel must be finite, got nan"),
     ("--noise", "nan", "noise level must be nonnegative, got nan"),
     ("--noise", "inf", "noise level must be finite, got inf"),
+    ("--seed", "-1", "noise seed must be nonnegative, got -1"),
 ])
 def test_bad_values_exit_2_naming_the_parameter(tmp_path, capsys, command, flag,
                                                 value, message):
@@ -279,20 +280,30 @@ def test_kernel_compare_refuses_a_kernel_override(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args", [["--param", "kernel", "--values", "1,2"],
-                                  ["--param", "lambda", "--values", "1,2",
-                                   "--kernel", "3"]])
-def test_sweep_of_kernel_compare_with_a_kernel_is_usage_error(tmp_path, capsys,
-                                                              args):
-    # refused before any run, rather than writing one identical row per
-    # value, or one error row per value
+def test_sweep_takes_a_case_not_kernel_compare(tmp_path, capsys):
+    # a sweep repeats one case; kernel_compare is a run of two
     out = tmp_path / "s"
-    code = main(["sweep", "--test", "kernel_compare", *args, "--out", str(out)])
+    code = main(["sweep", "--test", "kernel_compare", "--param", "lambda",
+                 "--values", "1,2", "--out", str(out)])
     assert code == EXIT_USAGE
     captured = capsys.readouterr()
-    assert "takes no kernel" in captured.err
+    assert "invalid choice: 'kernel_compare'" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_sweep_with_a_negative_seed_names_it(tmp_path, capsys):
+    # each value's run refuses the seed before it builds anything
+    out = tmp_path / "s"
+    code = main(["sweep", "--test", "T1_2", "--param", "alpha", "--values",
+                 "1e-5,1e-4", "--seed", "-1", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err.count("noise seed must be nonnegative, got -1") == 2
+    assert os.listdir(out) == ["sweep_summary.csv"]
+    rows = (out / "sweep_summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["error", "error"]
+
 
 def test_check_gradient_cli(tmp_path):
     out = tmp_path / "grad"
@@ -300,6 +311,14 @@ def test_check_gradient_cli(tmp_path):
     assert code == EXIT_OK
     payload = json.loads((out / "gradient_check.json").read_text())
     assert payload["max_rel_error"] < 1e-6
+
+
+def test_check_gradient_negative_fd_seed_names_it(tmp_path, capsys):
+    out = tmp_path / "grad"
+    code = main(["check-gradient", "--fd-seed", "-1", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert "fd seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_gradient_nan_reading_is_numerical_failure(tmp_path, monkeypatch):

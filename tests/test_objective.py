@@ -86,16 +86,9 @@ def test_objective_at_manufactured_truth(t11_case, params):
 
 
 def test_gradient_matches_finite_differences(grid, params, t11_case):
-    report = gradient_fd_check(t11_case.spec, params, n_states=3,
-                               n_directions=12, seed=42)
+    report = gradient_fd_check(t11_case.spec, params, seed=42)
     assert report["max_rel_error"] < 1e-6
-
-
-def test_gradient_fd_check_without_work_raises(params, t11_case):
-    for states, directions in ((0, 12), (3, 0)):
-        with pytest.raises(ValueError, match="n_states >= 1"):
-            gradient_fd_check(t11_case.spec, params, n_states=states,
-                              n_directions=directions)
+    assert (report["n_states"], report["n_directions"]) == (10, 50)
 
 
 def test_gradient_masked_entries_zero(grid, params, data_spec, monkeypatch):
@@ -301,8 +294,7 @@ def test_fd_oracle_reports_a_planted_gradient_error(params, t11_case, monkeypatc
     # The five-point rule is exact on the quartic J, so a clean gradient
     # reads far below the 1e-6 gate and a 1e-5 relative error in gu reads
     # above it.
-    clean = gradient_fd_check(t11_case.spec, params, n_states=3, n_directions=12,
-                              seed=7)
+    clean = gradient_fd_check(t11_case.spec, params, seed=7)
     assert clean["max_rel_error"] < 1e-8
     exact = Objective.value_and_gradient_arrays
     grid = t11_case.spec.grid
@@ -314,8 +306,7 @@ def test_fd_oracle_reports_a_planted_gradient_error(params, t11_case, monkeypatc
         return g
 
     monkeypatch.setattr(Objective, "value_and_gradient_arrays", planted)
-    report = gradient_fd_check(t11_case.spec, params, n_states=3, n_directions=12,
-                               seed=7)
+    report = gradient_fd_check(t11_case.spec, params, seed=7)
     assert report["max_rel_error"] > 1e-6
 
 
@@ -335,9 +326,8 @@ def test_fd_oracle_fails_on_a_nan_reading(params, t11_case, monkeypatch,
         return g
 
     monkeypatch.setattr(Objective, "value_and_gradient_arrays", planted)
-    report = gradient_fd_check(t11_case.spec, params, n_states=2, n_directions=6,
-                               seed=7)
-    assert len(calls) == 2
+    report = gradient_fd_check(t11_case.spec, params, seed=7)
+    assert len(calls) == objective.FD_STATES
     assert np.isnan(report["max_rel_error"])
 
 
@@ -391,7 +381,8 @@ def test_stacked_evaluation_names_overflowing_term(grid, params, zero_spec):
 
 def test_gradient_fd_check_covers_several_chunks(fine_grid, params, monkeypatch):
     # 41x21 nodes give chunks of 4 directions, so 10 directions take three
-    # stacked calls per state, the last one short
+    # stacked calls per state, the last one short; the check is cut to 2
+    # states of 10 directions, which its module constants set
     spec = make_problem_spec(fine_grid, np.zeros(fine_grid.nx),
                              np.full(fine_grid.nx, 0.5), 1.0)
     chunk = objective.FD_STACK_NODES // (4 * fine_grid.nx * fine_grid.nt)
@@ -404,11 +395,14 @@ def test_gradient_fd_check_covers_several_chunks(fine_grid, params, monkeypatch)
         return value_arrays(self, z)
 
     monkeypatch.setattr(Objective, "value_arrays", recorded)
-    report = gradient_fd_check(spec, params, n_states=2, n_directions=10, seed=5)
+    monkeypatch.setattr(objective, "FD_STATES", 2)
+    monkeypatch.setattr(objective, "FD_DIRECTIONS", 10)
+    report = gradient_fd_check(spec, params, seed=5)
     stack = (fine_grid.nx, fine_grid.nt)
     # each state's own evaluation, for its gradient, then its stacks
     assert shapes == [(2, *stack), (2, 4, 4, *stack), (2, 4, 4, *stack),
                       (2, 4, 2, *stack)] * 2
+    assert (report["n_states"], report["n_directions"]) == (2, 10)
     assert report["max_rel_error"] < 1e-8
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -147,10 +148,10 @@ def _rho_checked(two_loop, ascent_at=None):
     direction, which makes the optimizer clear its history."""
     calls = []
 
-    def checked(g, s_hist, y_hist, rhos, h0):
-        assert rhos == [1.0 / float(np.vdot(y, s)) for s, y in zip(s_hist, y_hist)]
-        calls.append(len(s_hist))
-        p = two_loop(g, s_hist, y_hist, rhos, h0)
+    def checked(g, pairs, h0):
+        assert all(rho == 1.0 / float(np.vdot(y, s)) for s, y, rho in pairs)
+        calls.append(len(pairs))
+        p = two_loop(g, pairs, h0)
         return -p if len(calls) == ascent_at else p
 
     checked.calls = calls
@@ -244,7 +245,8 @@ def test_lbfgs_clears_rho_with_its_history(params, monkeypatch):
 
 
 def _two_loop_recomputing_rho(g, s_hist, y_hist, h0):
-    """The two-loop recursion with every rho rebuilt from its (s, y) pair."""
+    """The two-loop recursion over parallel lists, with every rho rebuilt
+    from its (s, y) pair."""
     q = -g.copy()
     if not s_hist:
         return h0 * q
@@ -262,31 +264,32 @@ def _two_loop_recomputing_rho(g, s_hist, y_hist, h0):
     return q
 
 
-def test_two_loop_with_stored_rho_matches_recomputed_rho():
+def test_two_loop_over_the_bounded_history_matches_the_reference():
+    # The optimizer's history is a deque of (s, y, 1/(y^T s)) triples bounded
+    # at LBFGS_MEMORY; the reference walks the newest LBFGS_MEMORY pairs
+    # stored since the last clear, from parallel lists, rebuilding each rho.
     rng = np.random.default_rng(17)
-    n, memory = 40, 4
+    n, memory = 40, optimizer.LBFGS_MEMORY
     h0 = rng.uniform(0.1, 10.0, n)
-    s_hist, y_hist, rhos = [], [], []
+    pairs = deque(maxlen=memory)
+    s_all, y_all = [], []  # every pair since the last clear, oldest first
     seen = set()
-    for step in range(14):
-        if step == 9:  # a non-descent direction clears the whole history
-            s_hist.clear()
-            y_hist.clear()
-            rhos.clear()
+    for step in range(2 * memory + 8):
+        if step == memory + 5:  # a non-descent direction clears the history
+            pairs.clear()
+            s_all.clear()
+            y_all.clear()
         s = rng.standard_normal(n)
         y = s * rng.uniform(0.5, 2.0, n) + 0.1 * rng.standard_normal(n)
         g = rng.standard_normal(n)
-        expected = _two_loop_recomputing_rho(g, s_hist, y_hist, h0)
-        got = optimizer._two_loop_direction(g, s_hist, y_hist, rhos, h0)
+        expected = _two_loop_recomputing_rho(g, s_all[-memory:], y_all[-memory:],
+                                             h0)
+        got = optimizer._two_loop_direction(g, pairs, h0)
         assert np.array_equal(got, expected)
-        seen.add(len(s_hist))
-        s_hist.append(s)
-        y_hist.append(y)
-        rhos.append(1.0 / float(y @ s))
-        if len(s_hist) > memory:
-            s_hist.pop(0)
-            y_hist.pop(0)
-            rhos.pop(0)
+        seen.add(len(pairs))
+        pairs.append((s, y, 1.0 / float(y @ s)))
+        s_all.append(s)
+        y_all.append(y)
     # empty, partly filled and full (evicting) histories were all compared
     assert seen == set(range(memory + 1))
 
