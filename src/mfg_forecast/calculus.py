@@ -222,6 +222,6 @@ def h10_norm_gamma(field: Field) -> float:
     """
     grid = field.grid
     ng = grid.n_t_gamma()
-    fx = space_diff_matrix(grid.nx, grid.dx) @ field.values[:, :ng]
+    fx = stencil_products(grid).d_dx(field.values[:, :ng])
     dens = fx**2 + field.values[:, :ng] ** 2
     return math.sqrt(float(weights_x(grid) @ dens @ _trapezoid_weights(ng, grid.dt)))

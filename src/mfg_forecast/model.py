@@ -132,7 +132,7 @@ def solve_fokker_planck(u: Field, m0: np.ndarray) -> Field:
 
     nx, nt, dt, dx = grid.nx, grid.nt, grid.dt, grid.dx
     dxxm = calculus.space_diff2_matrix(nx, dx)
-    ux = calculus.space_diff_matrix(nx, dx) @ u.values
+    ux = calculus.stencil_products(grid).d_dx(u.values)
 
     # Banded form of I - dt*Dxx for scipy.linalg.solve_banded.
     ab = np.zeros((3, nx))

@@ -65,8 +65,12 @@ from mfg_forecast.carleman import ConvexParams, sample_neumann_field
 from mfg_forecast.model import ProblemSpec
 
 # Nodes per field in one stacked evaluation of the finite-difference oracle
-# (four line points times a chunk of directions); bounds its memory.
-FD_STACK_NODES = 16384
+# (four line points times a chunk of directions); bounds its memory.  Its
+# stack-sized temporaries (64 KiB at most) are small enough that freeing
+# them does not trim the C heap for the next chunk to fault in again: at
+# 16384 a 21x11 check took thousands of minor page faults, here fewer
+# than ten.
+FD_STACK_NODES = 8192
 FD_STATES = 10  # random states of the finite-difference oracle
 FD_DIRECTIONS = 50  # random unit directions at each state
 
@@ -205,16 +209,20 @@ class Objective:
         parameters) and equilibrating them is what makes the quasi-Newton
         path converge in the ill-conditioned tail.
         """
-        # the cached matrices that the stencil products apply
+        # the cached matrices that the stencil products apply; their
+        # squares are banded too, so they are applied by blocks as well
         dtm, dxm, dxxm = calculus.diff_matrices(self.grid)
-        dt2, dx2, dxx2 = dtm**2, dxm**2, dxxm**2
+        dt2 = calculus.BlockedProduct(dtm**2, "right")  # f @ Dt.^2
+        dx2t = calculus.BlockedProduct((dxm**2).T, "left")  # (Dx.^2)^T @ f
+        dxx2t = calculus.BlockedProduct((dxxm**2).T, "left")  # (Dxx.^2)^T @ f
         u, m = z
-        ux_sq = (dxm @ u) ** 2
-        du = 2.0 * (self.w1 @ dt2) + 2.0 * (dxx2.T @ self.w1)
-        du += 2.0 * (dx2.T @ (self.w1 * ux_sq))
-        du += 2.0 * (dx2.T @ (m**2 * (dx2.T @ self.w2)))
-        dm = 2.0 * (self.w2 @ dt2) + 2.0 * (dxx2.T @ self.w2)
-        dm += 2.0 * ux_sq * (dx2.T @ self.w2)
+        ux_sq = self.stencils.d_dx(u) ** 2
+        dx2t_w2 = dx2t(self.w2)
+        du = 2.0 * dt2(self.w1) + 2.0 * dxx2t(self.w1)
+        du += 2.0 * dx2t(self.w1 * ux_sq)
+        du += 2.0 * dx2t(m**2 * dx2t_w2)
+        dm = 2.0 * dt2(self.w2) + 2.0 * dxx2t(self.w2)
+        dm += 2.0 * ux_sq * dx2t_w2
         wx_sq = self.wx_col**2
         dm += 2.0 * self.kernel**2 * (wx_sq * self.w1.sum(axis=0))
         dm += 2.0 * self.w1 * self.f**2

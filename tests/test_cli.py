@@ -139,6 +139,44 @@ def test_refined_run_independent_of_blas_thread_count(tmp_path):
     assert outputs["1"] == outputs["2"]
 
 
+# Builds T1_2 on the 161x81 grid (and so its stencil products), lets the
+# BLAS workers go idle, then times a run's calls.  A product that BLAS
+# splits across threads leaves its second thread spinning for about 0.1 s
+# after it returns, which the process's CPU time shows; the trailing sleep
+# leaves that spin room to show.
+_IDLE_WORKERS = """
+import tempfile, time
+from mfg_forecast import experiments, optimizer
+cfg = experiments.resolve_config("T1_2", {"dx": 0.0125, "dt": 0.0125})
+experiments._build_problem("T1_2", cfg)
+time.sleep(0.3)
+cpu0, wall0 = time.process_time(), time.perf_counter()
+grid, spec, truth = experiments._build_problem("T1_2", cfg)
+result = optimizer.minimize(spec, experiments.convex_params(cfg),
+                            optimizer.OptimizerConfig(tol=1e-5, max_iters=5))
+rel = experiments.relative_cost_curve(result.state, spec)
+errors = experiments.recovery_errors(result.state, truth)
+report = experiments.RunReport("T1_2", cfg, grid, result.state, truth, rel,
+                               errors, result.trace, result.status)
+with tempfile.TemporaryDirectory() as out:
+    report.export(out)
+wall = time.perf_counter() - wall0
+time.sleep(0.2)
+print(time.process_time() - cpu0 - wall)
+"""
+
+
+def test_refined_run_leaves_blas_workers_idle():
+    # every stencil application on a run's path is a blocked product, whose
+    # small blocks BLAS takes on the calling thread: CPU time equals wall time
+    src = str(Path(mfg_forecast.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _IDLE_WORKERS], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 0.02
+
+
 def test_run_extended_writes_full_horizon_fields(tmp_path):
     # short budget: artifacts must still cover t in [0, 2]
     out = tmp_path / "ext"

@@ -1,0 +1,61 @@
+"""The blocked stencil products on the run path against their dense
+formulas: bit for bit on the working grid, where every blocked product is
+the one dense product with the same operand, and to rounding on the
+161x81 refinement grid, where the products take several blocks."""
+
+import numpy as np
+import pytest
+
+from mfg_forecast import experiments
+from mfg_forecast.calculus import h10_norm_gamma
+from mfg_forecast.carleman import ConvexParams, sample_neumann_field
+from mfg_forecast.grid import Field, field_from_function, make_grid
+from mfg_forecast.model import build_manufactured_case, solve_fokker_planck
+from mfg_forecast.objective import Objective
+
+from dense_reference import h10_norm_gamma_dense, hessian_diag_dense, \
+    solve_fokker_planck_dense
+
+# (step, relative tolerance): 21x11 must match exactly, 161x81 to rounding
+GRIDS = [pytest.param(0.1, 0.0, id="21x11"), pytest.param(0.0125, 1e-13, id="161x81")]
+
+
+def _grid(step):
+    return make_grid(-1, 1, 1, step, step, 0.6)
+
+
+def _assert_matches(actual, expected, rtol):
+    if rtol == 0.0:
+        assert np.array_equal(actual, expected)
+    else:
+        np.testing.assert_allclose(actual, expected, rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("step,rtol", GRIDS)
+def test_hessian_diag_matches_dense_formula(step, rtol):
+    grid = _grid(step)
+    case = build_manufactured_case(experiments._u_t11, experiments._m0_t11,
+                                   1.0, grid)
+    params = ConvexParams(lam=2, c=3, a=1.1, d=1, alpha=1e-5, gamma=0.6, t_max=1)
+    obj = Objective(case.spec, params)
+    rng = np.random.default_rng(31)
+    z = np.stack([sample_neumann_field(grid, rng) for _ in range(2)])
+    _assert_matches(obj.hessian_diag(z), hessian_diag_dense(obj, z), rtol)
+
+
+@pytest.mark.parametrize("step,rtol", GRIDS)
+def test_fokker_planck_march_matches_dense_drift(step, rtol):
+    grid = _grid(step)
+    u = field_from_function(grid, experiments._u_t11)
+    m0 = np.array([experiments._m0_t11(x) for x in grid.x_nodes()])
+    _assert_matches(solve_fokker_planck(u, m0).values,
+                    solve_fokker_planck_dense(u, m0), rtol)
+
+
+@pytest.mark.parametrize("step,rtol", GRIDS)
+def test_h10_norm_gamma_matches_dense_formula(step, rtol):
+    grid = _grid(step)
+    rng = np.random.default_rng(32)
+    field = Field(grid, sample_neumann_field(grid, rng) +
+                  0.1 * rng.standard_normal((grid.nx, grid.nt)))
+    _assert_matches(h10_norm_gamma(field), h10_norm_gamma_dense(field), rtol)

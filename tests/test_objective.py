@@ -380,13 +380,14 @@ def test_stacked_evaluation_names_overflowing_term(grid, params, zero_spec):
 
 
 def test_gradient_fd_check_covers_several_chunks(fine_grid, params, monkeypatch):
-    # 41x21 nodes give chunks of 4 directions, so 10 directions take three
-    # stacked calls per state, the last one short; the check is cut to 2
-    # states of 10 directions, which its module constants set
+    # 41x21 nodes give chunks of a few directions, so 10 directions take
+    # several stacked calls per state, the last one short when the chunk
+    # does not divide 10; the check is cut to 2 states of 10 directions,
+    # which its module constants set
     spec = make_problem_spec(fine_grid, np.zeros(fine_grid.nx),
                              np.full(fine_grid.nx, 0.5), 1.0)
     chunk = objective.FD_STACK_NODES // (4 * fine_grid.nx * fine_grid.nt)
-    assert chunk == 4
+    assert 1 < chunk < 10
     shapes = []
     value_arrays = Objective.value_arrays
 
@@ -400,10 +401,19 @@ def test_gradient_fd_check_covers_several_chunks(fine_grid, params, monkeypatch)
     report = gradient_fd_check(spec, params, seed=5)
     stack = (fine_grid.nx, fine_grid.nt)
     # each state's own evaluation, for its gradient, then its stacks
-    assert shapes == [(2, *stack), (2, 4, 4, *stack), (2, 4, 4, *stack),
-                      (2, 4, 2, *stack)] * 2
+    stacks = [(2, 4, min(chunk, 10 - start), *stack) for start in range(0, 10, chunk)]
+    assert shapes == [(2, *stack), *stacks] * 2
     assert (report["n_states"], report["n_directions"]) == (2, 10)
     assert report["max_rel_error"] < 1e-8
+
+
+def test_gradient_fd_check_independent_of_chunk_size(params, t11_case, monkeypatch):
+    # the stack size bounds memory only: one direction per stacked call
+    # reads the same report, bit for bit
+    report = gradient_fd_check(t11_case.spec, params, seed=7)
+    grid = t11_case.spec.grid
+    monkeypatch.setattr(objective, "FD_STACK_NODES", 4 * grid.nx * grid.nt)
+    assert gradient_fd_check(t11_case.spec, params, seed=7) == report
 
 
 # -- the objective is a pure evaluator ---------------------------------------
