@@ -303,11 +303,10 @@ def _build_problem(test_id: str, cfg: dict):
         u0_clean, m0_clean = truth.spec.u0, truth.spec.m0
         f_field = truth.spec.f_field
     else:
-        truth = None
+        truth = f_field = None
         xs = grid.x_nodes()
         u0_clean = np.array([case.u0_fn(x) for x in xs])
         m0_clean = np.array([case.m0_fn(x) for x in xs])
-        f_field = None
     u0 = add_noise(u0_clean, NoiseSpec(cfg["noise"], cfg["seed"]))
     m0 = add_noise(m0_clean, NoiseSpec(cfg["noise"], cfg["seed"] + 1))
     spec = make_problem_spec(grid, u0, m0, cfg["kernel"], f_field=f_field)

@@ -87,42 +87,38 @@ class Field:
     """A real scalar sampled on every grid node, immutable once built.
 
     ``values`` has shape (nx, nt); entry [i, j] is the sample at
-    (x_min + i*dx, j*dt).  Construction copies the input and freezes it, so
-    fields are safe to share across threads.
+    (x_min + i*dx, j*dt).  Construction copies the input, in C order, and
+    freezes it, so fields are safe to share across threads.
     """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float, order="C")
         if vals.shape != (self.grid.nx, self.grid.nt):
             raise ValueError(
                 f"field shape {vals.shape} does not match grid "
                 f"({self.grid.nx}, {self.grid.nt})")
         if not np.isfinite(vals).all():
-            bad = np.argwhere(~np.isfinite(vals))[0]
-            raise ValueError(f"non-finite field value at node (i={bad[0]}, j={bad[1]})")
+            i, j = np.argwhere(~np.isfinite(vals))[0]
+            raise ValueError(
+                f"non-finite field value at node (i={i}, j={j}): {vals[i, j]} at "
+                f"x={self.grid.x_nodes()[i]}, t={self.grid.t_nodes()[j]}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
 
 def field_from_function(grid: Grid, g: Callable[[float, float], float]) -> Field:
-    """Sample g(x, t) at every node.
+    """Sample g(x, t) at every (np.float64) node, one row of x at a time.
 
-    Rejects (ValueError) if g returns a non-finite value, identifying the node.
+    Rejects (ValueError) if g returns a non-finite value; the message names
+    the first such node, its value, x and t.
     """
-    xs = grid.x_nodes()
-    ts = grid.t_nodes()
+    ts = list(grid.t_nodes())  # iterating a list does not re-box each node
     vals = np.empty((grid.nx, grid.nt))
-    for i, x in enumerate(xs):
-        for j, t in enumerate(ts):
-            v = float(g(x, t))
-            if not np.isfinite(v):
-                raise ValueError(
-                    f"function returned non-finite value {v} at node "
-                    f"(x={x}, t={t}) [i={i}, j={j}]")
-            vals[i, j] = v
+    for i, x in enumerate(grid.x_nodes()):
+        vals[i] = [g(x, t) for t in ts]
     return Field(grid, vals)
 
 

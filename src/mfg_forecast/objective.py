@@ -164,7 +164,10 @@ class Objective:
         h = np.empty_like(z)
         for f, hf in zip(z, h):
             np.multiply(self.wx_col, self.stencils.gram_t(f), out=hf)
-            hf += self.stencils.gram_x(f) * self.wt_row
+            t = self.stencils.gram_x(f)  # scaled and added in place
+            t *= self.wt_row
+            hf += t
+            del t  # freed before the next field's products
         return h
 
     def _h2_quadratic(self, z: np.ndarray) -> float:

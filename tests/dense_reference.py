@@ -1,7 +1,8 @@
-"""The package's last stencil applications written as dense (nx, nx)
-products: the tests' references for the blocked forms in
-``Objective.hessian_diag``, ``model.solve_fokker_planck`` and
-``calculus.h10_norm_gamma``."""
+"""The package's earlier forms of its stencil products, manufactured-field
+sampler and Fokker-Planck solve: the tests' references for the blocked
+forms in ``Objective.hessian_diag``, ``model.solve_fokker_planck`` and
+``calculus.h10_norm_gamma``, for the row-wise ``grid.field_from_function``
+and for the once-factored tridiagonal march."""
 
 import math
 
@@ -31,13 +32,28 @@ def hessian_diag_dense(obj, z):
     return np.stack((du, dm)) + reg
 
 
-def solve_fokker_planck_dense(u: Field, m0: np.ndarray) -> np.ndarray:
-    """The Fokker-Planck march of ``model.solve_fokker_planck`` with u_x
-    taken as the dense product Dx @ u."""
-    grid = u.grid
+def field_from_function_per_node(grid, g) -> Field:
+    """``grid.field_from_function`` as one call and one finiteness check
+    per node."""
+    xs = grid.x_nodes()
+    ts = grid.t_nodes()
+    vals = np.empty((grid.nx, grid.nt))
+    for i, x in enumerate(xs):
+        for j, t in enumerate(ts):
+            v = float(g(x, t))
+            if not np.isfinite(v):
+                raise ValueError(
+                    f"function returned non-finite value {v} at node "
+                    f"(x={x}, t={t}) [i={i}, j={j}]")
+            vals[i, j] = v
+    return Field(grid, vals)
+
+
+def _march_solve_banded(grid, ux: np.ndarray, m0: np.ndarray) -> np.ndarray:
+    """The Fokker-Planck march for a given u_x, with one
+    ``scipy.linalg.solve_banded`` call per step."""
     nx, nt, dt, dx = grid.nx, grid.nt, grid.dt, grid.dx
     dxxm = calculus.space_diff2_matrix(nx, dx)
-    ux = calculus.space_diff_matrix(nx, dx) @ u.values
     ab = np.zeros((3, nx))
     ab[1, :] = 1.0 - dt * np.diag(dxxm)
     ab[0, 1:] = -dt * np.diag(dxxm, 1)
@@ -52,6 +68,21 @@ def solve_fokker_planck_dense(u: Field, m0: np.ndarray) -> np.ndarray:
         div[-1] = (flux[-1] - flux[-2]) / dx
         m[:, j + 1] = solve_banded((1, 1), ab, m[:, j] - dt * div)
     return m
+
+
+def solve_fokker_planck_dense(u: Field, m0: np.ndarray) -> np.ndarray:
+    """The Fokker-Planck march with u_x taken as the dense product Dx @ u."""
+    grid = u.grid
+    ux = calculus.space_diff_matrix(grid.nx, grid.dx) @ u.values
+    return _march_solve_banded(grid, ux, m0)
+
+
+def solve_fokker_planck_banded(u: Field, m0: np.ndarray) -> np.ndarray:
+    """The Fokker-Planck march with the blocked d/dx of
+    ``model.solve_fokker_planck`` and a ``solve_banded`` call per step, so
+    that only the tridiagonal solve differs from the model's."""
+    ux = calculus.stencil_products(u.grid).d_dx(u.values)
+    return _march_solve_banded(u.grid, ux, m0)
 
 
 def h10_norm_gamma_dense(field: Field) -> float:

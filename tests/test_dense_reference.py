@@ -1,7 +1,9 @@
 """The blocked stencil products on the run path against their dense
 formulas: bit for bit on the working grid, where every blocked product is
 the one dense product with the same operand, and to rounding on the
-161x81 refinement grid, where the products take several blocks."""
+161x81 refinement grid, where the products take several blocks.  The
+row-wise field sampler and the once-factored Fokker-Planck march against
+their per-node and per-step forms, bit for bit on both grids."""
 
 import numpy as np
 import pytest
@@ -10,14 +12,19 @@ from mfg_forecast import experiments
 from mfg_forecast.calculus import h10_norm_gamma
 from mfg_forecast.carleman import ConvexParams, sample_neumann_field
 from mfg_forecast.grid import Field, field_from_function, make_grid
-from mfg_forecast.model import build_manufactured_case, solve_fokker_planck
+from mfg_forecast.model import build_manufactured_case, manufactured_source, \
+    solve_fokker_planck
 from mfg_forecast.objective import Objective
 
-from dense_reference import h10_norm_gamma_dense, hessian_diag_dense, \
-    solve_fokker_planck_dense
+from dense_reference import field_from_function_per_node, h10_norm_gamma_dense, \
+    hessian_diag_dense, solve_fokker_planck_banded, solve_fokker_planck_dense
 
 # (step, relative tolerance): 21x11 must match exactly, 161x81 to rounding
 GRIDS = [pytest.param(0.1, 0.0, id="21x11"), pytest.param(0.0125, 1e-13, id="161x81")]
+STEPS = [pytest.param(0.1, id="21x11"), pytest.param(0.0125, id="161x81")]
+# the manufactured cases' u and m0: T1_1's and T1_2's
+CASES = [pytest.param(experiments._u_t11, experiments._m0_t11, id="T1_1"),
+         pytest.param(experiments._u_t12, lambda x: 0.5, id="T1_2")]
 
 
 def _grid(step):
@@ -59,3 +66,26 @@ def test_h10_norm_gamma_matches_dense_formula(step, rtol):
     field = Field(grid, sample_neumann_field(grid, rng) +
                   0.1 * rng.standard_normal((grid.nx, grid.nt)))
     _assert_matches(h10_norm_gamma(field), h10_norm_gamma_dense(field), rtol)
+
+
+@pytest.mark.parametrize("u_fn,m0_fn", CASES)
+@pytest.mark.parametrize("step", STEPS)
+def test_field_sampler_matches_per_node_loop(step, u_fn, m0_fn):
+    grid = _grid(step)
+    assert np.array_equal(field_from_function(grid, u_fn).values,
+                          field_from_function_per_node(grid, u_fn).values)
+
+
+@pytest.mark.parametrize("u_fn,m0_fn", CASES)
+@pytest.mark.parametrize("step", STEPS)
+def test_fokker_planck_march_matches_solve_banded(step, u_fn, m0_fn):
+    grid = _grid(step)
+    u = field_from_function(grid, u_fn)
+    m0 = np.array([m0_fn(x) for x in grid.x_nodes()])
+    m = solve_fokker_planck(u, m0)
+    reference = Field(grid, solve_fokker_planck_banded(u, m0))
+    assert np.array_equal(m.values, reference.values)
+    # and so is every product taken of it (a product's rounding can
+    # depend on the memory layout of its operand)
+    assert np.array_equal(manufactured_source(u, m, 1.0).values,
+                          manufactured_source(u, reference, 1.0).values)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,8 +95,26 @@ def test_field_rejects_non_finite_and_names_node():
     def bad(x, t):
         return math.inf if (x == 0.0 and t == 0.5) else 0.0
 
-    with pytest.raises(ValueError, match="t=0.5"):
+    with pytest.raises(ValueError, match=re.escape(
+            "non-finite field value at node (i=2, j=1): inf at x=0.0, t=0.5")):
         field_from_function(g, bad)
+
+    def nan_at_end(x, t):  # NaN at (i, j) = (3, 2) and (4, 2)
+        return math.nan if (x >= 0.5 and t == 1.0) else x * t
+
+    # a NaN is refused too, naming the first non-finite node in (i, j) order
+    with pytest.raises(ValueError, match=re.escape(
+            "non-finite field value at node (i=3, j=2): nan at x=0.5, t=1.0")):
+        field_from_function(g, nan_at_end)
+
+    def whole(x, t):
+        return int(2 * x) - 3 * int(2 * t)
+
+    # an integer-returning g is sampled into float64 values
+    f = field_from_function(g, whole)
+    assert f.values.dtype == np.float64
+    assert np.array_equal(f.values, [[float(whole(x, t)) for t in g.t_nodes()]
+                                     for x in g.x_nodes()])
 
 
 def test_field_shape_mismatch_rejected():
