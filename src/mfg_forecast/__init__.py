@@ -9,7 +9,7 @@ from mfg_forecast.grid import Field, Grid, field_from_function, make_grid, \
     write_field_csv
 from mfg_forecast.model import ManufacturedCase, ProblemSpec, \
     build_manufactured_case, manufactured_source, solve_fokker_planck
-from mfg_forecast.objective import ObjectiveBreakdown, convexity_probe
+from mfg_forecast.objective import ObjectiveBreakdown
 from mfg_forecast.optimizer import IterationTrace, MinimizeResult, OptimizerConfig, \
     make_start, minimize
 

@@ -54,8 +54,9 @@ def make_grid(x_min: float, x_max: float, t_max: float, dx: float, dt: float,
     """Build a grid, rejecting steps that do not divide the extents.
 
     Raises ValueError naming the offending axis when (x_max - x_min)/dx or
-    t_max/dt is not an integer to within 1e-12 relative, or when gamma is
-    outside (0, 1).
+    t_max/dt is not an integer to within 1e-12 relative, when gamma is
+    outside (0, 1), or when the recovery window [0, gamma*t_max] holds fewer
+    than two time nodes.
     """
     if not x_min < x_max:
         raise ValueError(f"x_min must be below x_max, got [{x_min}, {x_max}]")
@@ -68,8 +69,12 @@ def make_grid(x_min: float, x_max: float, t_max: float, dx: float, dt: float,
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     nx = _count_nodes(x_max - x_min, dx, axis="x")
     nt = _count_nodes(t_max, dt, axis="t")
-    return Grid(float(x_min), float(x_max), float(t_max), float(dx), float(dt),
+    grid = Grid(float(x_min), float(x_max), float(t_max), float(dx), float(dt),
                 nx, nt, float(gamma))
+    if grid.n_t_gamma() < 2:
+        raise ValueError(f"gamma={gamma} leaves the recovery window [0, "
+                         f"{gamma * t_max:g}] with fewer than two time nodes at dt={dt}")
+    return grid
 
 
 def _count_nodes(extent: float, step: float, axis: str) -> int:

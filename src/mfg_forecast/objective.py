@@ -11,10 +11,10 @@ with R1, R2 the two system residuals (stated once, in
 weight, balance = exp(-2*a*c^lam), and |f|_H2^2 the discrete H2 norm: the
 summed squared L2 norms of f, d_dt f, d_dx f and d2_dx2 f over the
 cylinder, with the calculus module's stencils and trapezoid weights.  The
-gradient differentiates this discrete expression exactly (reverse
-accumulation through every stencil), so the optimizer's descent directions
-are consistent with the objective to machine precision; finite differences
-are kept only as a verification oracle.
+gradient, 2*w*R through ``model.residual_adjoint`` plus 2*alpha*H z,
+differentiates this discrete expression exactly, so the optimizer's descent
+directions are consistent with the objective to machine precision; finite
+differences are kept only as a verification oracle.
 
 The trapezoid weight is separable, wq = outer(wx, wt), so the discrete H2
 norm is a Gram form |f|^2 = <f, H f> with
@@ -143,16 +143,13 @@ class Objective:
             raise ValueError(
                 f"params.t_max={params.t_max} does not match grid t_max={grid.t_max}")
         self.spec = spec
-        self.grid = grid
         self.stencils = calculus.stencil_products(grid)
         wx, wt = calculus.weights_x(grid), calculus.weights_t(grid)
         wq = np.outer(wx, wt)
         profile = params.weight_profile(grid.t_nodes())
         self.w1 = wq * profile[None, :]
         self.w2 = self.w1 * (params.q * params.d)
-        self.f = spec.f_field.values
         self.alpha = params.alpha
-        self.kernel = spec.kernel
         self.wx_col = wx[:, None]
         self.wt_row = wt[None, :]
 
@@ -169,11 +166,6 @@ class Objective:
             hf += t
             del t  # freed before the next field's products
         return h
-
-    def _h2_quadratic(self, z: np.ndarray) -> float:
-        """|u|_H2^2 + |m|_H2^2 for one state z."""
-        h = self._h2_apply(z)
-        return calculus.inner(z[0], h[0]) + calculus.inner(z[1], h[1])
 
     # -- public evaluations ---------------------------------------------
 
@@ -204,31 +196,18 @@ class Objective:
         return ObjectiveBreakdown(j1, j2, j3, j1 + j2 + j3, z, r1, r2, ux, h)
 
     def hessian_diag(self, z: np.ndarray) -> np.ndarray:
-        """Gauss-Newton diagonal of the Hessian at z, shaped like z.
+        """The preconditioner's diagonal curvature estimate at z, shaped
+        like z: ``model.residual_diagonal`` plus the regularizer's exact
+        diagonal 2*alpha*diag(H).
 
-        Keeps only the residual-Jacobian and regularizer contributions,
-        which is what a diagonal preconditioner needs: the entries span the
-        weight profile's full dynamic range (seven orders at the working
-        parameters) and equilibrating them is what makes the quasi-Newton
-        path converge in the ill-conditioned tail.
+        The residual part squares each term on its own and drops the cross
+        terms, so the sum is not the Gauss-Newton diagonal.  Its entries
+        span the weight profile's full dynamic range (seven orders at the
+        working parameters), and equilibrating them is what makes the
+        quasi-Newton path converge in the ill-conditioned tail.
         """
-        # the cached matrices that the stencil products apply; their
-        # squares are banded too, so they are applied by blocks as well
-        dtm, dxm, dxxm = calculus.diff_matrices(self.grid)
-        dt2 = calculus.BlockedProduct(dtm**2, "right")  # f @ Dt.^2
-        dx2t = calculus.BlockedProduct((dxm**2).T, "left")  # (Dx.^2)^T @ f
-        dxx2t = calculus.BlockedProduct((dxxm**2).T, "left")  # (Dxx.^2)^T @ f
-        u, m = z
-        ux_sq = self.stencils.d_dx(u) ** 2
-        dx2t_w2 = dx2t(self.w2)
-        du = 2.0 * dt2(self.w1) + 2.0 * dxx2t(self.w1)
-        du += 2.0 * dx2t(self.w1 * ux_sq)
-        du += 2.0 * dx2t(m**2 * dx2t_w2)
-        dm = 2.0 * dt2(self.w2) + 2.0 * dxx2t(self.w2)
-        dm += 2.0 * ux_sq * dx2t_w2
-        wx_sq = self.wx_col**2
-        dm += 2.0 * self.kernel**2 * (wx_sq * self.w1.sum(axis=0))
-        dm += 2.0 * self.w1 * self.f**2
+        du, dm = model.residual_diagonal(z[0], z[1], self.w1, self.w2,
+                                         self.spec, self.stencils)
         ct, bx = self.stencils.gram_t.matrix, self.stencils.gram_x.matrix
         reg = 2.0 * self.alpha * (self.wx_col * np.diag(ct) +
                                   np.diag(bx)[:, None] * self.wt_row)
@@ -241,18 +220,8 @@ class Objective:
         g1 *= 2.0  # dJ/dr1 = 2*w1*r1, doubled in place to spare an array
         g2 = self.w2 * ev.r2
         g2 *= 2.0
-        s = self.stencils
-        # Value-equation residual: adjoints of d_dt, d2_dx2, the gradient
-        # square, the interaction integral, and the f*m coupling.
-        gu = (s.d_dt_adjoint(g1) + s.d2_dx2_adjoint(g1) +
-              s.d_dx_adjoint(ev.ux * g1))
-        gm = model.interaction_adjoint(self.kernel, self.grid, g1) + self.f * g1
-        # Density-equation residual: adjoints of d_dt, d2_dx2 and the
-        # flux-form divergence, in both arguments.
-        dxt_g2 = s.d_dx_adjoint(g2)
-        gu += s.d_dx_adjoint(ev.z[1] * dxt_g2)
-        gm += s.d_dt_adjoint(g2) - s.d2_dx2_adjoint(g2) + ev.ux * dxt_g2
-        g = np.stack((gu, gm))
+        g = np.stack(model.residual_adjoint(g1, g2, ev.ux, ev.z[1], self.spec,
+                                            self.stencils))
         g += (2.0 * self.alpha) * ev.h
         if not np.isfinite(g).all():
             raise ValueError("objective gradient is non-finite")
@@ -290,38 +259,6 @@ class Objective:
         return LineQuartic((2.0 * d01, d11 + 2.0 * d02, 2.0 * d12, d22),
                            (math.sqrt(at_z.total), math.sqrt(abs(d11)),
                             math.sqrt(abs(d22))))
-
-
-@dataclass(frozen=True)
-class ConvexityGap:
-    """Bregman gap between two states and its theoretical floor."""
-
-    gap: float
-    floor: float
-
-
-def convexity_probe(z1: np.ndarray, z2: np.ndarray, params: ConvexParams,
-                    spec: ProblemSpec) -> ConvexityGap:
-    """J(z2) - J(z1) - <J'(z1), z2 - z1>, with floor (alpha/2)*|z2 - z1|^2.
-
-    Both states must be (2, nx, nt) arrays on the spec grid and carry
-    identical pinned t=0 data; the strong-convexity comparison is only
-    defined for such pairs.
-    """
-    shape = (2, spec.grid.nx, spec.grid.nt)
-    if z1.shape != shape or z2.shape != shape:
-        raise ValueError("states must share a grid")
-    if not np.array_equal(z1[:, :, 0], z2[:, :, 0]):
-        raise ValueError("states must carry identical pinned initial data")
-    obj = Objective(spec, params)
-    b1 = obj.value_arrays(z1)
-    g = obj.value_and_gradient_arrays(b1)
-    b2 = obj.value_arrays(z2)
-    dz = z2 - z1
-    inner = float(np.sum(g[0] * dz[0]) + np.sum(g[1] * dz[1]))
-    gap = b2.total - b1.total - inner
-    floor = 0.5 * params.alpha * obj._h2_quadratic(dz)
-    return ConvexityGap(gap, floor)
 
 
 def gradient_fd_check(spec: ProblemSpec, params: ConvexParams, seed: int = 7) -> dict:

@@ -7,11 +7,13 @@ iteration steps along is zero there, and every trial state is pinned
 exactly before it is evaluated.  The paper proves global convergence for
 gradient projection on this feasible set; the shipped solver is
 limited-memory BFGS (Nocedal & Wright, Alg. 7.4) with Armijo backtracking
-from a unit step, preconditioned by the Gauss-Newton diagonal at the start
-state.  A trial must also lower J: a tie with J(z) makes no progress,
-however small its step.  The stopping rule is the first-order optimality
-ratio: the norm of the gradient on the free nodes over the full gradient
-norm at the start state.
+from a unit step, preconditioned by the inverse of
+``Objective.hessian_diag`` at the start state.  That diagonal squares each
+residual term on its own and drops the cross terms, so it is a cheap
+curvature estimate, not the Gauss-Newton diagonal.  A trial must also
+lower J: a tie with J(z) makes no progress, however small its step.  The
+stopping rule is the first-order optimality ratio: the norm of the
+gradient on the free nodes over the full gradient norm at the start state.
 
 Each state is evaluated once (``Objective.value_arrays``), and the
 iteration hands that evaluation on: the gradient at an accepted trial is

@@ -2,20 +2,21 @@
 sampler and Fokker-Planck solve: the tests' references for the blocked
 forms in ``Objective.hessian_diag``, ``model.solve_fokker_planck`` and
 ``calculus.h10_norm_gamma``, for the row-wise ``grid.field_from_function``
-and for the once-factored tridiagonal march."""
+and for the once-factored tridiagonal march.  And the residuals' Jacobian
+as a dense matrix, the reference for ``model.residual_adjoint``."""
 
 import math
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from mfg_forecast import calculus
+from mfg_forecast import calculus, model
 from mfg_forecast.grid import Field
 
 
 def hessian_diag_dense(obj, z):
     """``Objective.hessian_diag`` with each stencil square applied densely."""
-    dtm, dxm, dxxm = calculus.diff_matrices(obj.grid)
+    dtm, dxm, dxxm = calculus.diff_matrices(obj.spec.grid)
     dt2, dx2, dxx2 = dtm**2, dxm**2, dxxm**2
     u, m = z
     ux_sq = (dxm @ u) ** 2
@@ -24,12 +25,26 @@ def hessian_diag_dense(obj, z):
     du += 2.0 * (dx2.T @ (m**2 * (dx2.T @ obj.w2)))
     dm = 2.0 * (obj.w2 @ dt2) + 2.0 * (dxx2.T @ obj.w2)
     dm += 2.0 * ux_sq * (dx2.T @ obj.w2)
-    dm += 2.0 * obj.kernel**2 * (obj.wx_col**2 * obj.w1.sum(axis=0))
-    dm += 2.0 * obj.w1 * obj.f**2
+    dm += 2.0 * obj.spec.kernel**2 * (obj.wx_col**2 * obj.w1.sum(axis=0))
+    dm += 2.0 * obj.w1 * obj.spec.f_field.values**2
     ct, bx = obj.stencils.gram_t.matrix, obj.stencils.gram_x.matrix
     reg = 2.0 * obj.alpha * (obj.wx_col * np.diag(ct) +
                              np.diag(bx)[:, None] * obj.wt_row)
     return np.stack((du, dm)) + reg
+
+
+def residual_jacobian_dense(z, spec):
+    """The Jacobian of ``model.residuals`` at the state z, (2 n, 2 n) for n
+    nodes per field: rows R1 then R2, columns u then m, each field in C
+    order.  Column k is (r(z + e_k) - r(z - e_k))/2, which is exact because
+    both residuals are quadratic; the 4 n unit-step states go to
+    ``model.residuals`` as one stack, interaction kernel included."""
+    steps = np.eye(z.size).reshape(z.size, *z.shape)
+    points = np.concatenate((z + steps, z - steps)).swapaxes(0, 1)
+    r1, r2, _ = model.residuals(points[0], points[1], spec,
+                                calculus.stencil_products(spec.grid))
+    r = np.stack((r1, r2), axis=1).reshape(2 * z.size, z.size)
+    return (0.5 * (r[:z.size] - r[z.size:])).T
 
 
 def field_from_function_per_node(grid, g) -> Field:

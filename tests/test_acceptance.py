@@ -16,12 +16,13 @@ from mfg_forecast.carleman import ConvexParams, alpha_min, \
     check_carleman_estimate, check_quasi_carleman, sample_neumann_field
 from mfg_forecast.grid import Field, make_grid
 from mfg_forecast.model import solve_fokker_planck
-from mfg_forecast.objective import convexity_probe, gradient_fd_check
+from mfg_forecast.objective import gradient_fd_check
 from mfg_forecast.optimizer import CONVERGED
 from mfg_forecast.experiments import resolve_config, run_test
 import mfg_forecast.experiments as experiments
 
 from carleman_reference import carleman_terms, quasi_terms, sequential_draws
+from convexity_reference import convexity_probe
 from mass_reference import integrate_x
 
 # Recorded values under the shipped defaults (grid step 0.1, seeds below).

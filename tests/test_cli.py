@@ -94,6 +94,8 @@ def test_run_invalid_parameter_is_numerical_failure(tmp_path):
     ("--d", "nan", "d must be positive, got nan"),
     ("--dx", "nan", "dx must be positive, got nan"),
     ("--dt", "nan", "dt must be positive, got nan"),
+    ("--gamma", "0.05", "gamma=0.05 leaves the recovery window [0, 0.05] with "
+     "fewer than two time nodes"),
     ("--kernel", "nan", "kernel must be finite, got nan"),
     ("--noise", "nan", "noise level must be nonnegative, got nan"),
     ("--noise", "inf", "noise level must be finite, got inf"),

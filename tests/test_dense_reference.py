@@ -3,21 +3,23 @@ formulas: bit for bit on the working grid, where every blocked product is
 the one dense product with the same operand, and to rounding on the
 161x81 refinement grid, where the products take several blocks.  The
 row-wise field sampler and the once-factored Fokker-Planck march against
-their per-node and per-step forms, bit for bit on both grids."""
+their per-node and per-step forms, bit for bit on both grids.  The
+residuals' adjoint against the transpose of their dense Jacobian."""
 
 import numpy as np
 import pytest
 
-from mfg_forecast import experiments
+from mfg_forecast import calculus, experiments, model
 from mfg_forecast.calculus import h10_norm_gamma
 from mfg_forecast.carleman import ConvexParams, sample_neumann_field
 from mfg_forecast.grid import Field, field_from_function, make_grid
-from mfg_forecast.model import build_manufactured_case, manufactured_source, \
-    solve_fokker_planck
+from mfg_forecast.model import build_manufactured_case, make_problem_spec, \
+    manufactured_source, solve_fokker_planck
 from mfg_forecast.objective import Objective
 
 from dense_reference import field_from_function_per_node, h10_norm_gamma_dense, \
-    hessian_diag_dense, solve_fokker_planck_banded, solve_fokker_planck_dense
+    hessian_diag_dense, residual_jacobian_dense, solve_fokker_planck_banded, \
+    solve_fokker_planck_dense
 
 # (step, relative tolerance): 21x11 must match exactly, 161x81 to rounding
 GRIDS = [pytest.param(0.1, 0.0, id="21x11"), pytest.param(0.0125, 1e-13, id="161x81")]
@@ -48,6 +50,27 @@ def test_hessian_diag_matches_dense_formula(step, rtol):
     rng = np.random.default_rng(31)
     z = np.stack([sample_neumann_field(grid, rng) for _ in range(2)])
     _assert_matches(obj.hessian_diag(z), hessian_diag_dense(obj, z), rtol)
+
+
+@pytest.mark.parametrize("dt", [pytest.param(0.1, id="21x11"),
+                                pytest.param(0.05, id="21x21")])
+def test_residual_adjoint_is_the_dense_jacobian_transpose(dt):
+    # every term in play: a nonzero kernel and source, random states and
+    # multipliers, the pinned t = 0 column included
+    grid = make_grid(-1, 1, 1, 0.1, dt, 0.6)
+    rng = np.random.default_rng(33)
+    f = Field(grid, rng.standard_normal((grid.nx, grid.nt)))
+    spec = make_problem_spec(grid, np.zeros(grid.nx), np.zeros(grid.nx), 0.7, f)
+    stencils = calculus.stencil_products(grid)
+    for _ in range(3):
+        z = rng.standard_normal((2, grid.nx, grid.nt))
+        g1, g2 = rng.standard_normal((2, grid.nx, grid.nt))
+        expected = residual_jacobian_dense(z, spec).T @ np.concatenate(
+            (g1.ravel(), g2.ravel()))
+        actual = np.stack(model.residual_adjoint(
+            g1, g2, stencils.d_dx(z[0]), z[1], spec, stencils))
+        err = np.abs(actual.ravel() - expected).max()
+        assert err <= 1e-12 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("step,rtol", GRIDS)

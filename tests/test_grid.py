@@ -31,6 +31,14 @@ def test_gamma_outside_unit_interval_rejected(gamma):
         make_grid(-1, 1, 1, 0.1, 0.1, gamma)
 
 
+def test_recovery_window_needs_two_time_nodes():
+    # gamma*t_max = 0.05 < dt: the window [0, 0.05] would hold t = 0 alone
+    with pytest.raises(ValueError, match=r"gamma=0\.05 .*fewer than two time nodes"):
+        make_grid(-1, 1, 1, 0.1, 0.1, 0.05)
+    assert make_grid(-1, 1, 1, 0.1, 0.1, 0.1).n_t_gamma() == 2
+    assert make_grid(-1, 1, 1, 0.1, 0.05, 0.05).n_t_gamma() == 2
+
+
 def test_degenerate_extents_rejected():
     with pytest.raises(ValueError):
         make_grid(1, -1, 1, 0.1, 0.1, 0.5)

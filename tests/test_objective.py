@@ -5,11 +5,11 @@ from mfg_forecast import calculus, model, objective
 from mfg_forecast.carleman import ConvexParams, sample_neumann_field
 from mfg_forecast.grid import Field, make_grid
 from mfg_forecast.model import make_problem_spec
-from mfg_forecast.objective import Objective, convexity_probe, \
-    gradient_fd_check
+from mfg_forecast.objective import Objective, gradient_fd_check
 from mfg_forecast.optimizer import OptimizerConfig, make_start, minimize
 import mfg_forecast.optimizer as optimizer
 
+from convexity_reference import convexity_probe, h2_quadratic
 from h2_reference import h2_norm_discrete
 
 
@@ -269,7 +269,7 @@ def test_h2_gram_form_matches_norm_oracle(fine_grid, params):
                       for _ in range(2)])
         z += amplitude * rng.standard_normal(z.shape)  # rough, not only smooth
         expected = sum(h2_norm_discrete(Field(fine_grid, f)) ** 2 for f in z)
-        assert obj._h2_quadratic(z) == pytest.approx(expected, rel=1e-12)
+        assert h2_quadratic(obj, z) == pytest.approx(expected, rel=1e-12)
 
 
 def test_hessian_diag_regularizer_matches_four_term_formula(fine_grid, params,

@@ -4,8 +4,9 @@
 
 BASE and HEAD are checkouts of this repository.  The commands are those of
 the canned, refined and verify workloads at shift 0 (``perfbench/workloads.py``
-of HEAD), ``run --test T1_1_extended``, the README lambda sweep and
-``export-case`` of T1_1 and T1_2 on the 161x81 refinement grid.  Each
+of HEAD), ``run --test T1_1_extended``, the README's noise-free T2_2 run,
+lambda sweep and kernel sweep, and ``export-case`` of T1_1 and T1_2 on the
+161x81 refinement grid.  Each
 tree runs them from its own ``src/`` in OUT/base or OUT/head, and each
 command's exit code and printed output go to ``<name>.log`` beside its
 output directory, so they are compared too.  Prints how many files were
@@ -34,8 +35,12 @@ def commands(head: Path) -> list:
     return out + [
         ("run-T1_1_extended", ["run", "--test", "T1_1_extended",
                                "--out", "run-T1_1_extended"]),
+        ("readme-clean", ["run", "--test", "T2_2", "--noise", "0",
+                          "--out", "readme-clean"]),
         ("readme-sweep", ["sweep", "--test", "T1_1", "--param", "lambda",
                           "--values", "1,2,3,4,5", "--out", "readme-sweep"]),
+        ("readme-kernel", ["sweep", "--test", "T2_2", "--param", "kernel",
+                           "--values", "1,-1", "--out", "readme-kernel"]),
     ] + [(f"refined-export-{t}", ["export-case", "--test", t, "--dx", "0.0125",
                                   "--dt", "0.0125", "--out", f"refined-export-{t}"])
          for t in ("T1_1", "T1_2")]
