@@ -180,6 +180,9 @@ def _cmd_sweep(options: dict) -> int:
                              f"write {tag}; give values that differ in the first "
                              "six significant digits")
     base = _overrides_from(options)
+    # the fixed flags are checked once, before anything is written
+    experiments.resolve_config(options["test"],
+                               {k: v for k, v in base.items() if k != param})
     os.makedirs(options["out"], exist_ok=True)
     rows = []
     worst = EXIT_OK

@@ -10,11 +10,12 @@ The residuals of the 1-D working form:
     hjb residual:  u_t + u_xx + (u_x)^2/2 + K * int m(y,t) dy + f*m
     fp residual:   m_t - m_xx + d/dx( m * u_x )
 
-``residuals`` is the one place these two are stated.  The objective, the
+``residuals`` is the one place these two are stated.  The objective (its
+value, and the coloured Jacobian of its preconditioner), the
 relative-cost diagnostic, the manufactured-case builder and the
 manufactured source (-R1/m with f = 0) all call it.  The only other code
-that knows their terms is here too: ``residual_adjoint`` and
-``residual_diagonal``, the objective's gradient and preconditioner parts.
+that knows their terms is here too: ``residual_adjoint``, the adjoint the
+objective's gradient applies.
 
 The whole coupled system is never time-marched: the u-equation is unstable
 forward in time, which is exactly why the convexification route exists.
@@ -130,34 +131,6 @@ def residual_adjoint(g1: np.ndarray, g2: np.ndarray, ux: np.ndarray,
     gu += s.d_dx_adjoint(m * dxt_g2)
     gm += s.d_dt_adjoint(g2) - s.d2_dx2_adjoint(g2) + ux * dxt_g2
     return gu, gm
-
-
-def residual_diagonal(u: np.ndarray, m: np.ndarray, w1: np.ndarray,
-                      w2: np.ndarray, spec: ProblemSpec, stencils):
-    """A diagonal curvature estimate of sum(w1*R1^2 + w2*R2^2) at (u, m),
-    as (du, dm) fields: each term of the residuals' Jacobian squared on its
-    own, the cross terms dropped.  So it is not the Gauss-Newton diagonal
-    diag(2 J^T W J): with the regularizer's block added, about 240 of the
-    420 free entries at random 21x11 states are more than 0.1% away from
-    diag(2 J^T W J + 2 alpha H), some by half.
-    """
-    # the cached matrices that the stencil products apply; their squares
-    # are banded too, so they are applied by blocks as well
-    dtm, dxm, dxxm = calculus.diff_matrices(spec.grid)
-    dt2 = calculus.BlockedProduct(dtm**2, "right")  # f @ Dt.^2
-    dx2t = calculus.BlockedProduct((dxm**2).T, "left")  # (Dx.^2)^T @ f
-    dxx2t = calculus.BlockedProduct((dxxm**2).T, "left")  # (Dxx.^2)^T @ f
-    ux_sq = stencils.d_dx(u) ** 2
-    dx2t_w2 = dx2t(w2)
-    du = 2.0 * dt2(w1) + 2.0 * dxx2t(w1)
-    du += 2.0 * dx2t(w1 * ux_sq)
-    du += 2.0 * dx2t(m**2 * dx2t_w2)
-    dm = 2.0 * dt2(w2) + 2.0 * dxx2t(w2)
-    dm += 2.0 * ux_sq * dx2t_w2
-    wx_sq = calculus.weights_x(spec.grid)[:, None]**2
-    dm += 2.0 * spec.kernel**2 * (wx_sq * w1.sum(axis=0))
-    dm += 2.0 * w1 * spec.f_field.values**2
-    return du, dm
 
 
 def solve_fokker_planck(u: Field, m0: np.ndarray) -> Field:

@@ -25,11 +25,10 @@ norm is a Gram form |f|^2 = <f, H f> with
 
 Both factors are symmetric and banded, and are built once per grid with
 the stencil products (``calculus.stencil_products``).  One H f per field
-serves all three uses: alpha*<f, H f> is the regularizer's value,
-2*alpha*H f its gradient, and 2*alpha*diag(H) its block of the
-preconditioner diagonal.  Each field is applied and reduced on its own
-(one product and one inner product per field), which fixes the order of
-every floating-point sum.
+gives the regularizer's value alpha*<f, H f> and its gradient
+2*alpha*H f; the preconditioner reads its same-time entries off ct and bx.
+Each field is applied and reduced on its own (one product and one inner
+product per field), which fixes the order of every floating-point sum.
 
 The t=0 plane (z[:, :, 0]) holds the given initial data.  The gradient
 here is the full one, column 0 included; the optimizer zeroes that column
@@ -51,21 +50,39 @@ z - p.
 the field axis first, (2, ..., nx, nt), and reduce each term per state;
 the finite-difference oracle evaluates the line points of many directions
 in one such call.
+
+The same exactness gives the Jacobian of the residuals with respect to
+the free nodes (t > 0): (r(z + E) - r(z - E))/2 = J E for any E.  Each
+column reaches the rows within two nodes in x and, through d_dt, the rows
+of its own node at nearby times, so the columns of one field whose nodes
+agree in (i mod 5, j mod 3) touch disjoint rows.  E = 1 on such a colour
+group gives all of its columns at once: 30 groups, two stacked residual
+states each, give the whole Jacobian.  The constant kernel, which couples
+every density node of one time, is left out (evaluated with K = 0).  The
+preconditioner (``hessian_diag``) is the block diagonal, in time, of the
+kernel-free Gauss-Newton matrix 2 (J^T W J + alpha H) at the start state:
+one block per free time slice, unknowns ordered by time, then x, with u
+and m interleaved per node, so that all blocks are one symmetric band of
+half-width 8, factored once by LAPACK.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from mfg_forecast import calculus, model
 from mfg_forecast.carleman import ConvexParams, sample_neumann_field
 from mfg_forecast.model import ProblemSpec
 
 # Nodes per field in one stacked evaluation of the finite-difference oracle
-# (four line points times a chunk of directions); bounds its memory.  Its
+# (four line points times a chunk of directions) and of the coloured
+# Jacobian (two states per colour group); bounds their memory.  Its
 # stack-sized temporaries (64 KiB at most) are small enough that freeing
 # them does not trim the C heap for the next chunk to fault in again: at
 # 16384 a 21x11 check took thousands of minor page faults, here fewer
@@ -75,6 +92,22 @@ FD_STATES = 10  # random states of the finite-difference oracle
 FD_DIRECTIONS = 50  # random unit directions at each state
 
 _PER_STATE = "...ij,...ij->..."  # einsum of <a, b> for each state of a stack
+
+# The Jacobian's colouring: a free column of field f at node (i, j) is in
+# group (f, i % X_COLOURS, j % T_COLOURS).
+X_COLOURS, T_COLOURS = 5, 3
+# The rows a column (i, j) can reach, in each residual: (i + dk, j + dl) for
+# the slots (dk, dl) below.  The first five, at the column's own time, are
+# the x slots; the last four, at its own x, reach other times through d_dt.
+SLOT_DK = np.array([-2, -1, 0, 1, 2, 0, 0, 0, 0])
+SLOT_DL = np.array([0, 0, 0, 0, 0, -2, -1, 1, 2])
+X_REACH = 2  # |dk| of the widest x slot
+X_SLOTS = 2 * X_REACH + 1
+# Half-width of the preconditioner's band.  Two columns of one time share a
+# row only when their nodes are at most 2 * X_REACH apart: u at both ends
+# (through R2's d_dx(m u_x)) are then 8 places apart once u and m are
+# interleaved.  u at i and m at i + 4 would be 9, but share no row.
+BAND_KD = 4 * X_REACH
 
 
 @dataclass(frozen=True)
@@ -125,6 +158,44 @@ class ObjectiveBreakdown:
     r2: np.ndarray = dataclass_field(compare=False, repr=False)
     ux: np.ndarray = dataclass_field(compare=False, repr=False)
     h: np.ndarray = dataclass_field(compare=False, repr=False)  # H z, per field
+
+
+@dataclass(frozen=True)
+class BandFactor:
+    """The preconditioner M^-1: the Cholesky factor of M as a LAPACK lower
+    band (``dpbtrf``), over the free nodes in the band's order."""
+
+    factor: np.ndarray  # (BAND_KD + 1, 2 * nx * (nt - 1)), Fortran order
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """M^-1 v for v shaped like z; zero on the pinned plane t = 0."""
+        b = v[:, :, 1:].transpose(2, 1, 0).reshape(-1)  # time, x, field
+        x, info = dpbtrs(self.factor, b, lower=1, overwrite_b=1)
+        if info:
+            raise np.linalg.LinAlgError(f"dpbtrs failed with info {info}")
+        out = np.zeros_like(v)
+        out[:, :, 1:] = x.reshape(v.shape[2] - 1, v.shape[1], 2).transpose(2, 1, 0)
+        return out
+
+
+@lru_cache(maxsize=None)
+def _colour_groups(nx: int, nt: int) -> tuple:
+    """The non-empty colour groups of the free columns, each as (f, xs, ts,
+    rows, times): its columns are field f at the nodes z[f][xs, ts];
+    ``rows`` (1, n_x, 9) and ``times`` (n_t, 1, 9) index every slot's row in
+    a residual array zero-padded by two nodes on each side."""
+    groups = []
+    for f in range(2):
+        for a in range(X_COLOURS):
+            for b in range(T_COLOURS):
+                i = np.arange(a, nx, X_COLOURS)
+                j = np.arange(b or T_COLOURS, nt, T_COLOURS)  # t > 0 only
+                if i.size and j.size:
+                    groups.append((f, slice(a, None, X_COLOURS),
+                                   slice(j[0], None, T_COLOURS),
+                                   i[None, :, None] + 2 + SLOT_DK,
+                                   j[:, None, None] + 2 + SLOT_DL))
+    return tuple(groups)
 
 
 class Objective:
@@ -195,23 +266,121 @@ class Objective:
                 raise ValueError(f"objective term {name} is non-finite")
         return ObjectiveBreakdown(j1, j2, j3, j1 + j2 + j3, z, r1, r2, ux, h)
 
-    def hessian_diag(self, z: np.ndarray) -> np.ndarray:
-        """The preconditioner's diagonal curvature estimate at z, shaped
-        like z: ``model.residual_diagonal`` plus the regularizer's exact
-        diagonal 2*alpha*diag(H).
+    def _coloured_columns(self, z: np.ndarray, scale=None) -> np.ndarray:
+        """The kernel-free Jacobian of both residuals at z by coloured exact
+        differences, column by column: an array (nt - 1, nx, 2, 2, 9)
+        whose entry [j - 1, i, f, k, s] is dR_k / dz[f, i, j] at the row
+        (i + SLOT_DK[s], j + SLOT_DL[s]), zero where that row is off the
+        grid or does not depend on the node.  ``scale``, shaped like z,
+        multiplies each residual row first.
 
-        The residual part squares each term on its own and drops the cross
-        terms, so the sum is not the Gauss-Newton diagonal.  Its entries
-        span the weight profile's full dynamic range (seven orders at the
-        working parameters), and equilibrating them is what makes the
-        quasi-Newton path converge in the ill-conditioned tail.
+        The groups' states go to ``model.residuals`` in stacks of at most
+        ``FD_STACK_NODES`` nodes per field (one group at least).
         """
-        du, dm = model.residual_diagonal(z[0], z[1], self.w1, self.w2,
-                                         self.spec, self.stencils)
+        grid = self.spec.grid
+        nx, nt = grid.nx, grid.nt
+        spec = dataclasses.replace(self.spec, kernel=0.0)
+        groups = _colour_groups(nx, nt)
+        per_call = max(1, FD_STACK_NODES // (2 * nx * nt))
+        columns = np.zeros((nt - 1, nx, 2, 2, SLOT_DK.size))
+        padded = np.zeros((2, nx + 4, nt + 4))  # one group's J E, zero-bordered
+        for start in range(0, len(groups), per_call):
+            chunk = groups[start:start + per_call]
+            n = len(chunk)
+            e = np.zeros((2, n, nx, nt))
+            for k, (f, xs, ts, _, _) in enumerate(chunk):
+                e[f, k, xs, ts] = 1.0
+            points = np.concatenate((z[:, None] + e, z[:, None] - e), axis=1)
+            r1, r2, _ = model.residuals(points[0], points[1], spec, self.stencils)
+            je = np.stack((0.5 * (r1[:n] - r1[n:]), 0.5 * (r2[:n] - r2[n:])), axis=1)
+            if scale is not None:
+                je *= scale
+            for k, (f, xs, ts, rows, times) in enumerate(chunk):
+                padded[:, 2:-2, 2:-2] = je[k]
+                free_ts = slice(ts.start - 1, None, ts.step)
+                columns[free_ts, xs, f] = np.moveaxis(padded[:, rows, times], 0, 2)
+        # A time slot holds this column's entry where d_dt couples the two
+        # times.  Elsewhere (two steps away, but for the one-sided rows at
+        # t = 0 and t_max) it may hold another column of the group.
+        dtm = np.pad(calculus.diff_matrices(grid)[0], 2)  # zero off the grid
+        j = np.arange(1, nt)[:, None] + 2
+        coupled = dtm[j + SLOT_DL[X_SLOTS:], j] != 0.0  # (nt - 1, 4)
+        columns[..., X_SLOTS:] *= coupled[:, None, None, None, :]
+        return columns
+
+    def jacobian(self, ev: ObjectiveBreakdown):
+        """J0, the kernel-free Jacobian of (R1, R2) with respect to the free
+        nodes (t > 0) at the state ``ev`` evaluated, as a
+        ``scipy.sparse`` CSC matrix.  Rows are R1 then R2, each in C order
+        (those of ``np.stack((r1, r2)).ravel()``); columns are the free
+        nodes in the preconditioner's order: by time, then x, with u and m
+        interleaved per node.
+        """
+        from scipy import sparse  # the runs' path never builds J0 itself
+
+        nx, nt = self.spec.grid.nx, self.spec.grid.nt
+        n_free = 2 * nx * (nt - 1)
+        values = self._coloured_columns(ev.z)
+        j = np.arange(1, nt)[:, None, None, None, None]
+        i = np.arange(nx)[None, :, None, None, None]
+        k = np.arange(2)[None, None, None, :, None]
+        x, t = i + SLOT_DK, j + SLOT_DL
+        rows = np.broadcast_to(k * (nx * nt) + x * nt + t, values.shape)
+        cols = np.broadcast_to(np.arange(n_free).reshape(nt - 1, nx, 2, 1, 1),
+                               values.shape)
+        on_grid = np.broadcast_to((x >= 0) & (x < nx) & (t >= 0) & (t < nt),
+                                  values.shape)
+        return sparse.csc_matrix(
+            (values[on_grid], (rows[on_grid], cols[on_grid])),
+            shape=(2 * nx * nt, n_free))
+
+    def gauss_newton_band(self, z: np.ndarray) -> np.ndarray:
+        """The block diagonal, in time, of the kernel-free Gauss-Newton
+        matrix M = 2 (J0^T W J0 + alpha H) at z, as the LAPACK lower band
+        ab[d, c] = M[c + d, c], d = 0..BAND_KD, over the free nodes in
+        ``jacobian``'s column order (Fortran order, ready for ``dpbtrf``).
+        Entries that would couple two time slices are zero.
+        """
+        nx, nt = self.spec.grid.nx, self.spec.grid.nt
+        # columns of W^(1/2) J0: their products are those of J0^T W J0
+        a = self._coloured_columns(z, np.sqrt(np.stack((self.w1, self.w2))))
+        band = np.zeros((nt - 1, nx, 2, BAND_KD + 1))  # [j - 1, i, f, d]
+        for di in range(min(X_SLOTS, nx)):
+            # columns (i, f) and (i + di, g) of one time share the rows
+            # where slot s of the first is slot s - di of the second
+            if di == 0:
+                block = np.einsum("jifks,jigks->jifg", a, a)
+            else:
+                block = np.einsum("jifks,jigks->jifg", a[:, :nx - di, :, :, di:X_SLOTS],
+                                  a[:, di:, :, :, :X_SLOTS - di])
+            for f in range(2):
+                for g in range(2):
+                    d = 2 * di + g - f
+                    if 0 <= d <= BAND_KD:
+                        band[:, :nx - di, f, d] = block[..., f, g]
+        # H's entries within one time: wx_i ct_jj on the diagonal and
+        # bx[i + di, i] wt_j, per field
         ct, bx = self.stencils.gram_t.matrix, self.stencils.gram_x.matrix
-        reg = 2.0 * self.alpha * (self.wx_col * np.diag(ct) +
-                                  np.diag(bx)[:, None] * self.wt_row)
-        return np.stack((du, dm)) + reg
+        wx, wt = self.wx_col[:, 0, None], self.wt_row[0, 1:, None, None]
+        band[:, :, :, 0] += self.alpha * (np.diag(ct)[1:, None, None] * wx)
+        for di in range(min(X_SLOTS, nx)):
+            off = np.diagonal(bx, -di)[:, None] * wt
+            band[:, :nx - di, :, 2 * di] += self.alpha * off
+        band *= 2.0
+        return band.reshape(-1, BAND_KD + 1).T
+
+    def hessian_diag(self, z: np.ndarray) -> BandFactor:
+        """The L-BFGS preconditioner at z: the block diagonal, in time, of
+        the kernel-free Gauss-Newton matrix (``gauss_newton_band``),
+        factored by Cholesky.  Its blocks carry the weight's full dynamic
+        range and the 1/dx^4 stiffness of d2_dx2 under it.
+        """
+        factor, info = dpbtrf(self.gauss_newton_band(z), lower=1, overwrite_ab=1)
+        if info:
+            raise np.linalg.LinAlgError(
+                f"the Gauss-Newton block preconditioner is not positive definite "
+                f"(dpbtrf info {info})")
+        return BandFactor(factor)
 
     def value_and_gradient_arrays(self, ev: ObjectiveBreakdown) -> np.ndarray:
         """The exact partials of J, one per node value, at the state that

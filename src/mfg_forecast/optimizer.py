@@ -7,11 +7,11 @@ iteration steps along is zero there, and every trial state is pinned
 exactly before it is evaluated.  The paper proves global convergence for
 gradient projection on this feasible set; the shipped solver is
 limited-memory BFGS (Nocedal & Wright, Alg. 7.4) with Armijo backtracking
-from a unit step, preconditioned by the inverse of
-``Objective.hessian_diag`` at the start state.  That diagonal squares each
-residual term on its own and drops the cross terms, so it is a cheap
-curvature estimate, not the Gauss-Newton diagonal.  A trial must also
-lower J: a tie with J(z) makes no progress, however small its step.  The
+from a unit step.  Its fixed initial inverse Hessian H0 (N&W, section 7.2)
+is the inverse of ``Objective.hessian_diag`` at the start state: the
+block diagonal, in time, of the kernel-free Gauss-Newton matrix, applied
+by a banded Cholesky solve.  A trial must also lower J: a tie with J(z)
+makes no progress, however small its step.  The
 stopping rule is the first-order optimality ratio: the norm of the
 gradient on the free nodes over the full gradient norm at the start state.
 
@@ -52,7 +52,10 @@ ARMIJO_C = 1e-4  # sufficient-decrease constant
 QUARTIC_MARGIN = 1e-9
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 60
-LBFGS_MEMORY = 10  # curvature pairs kept
+# Curvature pairs kept.  Over the block preconditioner, T2_1 at noise shifts
+# 0 to 4 took at most 638 iterations with 3 to 5 pairs, up to 1400 with 6
+# or 7, and up to 4379 with 10.
+LBFGS_MEMORY = 5
 
 
 @dataclass(frozen=True)
@@ -137,9 +140,9 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
                               "start state is already stationary")
     g[:, :, 0] = 0.0
 
-    # Fixed diagonal preconditioner from the start state; the weight
-    # profile makes the raw problem too ill-conditioned for plain scaling.
-    h0 = 1.0 / obj.hessian_diag(z)
+    # Fixed preconditioner from the start state; the weight profile makes
+    # the raw problem too ill-conditioned for plain scaling.
+    h0 = obj.hessian_diag(z).solve
 
     pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / (y^T s)), oldest first
     accepted_step, evaluations = 0.0, 0
@@ -160,7 +163,7 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
         slope = inner(p, g)
         if slope >= 0.0:  # not a descent direction; fall back to scaled steepest
             pairs.clear()
-            p = -h0 * g
+            p = -h0(g)
             slope = inner(p, g)
 
         xi = 1.0
@@ -211,14 +214,15 @@ def _quartic_rejects(quartic, xi, threshold) -> bool:
 
 def _two_loop_direction(g, pairs, h0):
     """-H g by the two-loop recursion (Nocedal & Wright, Alg. 7.4) over
-    the stored (s, y, 1 / (y^T s)) pairs, oldest first."""
+    the stored (s, y, 1 / (y^T s)) pairs, oldest first; ``h0`` applies the
+    initial inverse Hessian H0."""
     q = -g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
         a = rho * inner(s, q)
         alphas.append(a)
         q -= a * y
-    q = h0 * q
+    q = h0(q)
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
         q += (a - rho * inner(y, q)) * s
     return q

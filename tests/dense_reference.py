@@ -1,50 +1,80 @@
 """The package's earlier forms of its stencil products, manufactured-field
 sampler and Fokker-Planck solve: the tests' references for the blocked
-forms in ``Objective.hessian_diag``, ``model.solve_fokker_planck`` and
-``calculus.h10_norm_gamma``, for the row-wise ``grid.field_from_function``
-and for the once-factored tridiagonal march.  And the residuals' Jacobian
-as a dense matrix, the reference for ``model.residual_adjoint``."""
+forms in ``model.solve_fokker_planck`` and ``calculus.h10_norm_gamma``,
+for the row-wise ``grid.field_from_function`` and for the once-factored
+tridiagonal march.  The residuals' Jacobian as a dense matrix, the
+reference for ``model.residual_adjoint`` and for the coloured
+``Objective.jacobian``; the H2 Gram matrix from its four terms; and the
+time-slice band of a matrix over the free nodes, the reference layout of
+``Objective.gauss_newton_band``."""
 
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import solve_banded
 
 from mfg_forecast import calculus, model
 from mfg_forecast.grid import Field
+from mfg_forecast.objective import BAND_KD
 
 
-def hessian_diag_dense(obj, z):
-    """``Objective.hessian_diag`` with each stencil square applied densely."""
-    dtm, dxm, dxxm = calculus.diff_matrices(obj.spec.grid)
-    dt2, dx2, dxx2 = dtm**2, dxm**2, dxxm**2
-    u, m = z
-    ux_sq = (dxm @ u) ** 2
-    du = 2.0 * (obj.w1 @ dt2) + 2.0 * (dxx2.T @ obj.w1)
-    du += 2.0 * (dx2.T @ (obj.w1 * ux_sq))
-    du += 2.0 * (dx2.T @ (m**2 * (dx2.T @ obj.w2)))
-    dm = 2.0 * (obj.w2 @ dt2) + 2.0 * (dxx2.T @ obj.w2)
-    dm += 2.0 * ux_sq * (dx2.T @ obj.w2)
-    dm += 2.0 * obj.spec.kernel**2 * (obj.wx_col**2 * obj.w1.sum(axis=0))
-    dm += 2.0 * obj.w1 * obj.spec.f_field.values**2
-    ct, bx = obj.stencils.gram_t.matrix, obj.stencils.gram_x.matrix
-    reg = 2.0 * obj.alpha * (obj.wx_col * np.diag(ct) +
-                             np.diag(bx)[:, None] * obj.wt_row)
-    return np.stack((du, dm)) + reg
+def free_columns(grid) -> np.ndarray:
+    """The flat C-order indices of the free nodes of z (t > 0), in the
+    preconditioner's order: by time, then x, with u and m interleaved."""
+    z = np.arange(2 * grid.nx * grid.nt).reshape(2, grid.nx, grid.nt)
+    return z[:, :, 1:].transpose(2, 1, 0).ravel()
 
 
-def residual_jacobian_dense(z, spec):
+def h2_matrix(grid) -> sparse.csr_matrix:
+    """H of one field, |f|_H2^2 = f^T H f over its C-order nodes, as the sum
+    of its four terms: the trapezoid-weighted squares of f, Dt f, Dx f and
+    Dxx f."""
+    dtm, dxm, dxxm = calculus.diff_matrices(grid)
+    wq = sparse.diags(np.outer(calculus.weights_x(grid),
+                               calculus.weights_t(grid)).ravel())
+    eye_x, eye_t = sparse.identity(grid.nx), sparse.identity(grid.nt)
+    h = wq.copy()
+    for op in (sparse.kron(eye_x, dtm), sparse.kron(dxm, eye_t),
+               sparse.kron(dxxm, eye_t)):
+        h = h + op.T @ wq @ op
+    return h.tocsr()
+
+
+def time_slice_band(matrix, grid) -> np.ndarray:
+    """The block diagonal, in time, of a symmetric matrix over the free
+    nodes in the preconditioner's order, as the LAPACK lower band
+    ab[d, c] = M[c + d, c] with the entries that couple two times zeroed."""
+    m = sparse.csc_matrix(matrix)
+    n, block = m.shape[0], 2 * grid.nx
+    ab = np.zeros((BAND_KD + 1, n))
+    for d in range(BAND_KD + 1):
+        c = np.arange(n - d)
+        same_time = c // block == (c + d) // block
+        ab[d, c[same_time]] = m.diagonal(-d)[same_time]
+    return ab
+
+
+def residual_jacobian_dense(z, spec, columns=None):
     """The Jacobian of ``model.residuals`` at the state z, (2 n, 2 n) for n
     nodes per field: rows R1 then R2, columns u then m, each field in C
-    order.  Column k is (r(z + e_k) - r(z - e_k))/2, which is exact because
-    both residuals are quadratic; the 4 n unit-step states go to
-    ``model.residuals`` as one stack, interaction kernel included."""
-    steps = np.eye(z.size).reshape(z.size, *z.shape)
-    points = np.concatenate((z + steps, z - steps)).swapaxes(0, 1)
-    r1, r2, _ = model.residuals(points[0], points[1], spec,
-                                calculus.stencil_products(spec.grid))
-    r = np.stack((r1, r2), axis=1).reshape(2 * z.size, z.size)
-    return (0.5 * (r[:z.size] - r[z.size:])).T
+    order; only the flat indices ``columns``, when given.  Column k is
+    (r(z + e_k) - r(z - e_k))/2, which is exact because both residuals are
+    quadratic; the unit-step states go to ``model.residuals`` as stacks of
+    at most 128 columns, interaction kernel included."""
+    columns = np.arange(z.size) if columns is None else np.asarray(columns)
+    stencils = calculus.stencil_products(spec.grid)
+    out = np.empty((z.size, columns.size))
+    for start in range(0, columns.size, 128):
+        chunk = columns[start:start + 128]
+        steps = np.zeros((chunk.size, z.size))
+        steps[np.arange(chunk.size), chunk] = 1.0
+        steps = steps.reshape(chunk.size, *z.shape)
+        points = np.concatenate((z + steps, z - steps)).swapaxes(0, 1)
+        r1, r2, _ = model.residuals(points[0], points[1], spec, stencils)
+        r = np.stack((r1, r2), axis=1).reshape(2 * chunk.size, z.size)
+        out[:, start:start + chunk.size] = (0.5 * (r[:chunk.size] - r[chunk.size:])).T
+    return out
 
 
 def field_from_function_per_node(grid, g) -> Field:

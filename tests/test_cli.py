@@ -125,14 +125,16 @@ def test_rerun_bit_identical(tmp_path):
 def test_refined_run_independent_of_blas_thread_count(tmp_path):
     # 101x51: the optimizer's vectors exceed one inner-product chunk and
     # every stencil takes several blocks, so a reduction that BLAS splits
-    # across threads would show in the files
+    # across threads would show in the files.  T1_1 needs 67 steps there,
+    # so the 30-step budget cycles the curvature history (T1_2 converges
+    # in 7)
     src = str(Path(mfg_forecast.__file__).resolve().parents[1])
     outputs = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads_{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-m", "mfg_forecast.cli", "run", "--test", "T1_2",
+            [sys.executable, "-m", "mfg_forecast.cli", "run", "--test", "T1_1",
              "--dx", "0.02", "--dt", "0.02", "--max-iters", "30",
              "--out", str(out)], env=env, capture_output=True, text=True)
         assert proc.returncode == EXIT_NUMERICAL, proc.stderr  # budget
@@ -333,16 +335,42 @@ def test_sweep_takes_a_case_not_kernel_compare(tmp_path, capsys):
 
 
 def test_sweep_with_a_negative_seed_names_it(tmp_path, capsys):
-    # each value's run refuses the seed before it builds anything
+    # the sweep refuses the fixed seed once, before it runs or writes
     out = tmp_path / "s"
     code = main(["sweep", "--test", "T1_2", "--param", "alpha", "--values",
                  "1e-5,1e-4", "--seed", "-1", "--out", str(out)])
     assert code == EXIT_NUMERICAL
     captured = capsys.readouterr()
-    assert captured.err.count("noise seed must be nonnegative, got -1") == 2
-    assert os.listdir(out) == ["sweep_summary.csv"]
-    rows = (out / "sweep_summary.csv").read_text().splitlines()[1:]
-    assert [row.split(",")[1] for row in rows] == ["error", "error"]
+    assert captured.err.count("noise seed must be nonnegative, got -1") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--tol", "nan", "tol must lie in (0, 1), got nan"),
+    ("--gamma", "0.05", "gamma=0.05 leaves the recovery window"),
+])
+def test_sweep_refuses_a_bad_fixed_flag_before_writing(tmp_path, capsys, flag,
+                                                       value, message):
+    # as run does: the out directory stays empty
+    out = tmp_path / "s"
+    out.mkdir()
+    code = main(["sweep", "--test", "T1_2", "--param", "seed", "--values", "1",
+                 flag, value, "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert os.listdir(out) == []
+
+
+def test_sweep_checks_the_fixed_flags_without_the_swept_one(tmp_path):
+    # a fixed --lambda that the swept values replace is not checked
+    out = tmp_path / "s"
+    code = main(["sweep", "--test", "T1_2", "--param", "lambda", "--values", "2",
+                 "--lambda", "60", "--out", str(out)] + FAST)
+    assert code == EXIT_OK
+    assert (out / "lambda_2" / "summary.json").exists()
 
 
 def test_check_gradient_cli(tmp_path):

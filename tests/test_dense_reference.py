@@ -4,10 +4,15 @@ the one dense product with the same operand, and to rounding on the
 161x81 refinement grid, where the products take several blocks.  The
 row-wise field sampler and the once-factored Fokker-Planck march against
 their per-node and per-step forms, bit for bit on both grids.  The
-residuals' adjoint against the transpose of their dense Jacobian."""
+residuals' adjoint and the coloured Jacobian against their dense
+Jacobian, and the preconditioner's band against the time-slice blocks of
+the Gauss-Newton matrix formed from it."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mfg_forecast import calculus, experiments, model
 from mfg_forecast.calculus import h10_norm_gamma
@@ -17,9 +22,9 @@ from mfg_forecast.model import build_manufactured_case, make_problem_spec, \
     manufactured_source, solve_fokker_planck
 from mfg_forecast.objective import Objective
 
-from dense_reference import field_from_function_per_node, h10_norm_gamma_dense, \
-    hessian_diag_dense, residual_jacobian_dense, solve_fokker_planck_banded, \
-    solve_fokker_planck_dense
+from dense_reference import field_from_function_per_node, free_columns, \
+    h2_matrix, h10_norm_gamma_dense, residual_jacobian_dense, \
+    solve_fokker_planck_banded, solve_fokker_planck_dense, time_slice_band
 
 # (step, relative tolerance): 21x11 must match exactly, 161x81 to rounding
 GRIDS = [pytest.param(0.1, 0.0, id="21x11"), pytest.param(0.0125, 1e-13, id="161x81")]
@@ -27,6 +32,7 @@ STEPS = [pytest.param(0.1, id="21x11"), pytest.param(0.0125, id="161x81")]
 # the manufactured cases' u and m0: T1_1's and T1_2's
 CASES = [pytest.param(experiments._u_t11, experiments._m0_t11, id="T1_1"),
          pytest.param(experiments._u_t12, lambda x: 0.5, id="T1_2")]
+PARAMS = ConvexParams(lam=2, c=3, a=1.1, d=1, alpha=1e-5, gamma=0.6, t_max=1)
 
 
 def _grid(step):
@@ -40,16 +46,89 @@ def _assert_matches(actual, expected, rtol):
         np.testing.assert_allclose(actual, expected, rtol=rtol, atol=0)
 
 
-@pytest.mark.parametrize("step,rtol", GRIDS)
-def test_hessian_diag_matches_dense_formula(step, rtol):
+def _kernel_free_case(grid, seed):
+    """A spec with K = 0 and a random source, so that every term of the
+    kernel-free Jacobian is in play, and a random state on it."""
+    rng = np.random.default_rng(seed)
+    f = Field(grid, rng.standard_normal((grid.nx, grid.nt)))
+    spec = make_problem_spec(grid, np.zeros(grid.nx), np.zeros(grid.nx), 0.0, f)
+    return spec, rng.standard_normal((2, grid.nx, grid.nt))
+
+
+@pytest.mark.parametrize("dx,dt", [pytest.param(0.1, 0.1, id="21x11"),
+                                   pytest.param(0.1, 0.05, id="21x21"),
+                                   pytest.param(0.05, 0.05, id="41x21")])
+def test_jacobian_is_the_dense_jacobian(dx, dt):
+    grid = make_grid(-1, 1, 1, dx, dt, 0.6)
+    spec, z = _kernel_free_case(grid, 34)
+    jac = Objective(spec, PARAMS).jacobian(Objective(spec, PARAMS).value_arrays(z))
+    assert isinstance(jac, sparse.csc_matrix)
+    columns = free_columns(grid)
+    assert jac.shape == (z.size, columns.size)
+    worst = scale = 0.0
+    for start in range(0, columns.size, 256):  # dense blocks of columns
+        expected = residual_jacobian_dense(z, spec, columns[start:start + 256])
+        worst = max(worst, np.abs(jac[:, start:start + 256].toarray() - expected).max())
+        scale = max(scale, np.abs(expected).max())
+    assert worst <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("step", STEPS)
+def test_jacobian_gives_the_gradient(step):
+    # with K = 0, 2 J0^T W r + 2 alpha H z is the objective's gradient on the
+    # free nodes
     grid = _grid(step)
+    spec, z = _kernel_free_case(grid, 35)
+    obj = Objective(spec, PARAMS)
+    ev = obj.value_arrays(z)
+    g = obj.value_and_gradient_arrays(ev).ravel()[free_columns(grid)]
+    wr = np.stack((obj.w1 * ev.r1, obj.w2 * ev.r2)).ravel()
+    from_jacobian = (2.0 * (obj.jacobian(ev).T @ wr) +
+                     2.0 * obj.alpha * ev.h.ravel()[free_columns(grid)])
+    assert np.abs(from_jacobian - g).max() <= 1e-13 * np.abs(g).max()
+
+
+@pytest.mark.parametrize("dx,dt", [pytest.param(0.1, 0.1, id="21x11"),
+                                   pytest.param(0.1, 0.05, id="21x21"),
+                                   pytest.param(0.0125, 0.0125, id="161x81")])
+def test_hessian_diag_matches_dense_formula(dx, dt):
+    # the band is the time-slice blocks of 2 (J0^T W J0 + alpha H), the
+    # kernel left out of J0, with J0 the dense unit-vector Jacobian (on the
+    # refinement grid the coloured one, which the test above checks) and H
+    # the sum of its four terms; each entry to 1e-12 of the bound
+    # sqrt(M_cc M_rr) that a positive definite M sets on it
+    grid = make_grid(-1, 1, 1, dx, dt, 0.6)
     case = build_manufactured_case(experiments._u_t11, experiments._m0_t11,
                                    1.0, grid)
-    params = ConvexParams(lam=2, c=3, a=1.1, d=1, alpha=1e-5, gamma=0.6, t_max=1)
-    obj = Objective(case.spec, params)
+    obj = Objective(case.spec, PARAMS)
     rng = np.random.default_rng(31)
     z = np.stack([sample_neumann_field(grid, rng) for _ in range(2)])
-    _assert_matches(obj.hessian_diag(z), hessian_diag_dense(obj, z), rtol)
+    columns = free_columns(grid)
+    if grid.nx * grid.nt < 1000:
+        spec0 = dataclasses.replace(case.spec, kernel=0.0)
+        jac = sparse.csc_matrix(residual_jacobian_dense(z, spec0, columns))
+    else:
+        jac = obj.jacobian(obj.value_arrays(z))
+    w = sparse.diags(np.stack((obj.w1, obj.w2)).ravel())
+    h = sparse.kron(sparse.identity(2), h2_matrix(grid)).tocsr()[columns][:, columns]
+    expected = time_slice_band(2.0 * (jac.T @ w @ jac + PARAMS.alpha * h), grid)
+    band = obj.gauss_newton_band(z)
+    diag = expected[0]
+    for d in range(band.shape[0]):
+        bound = np.sqrt(diag[:diag.size - d] * diag[d:])
+        assert np.all(np.abs(band[d, :diag.size - d] - expected[d, :diag.size - d])
+                      <= 1e-12 * bound)
+        assert not band[d, diag.size - d:].any()  # LAPACK's unused corner
+    # and the factor inverts it: a backward error of a few rounding units
+    v = rng.standard_normal(z.shape)
+    x = obj.hessian_diag(z).solve(v)
+    assert not x[:, :, 0].any()
+    full = sparse.diags([expected[d, :diag.size - d] for d in range(band.shape[0])],
+                        -np.arange(band.shape[0]))
+    full = full + sparse.tril(full, -1).T
+    xf = x.ravel()[columns]
+    residual = np.abs(full @ xf - v.ravel()[columns]).max()
+    assert residual <= 1e-13 * abs(full).sum(axis=1).max() * np.abs(xf).max()
 
 
 @pytest.mark.parametrize("dt", [pytest.param(0.1, id="21x11"),

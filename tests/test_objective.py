@@ -274,20 +274,32 @@ def test_h2_gram_form_matches_norm_oracle(fine_grid, params):
 
 def test_hessian_diag_regularizer_matches_four_term_formula(fine_grid, params,
                                                            residuals_off):
-    # a zero weight profile leaves only the regularizer block in both diagonals
+    # a zero weight profile leaves only the regularizer's time-slice blocks
+    # 2 alpha H in the band: on the diagonal the four terms' squares, off it
+    # the products of the Dx and Dxx columns of two nodes of one field
     spec = make_problem_spec(fine_grid, np.zeros(fine_grid.nx),
                              np.full(fine_grid.nx, 0.5), 1.0)
     obj = Objective(spec, params)
     assert not obj.w1.any() and not obj.w2.any()
     rng = np.random.default_rng(14)
     state = _random_state(fine_grid, rng)
-    diag_u, diag_m = obj.hessian_diag(state)
+    nx, nt = fine_grid.nx, fine_grid.nt
+    band = obj.gauss_newton_band(state).T.reshape(nt - 1, nx, 2, -1)  # [j-1, i, f, d]
     dtm, dxm, dxxm = calculus.diff_matrices(fine_grid)
     wq = np.outer(calculus.weights_x(fine_grid), calculus.weights_t(fine_grid))
     expected = 2.0 * params.alpha * (wq + wq @ dtm**2 + (dxm**2).T @ wq +
                                      (dxxm**2).T @ wq)
-    np.testing.assert_allclose(diag_u, expected, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(diag_m, expected, rtol=1e-12, atol=0)
+    for f in range(2):
+        np.testing.assert_allclose(band[:, :, f, 0], expected[:, 1:].T,
+                                   rtol=1e-12, atol=0)
+    for di in range(1, band.shape[3] // 2 + 1):
+        pair = dxm[:, di:] * dxm[:, :nx - di] + dxxm[:, di:] * dxxm[:, :nx - di]
+        expected = 2.0 * params.alpha * (pair.T @ wq)  # [i, j]: nodes i, i + di
+        for f in range(2):
+            np.testing.assert_allclose(band[:, :nx - di, f, 2 * di],
+                                       expected[:, 1:].T, rtol=1e-12, atol=0)
+            assert not band[:, nx - di:, f, 2 * di].any()
+    assert not band[..., 1::2].any()  # u and m are not coupled by H
 
 
 def test_fd_oracle_reports_a_planted_gradient_error(params, t11_case, monkeypatch):
