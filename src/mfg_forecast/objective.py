@@ -60,10 +60,11 @@ group gives all of its columns at once: 30 groups, two stacked residual
 states each, give the whole Jacobian.  The constant kernel, which couples
 every density node of one time, is left out (evaluated with K = 0).  The
 preconditioner (``hessian_diag``) is the block diagonal, in time, of the
-kernel-free Gauss-Newton matrix 2 (J^T W J + alpha H) at the start state:
-one block per free time slice, unknowns ordered by time, then x, with u
-and m interleaved per node, so that all blocks are one symmetric band of
-half-width 8, factored once by LAPACK.
+kernel-free Gauss-Newton matrix 2 (J^T W J + alpha H) at the state it is
+given (the optimizer builds it at the start and again whenever its steps
+stay short): one block per free time slice, unknowns ordered by time, then
+x, with u and m interleaved per node, so that all blocks are one
+symmetric band of half-width 8, factored by LAPACK.
 """
 
 from __future__ import annotations

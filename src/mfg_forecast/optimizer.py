@@ -7,10 +7,14 @@ iteration steps along is zero there, and every trial state is pinned
 exactly before it is evaluated.  The paper proves global convergence for
 gradient projection on this feasible set; the shipped solver is
 limited-memory BFGS (Nocedal & Wright, Alg. 7.4) with Armijo backtracking
-from a unit step.  Its fixed initial inverse Hessian H0 (N&W, section 7.2)
-is the inverse of ``Objective.hessian_diag`` at the start state: the
-block diagonal, in time, of the kernel-free Gauss-Newton matrix, applied
-by a banded Cholesky solve.  A trial must also lower J: a tie with J(z)
+from a unit step.  Its initial inverse Hessian H0 (N&W, section 7.2) is
+the inverse of ``Objective.hessian_diag``: the block diagonal, in time, of
+the kernel-free Gauss-Newton matrix, applied by a banded Cholesky solve.
+It is built at the start state and rebuilt at the current state after
+SHORT_RUN accepted steps in a row shorter than SHORT_STEP, the sign that
+the blocks have gone stale and the direction is far too long; the
+curvature pairs are kept.  A run of short steps rebuilds once, however
+long it lasts.  A trial must also lower J: a tie with J(z)
 makes no progress, however small its step.  The
 stopping rule is the first-order optimality ratio: the norm of the
 gradient on the free nodes over the full gradient norm at the start state.
@@ -56,6 +60,12 @@ MAX_BACKTRACKS = 60
 # 0 to 4 took at most 638 iterations with 3 to 5 pairs, up to 1400 with 6
 # or 7, and up to 4379 with 10.
 LBFGS_MEMORY = 5
+# H0 is rebuilt when the last SHORT_RUN accepted steps were all shorter
+# than SHORT_STEP.  The canned set's trace rows at noise shifts 0 to 7 fell
+# from 399-1037 with H0 from the start state alone to 345-538; 2 or 5 steps,
+# or a threshold of 1/8, did worse at some shift.
+SHORT_STEP = 0.25
+SHORT_RUN = 3
 
 
 @dataclass(frozen=True)
@@ -87,10 +97,12 @@ class TraceRow(NamedTuple):
 @dataclass
 class IterationTrace:
     rows: list[TraceRow] = dataclass_field(default_factory=list)
+    preconditioner_builds: int = 0  # calls of Objective.hessian_diag
 
     def summary_dict(self) -> dict:
         last = self.rows[-1]
         return {"iterations": len(self.rows),
+                "preconditioner_builds": self.preconditioner_builds,
                 "final_objective": {"j1": last.j1, "j2": last.j2, "j3": last.j3,
                                     "total": last.total},
                 "final_grad_norm": last.grad_norm,
@@ -140,12 +152,14 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
                               "start state is already stationary")
     g[:, :, 0] = 0.0
 
-    # Fixed preconditioner from the start state; the weight profile makes
-    # the raw problem too ill-conditioned for plain scaling.
+    # The weight profile makes the raw problem too ill-conditioned for
+    # plain scaling: H0 is the Gauss-Newton blocks' solve, first at the start.
     h0 = obj.hessian_diag(z).solve
+    trace.preconditioner_builds = 1
 
     pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / (y^T s)), oldest first
     accepted_step, evaluations = 0.0, 0
+    short = 0  # accepted steps in a row shorter than SHORT_STEP
     status, message = BUDGET, "iteration budget exhausted"
     # One row per state, the returned one included: rows = steps + 1.
     for it in range(config.max_iters + 1):
@@ -158,6 +172,10 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
             break
         if it == config.max_iters:
             break
+        if short == SHORT_RUN:  # once per run of short steps
+            h0 = None  # the old factor is freed before the new one is built
+            h0 = obj.hessian_diag(z).solve
+            trace.preconditioner_builds += 1
 
         p = _two_loop_direction(g, pairs, h0)
         slope = inner(p, g)
@@ -204,6 +222,7 @@ def minimize(spec: ProblemSpec, params: ConvexParams,
             pairs.append((s, y, 1.0 / sy))  # evicts the oldest when full
         z, g = z_new, g_new
         accepted_step = xi
+        short = short + 1 if xi < SHORT_STEP else 0
     return MinimizeResult(ev.z, trace, status, message)
 
 

@@ -125,21 +125,24 @@ def test_rerun_bit_identical(tmp_path):
 def test_refined_run_independent_of_blas_thread_count(tmp_path):
     # 101x51: the optimizer's vectors exceed one inner-product chunk and
     # every stencil takes several blocks, so a reduction that BLAS splits
-    # across threads would show in the files.  T1_1 needs 67 steps there,
-    # so the 30-step budget cycles the curvature history (T1_2 converges
-    # in 7)
+    # across threads would show in the files.  T2_1 needs 29 steps there
+    # and rebuilds the preconditioner after the 24th, so the 27-step budget
+    # cycles the curvature history and crosses the rebuild (T1_1 converges
+    # in 13 steps, T1_2 in 7)
     src = str(Path(mfg_forecast.__file__).resolve().parents[1])
     outputs = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads_{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-m", "mfg_forecast.cli", "run", "--test", "T1_1",
-             "--dx", "0.02", "--dt", "0.02", "--max-iters", "30",
+            [sys.executable, "-m", "mfg_forecast.cli", "run", "--test", "T2_1",
+             "--dx", "0.02", "--dt", "0.02", "--max-iters", "27",
              "--out", str(out)], env=env, capture_output=True, text=True)
         assert proc.returncode == EXIT_NUMERICAL, proc.stderr  # budget
         outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert "u_pred.csv" in outputs["1"]
+    summary = json.loads(outputs["1"]["summary.json"])
+    assert summary["iterations"] == 28 and summary["preconditioner_builds"] == 2
     assert outputs["1"] == outputs["2"]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from collections import deque
 
@@ -140,6 +141,7 @@ def test_trace_csv_layout(tmp_path):
         list(report.trace.rows[-1][1:-1])  # 17 digits read back exactly
     summary = report.trace.summary_dict()
     assert summary["iterations"] == len(report.trace.rows)
+    assert summary["preconditioner_builds"] == 1  # steps stay long on T1_2
 
 
 def _rho_checked(two_loop, ascent_at=None):
@@ -189,14 +191,14 @@ def test_lbfgs_run_bit_identical_without_evaluation_reuse(params, monkeypatch):
 
 def test_lbfgs_run_evaluates_each_state_once(params, monkeypatch):
     # one residual evaluation per direct trial plus one at the start; the
-    # gradients make none, each line quartic one, at z - p, and the
-    # preconditioner's coloured Jacobian two: 30 colour groups of two
-    # states, 17 groups per stacked call at 21x11
+    # gradients make none, each line quartic one, at z - p, and each build
+    # of the preconditioner two for its coloured Jacobian: 30 colour groups
+    # of two states, 17 groups per stacked call at 21x11
     cfg = experiments.resolve_config("T2_1", {})
     _, spec, _ = experiments._build_problem("T2_1", cfg)
-    calls = {"value": 0, "residuals": 0, "quartic": 0}
+    calls = {"value": 0, "residuals": 0, "quartic": 0, "builds": 0}
     value_arrays, residuals = Objective.value_arrays, model.residuals
-    line_quartic = Objective.line_quartic
+    line_quartic, hessian_diag = Objective.line_quartic, Objective.hessian_diag
 
     def counted(name, function):
         def wrapped(*args):
@@ -207,10 +209,13 @@ def test_lbfgs_run_evaluates_each_state_once(params, monkeypatch):
     monkeypatch.setattr(Objective, "value_arrays", counted("value", value_arrays))
     monkeypatch.setattr(model, "residuals", counted("residuals", residuals))
     monkeypatch.setattr(Objective, "line_quartic", counted("quartic", line_quartic))
+    monkeypatch.setattr(Objective, "hessian_diag", counted("builds", hessian_diag))
     result = minimize(spec, params, OptimizerConfig(max_iters=400))
     assert calls["value"] == sum(r.evaluations for r in result.trace.rows) + 1
     assert calls["quartic"] > 0
-    assert calls["residuals"] == calls["value"] + calls["quartic"] + 2
+    assert calls["builds"] == result.trace.preconditioner_builds > 1
+    assert calls["residuals"] == \
+        calls["value"] + calls["quartic"] + 2 * calls["builds"]
 
 
 def test_lbfgs_run_unchanged_by_stacked_values(params, monkeypatch):
@@ -333,12 +338,13 @@ def _counted_run(spec, params, config, monkeypatch):
 
 
 def test_line_quartic_skips_trials_without_moving_the_run(params, monkeypatch):
-    # T2_1 backtracks within its first 400 iterations.  Skipping the trials the
-    # quartic rejects must leave every step, row and state as they are when
-    # each trial is evaluated directly, and only save evaluations.
+    # T2_1 backtracks within its first 150 iterations, and needs 183 to
+    # converge.  Skipping the trials the quartic rejects must leave every
+    # step, row and state as they are when each trial is evaluated directly,
+    # and only save evaluations.
     cfg = experiments.resolve_config("T2_1", {})
     _, spec, _ = experiments._build_problem("T2_1", cfg)
-    config = OptimizerConfig(max_iters=400)
+    config = OptimizerConfig(max_iters=150)
     default, default_calls = _counted_run(spec, params, config, monkeypatch)
     monkeypatch.setattr(optimizer, "_quartic_rejects", lambda *args: False)
     direct, direct_calls = _counted_run(spec, params, config, monkeypatch)
@@ -346,7 +352,8 @@ def test_line_quartic_skips_trials_without_moving_the_run(params, monkeypatch):
     def without_evaluations(rows):
         return [r._replace(evaluations=0) for r in rows]
 
-    assert len(default.trace.rows) == 401
+    assert default.status == direct.status == BUDGET
+    assert len(default.trace.rows) == 151
     assert without_evaluations(default.trace.rows) == \
         without_evaluations(direct.trace.rows)
     assert np.array_equal(default.state, direct.state)
@@ -356,3 +363,77 @@ def test_line_quartic_skips_trials_without_moving_the_run(params, monkeypatch):
     assert sum(r.evaluations for r in direct.trace.rows) + 1 == direct_calls
     assert max(r.evaluations for r in direct.trace.rows) >= 3
     assert default_calls < direct_calls
+
+
+def _run_with_builds(spec, params, config, monkeypatch):
+    """minimize, with the trace rows at which it built the preconditioner:
+    each build's state is found by its J, which falls at every step."""
+    totals = []
+    hessian_diag = Objective.hessian_diag
+
+    def recorded(self, z):
+        totals.append(self.value_arrays(z).total)
+        return hessian_diag(self, z)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Objective, "hessian_diag", recorded)
+        result = minimize(spec, params, config)
+    rows = [row.total for row in result.trace.rows]
+    assert len(totals) == result.trace.preconditioner_builds
+    return result, [rows.index(total) for total in totals]
+
+
+def _short_steps(rows):
+    """Per trace row, whether the step that reached it was shorter than
+    SHORT_STEP; row 0 took no step."""
+    return [i > 0 and row.step < optimizer.SHORT_STEP for i, row in enumerate(rows)]
+
+
+def test_preconditioner_built_once_when_steps_stay_long(params, monkeypatch):
+    # T1_2 takes no run of SHORT_RUN short steps, so it builds H0 once, at
+    # the start, and its path is that of H0 from the start state alone
+    cfg = experiments.resolve_config("T1_2", {})
+    _, spec, _ = experiments._build_problem("T1_2", cfg)
+    result, builds = _run_with_builds(spec, params, OptimizerConfig(), monkeypatch)
+    assert builds == [0]
+    assert result.status == CONVERGED
+    assert len(result.trace.rows) == 24
+    monkeypatch.setattr(optimizer, "SHORT_RUN", 10**9)  # never rebuilds
+    fixed = minimize(spec, params, OptimizerConfig())
+    assert result.trace.rows == fixed.trace.rows
+    assert np.array_equal(result.state, fixed.state)
+
+
+def test_preconditioner_rebuilt_right_after_each_short_run(params, monkeypatch):
+    # on T2_1 every rebuild, and only a rebuild, follows exactly SHORT_RUN
+    # accepted steps in a row shorter than SHORT_STEP, at the state they
+    # reached; the returned state's row takes no direction, so no rebuild.
+    # The curvature pairs outlive each rebuild.
+    cfg = experiments.resolve_config("T2_1", {})
+    _, spec, _ = experiments._build_problem("T2_1", cfg)
+    checked = _rho_checked(optimizer._two_loop_direction)
+    monkeypatch.setattr(optimizer, "_two_loop_direction", checked)
+    result, builds = _run_with_builds(spec, params, OptimizerConfig(), monkeypatch)
+    assert result.status == CONVERGED
+    short, n = _short_steps(result.trace.rows), optimizer.SHORT_RUN
+    expected = [r for r in range(n, len(short) - 1)
+                if all(short[r - n + 1:r + 1]) and not short[r - n]]
+    assert builds == [0] + expected
+    assert len(builds) > 3
+    # one direction per step: the history it walked right after each rebuild
+    assert [checked.calls[r] for r in builds[1:]] == \
+        [optimizer.LBFGS_MEMORY] * (len(builds) - 1)
+
+
+def test_long_stall_rebuilds_once_per_short_run(monkeypatch):
+    # T1_1_extended's steps stay short for thousands of iterations: the
+    # rebuild fires once per maximal run of short steps, not once per step
+    cfg = experiments.resolve_config("T1_1_extended", {})
+    _, spec, _ = experiments._build_problem("T1_1_extended", cfg)
+    result, builds = _run_with_builds(spec, experiments.convex_params(cfg),
+                                      OptimizerConfig(max_iters=3000), monkeypatch)
+    assert result.status == BUDGET
+    runs = [len(list(run)) for short, run
+            in itertools.groupby(_short_steps(result.trace.rows)) if short]
+    assert max(runs) > 100 * optimizer.SHORT_RUN
+    assert 1 < len(builds) <= 1 + sum(n >= optimizer.SHORT_RUN for n in runs)
