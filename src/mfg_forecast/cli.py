@@ -9,8 +9,12 @@ Subcommands:
     check-carleman exact weighted-inequality constants over a lambda sweep
     export-case    initial data (and manufactured fields) without optimizing
 
-Values resolve as built-in defaults, then command-line flags.  Removed
-flags are usage errors: --config (a key=value file), check-gradient's
+Values resolve as built-in defaults, then command-line flags.  A command
+takes the flags of the values it reads: run and sweep all fourteen,
+check-gradient all but the stopping rule (--tol, --max-iters), export-case
+the grid and the case data, check-carleman the grid and the weight's
+shift --c.  Any other flag is a usage error, and so is a prefix of a flag.
+So are removed flags: --config (a key=value file), check-gradient's
 --states and --directions (the check always takes 10 states x 50
 directions) and check-carleman's --lambda-min (sweeps start at lambda 1).
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O failure.
@@ -47,6 +51,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse would sys.exit(2); we map usage to 1
         raise UsageError(message)
 
@@ -57,27 +64,34 @@ class RunConfig:
     options: dict
 
 
+_SOLVES = ("run", "sweep")
+_FUNCTIONAL = _SOLVES + ("check-gradient",)
+_CASE = _FUNCTIONAL + ("export-case",)
+_GRID = _CASE + ("check-carleman",)
+
+# flag, option key, type, help, the commands that take it
 _OVERRIDE_FLAGS = (
-    ("--lambda", "lam", float, "weight exponent"),
-    ("--c", "c", float, "weight shift constant"),
-    ("--a", "a", float, "balancing exponent"),
-    ("--d", "d", float, "density-residual weight"),
-    ("--alpha", "alpha", float, "regularization weight"),
-    ("--gamma", "gamma", float, "early-time fraction"),
-    ("--dx", "dx", float, "spatial step"),
-    ("--dt", "dt", float, "temporal step"),
-    ("--t-max", "t_max", float, "time horizon"),
-    ("--noise", "noise", float, "relative noise level"),
-    ("--seed", "seed", int, "noise seed"),
-    ("--kernel", "kernel", float, "constant interaction kernel"),
-    ("--tol", "tol", float, "first-order optimality threshold"),
-    ("--max-iters", "max_iters", int, "iteration budget"),
+    ("--lambda", "lam", float, "weight exponent", _FUNCTIONAL),
+    ("--c", "c", float, "weight shift constant", _FUNCTIONAL + ("check-carleman",)),
+    ("--a", "a", float, "balancing exponent", _FUNCTIONAL),
+    ("--d", "d", float, "density-residual weight", _FUNCTIONAL),
+    ("--alpha", "alpha", float, "regularization weight", _FUNCTIONAL),
+    ("--gamma", "gamma", float, "early-time fraction", _GRID),
+    ("--dx", "dx", float, "spatial step", _GRID),
+    ("--dt", "dt", float, "temporal step", _GRID),
+    ("--t-max", "t_max", float, "time horizon", _GRID),
+    ("--noise", "noise", float, "relative noise level", _CASE),
+    ("--seed", "seed", int, "noise seed", _CASE),
+    ("--kernel", "kernel", float, "constant interaction kernel", _CASE),
+    ("--tol", "tol", float, "first-order optimality threshold", _SOLVES),
+    ("--max-iters", "max_iters", int, "iteration budget", _SOLVES),
 )
 
 
-def _add_override_flags(p: argparse.ArgumentParser) -> None:
-    for flag, dest, typ, help_text in _OVERRIDE_FLAGS:
-        p.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
+def _add_override_flags(p: argparse.ArgumentParser, command: str) -> None:
+    for flag, dest, typ, help_text, commands in _OVERRIDE_FLAGS:
+        if command in commands:
+            p.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
 
 
 def _build_parser() -> _Parser:
@@ -87,7 +101,7 @@ def _build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="run one canned experiment")
     p_run.add_argument("--test", required=True, choices=RUN_IDS)
     p_run.add_argument("--out", required=True, help="output directory")
-    _add_override_flags(p_run)
+    _add_override_flags(p_run, "run")
 
     p_sweep = sub.add_parser("sweep", help="run one test across parameter values")
     p_sweep.add_argument("--test", required=True, choices=tuple(CASES))
@@ -96,14 +110,14 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values, e.g. 1,2,3,4,5")
     p_sweep.add_argument("--out", required=True)
-    _add_override_flags(p_sweep)
+    _add_override_flags(p_sweep, "sweep")
 
     p_grad = sub.add_parser("check-gradient",
                             help="finite-difference gradient verification")
     p_grad.add_argument("--test", default="T1_1", choices=tuple(CASES))
     p_grad.add_argument("--fd-seed", type=int, default=7)
     p_grad.add_argument("--out", required=True, help="output directory")
-    _add_override_flags(p_grad)
+    _add_override_flags(p_grad, "check-gradient")
 
     p_carl = sub.add_parser("check-carleman",
                             help="exact weighted-inequality constants")
@@ -111,13 +125,13 @@ def _build_parser() -> _Parser:
                         help="check the two-test-function variant")
     p_carl.add_argument("--lambda-max", type=int, default=50)
     p_carl.add_argument("--out", required=True, help="output directory")
-    _add_override_flags(p_carl)
+    _add_override_flags(p_carl, "check-carleman")
 
     p_exp = sub.add_parser("export-case",
                            help="write initial data without optimizing")
     p_exp.add_argument("--test", required=True, choices=tuple(CASES))
     p_exp.add_argument("--out", required=True)
-    _add_override_flags(p_exp)
+    _add_override_flags(p_exp, "export-case")
 
     return parser
 
@@ -133,7 +147,7 @@ def parse_config(argv) -> RunConfig:
 
 
 def _overrides_from(options: dict) -> dict:
-    keys = [dest for _, dest, _, _ in _OVERRIDE_FLAGS]
+    keys = [dest for _, dest, _, _, _ in _OVERRIDE_FLAGS]
     return {k: options[k] for k in keys if options.get(k) is not None}
 
 
@@ -147,8 +161,8 @@ def _cmd_run(options: dict) -> int:
               f"kernel -1 {report.minus.status} -> {options['out']}")
         return EXIT_OK if statuses == {CONVERGED} else EXIT_NUMERICAL
     last = report.trace.rows[-1]
-    print(f"{options['test']}: {report.status} after {len(report.trace.rows)} "
-          f"iterations, first-order optimality {last.foo_ratio:.3e} -> "
+    print(f"{options['test']}: {report.status} after {len(report.trace.rows) - 1} "
+          f"steps, first-order optimality {last.foo_ratio:.3e} -> "
           f"{options['out']}")
     return EXIT_OK if report.status == CONVERGED else EXIT_NUMERICAL
 
@@ -157,7 +171,7 @@ def _cmd_sweep(options: dict) -> int:
     param = options["param"].replace("-", "_")
     if param == "lambda":
         param = "lam"
-    flag_types = {dest: typ for _, dest, typ, _ in _OVERRIDE_FLAGS}
+    flag_types = {dest: typ for _, dest, typ, _, _ in _OVERRIDE_FLAGS}
     if param not in flag_types:
         raise UsageError(f"cannot sweep {options['param']!r}; choose from "
                          f"{sorted(flag_types)}")

@@ -29,9 +29,8 @@ from mfg_forecast.model import ManufacturedCase, ProblemSpec, \
 from mfg_forecast.optimizer import IterationTrace, OptimizerConfig, minimize
 
 DEFAULTS = {
-    "x_min": -1.0, "x_max": 1.0, "t_max": 1.0, "dx": 0.1, "dt": 0.1,
-    "gamma": 0.6, "lam": 2.0, "c": 3.0, "a": 1.1, "d": 1.0, "alpha": 1e-5,
-    "kernel": 1.0, "noise": 0.03,
+    "t_max": 1.0, "dx": 0.1, "dt": 0.1, "gamma": 0.6, "lam": 2.0, "c": 3.0,
+    "a": 1.1, "d": 1.0, "alpha": 1e-5, "kernel": 1.0, "noise": 0.03,
     "tol": 1e-5, "max_iters": 20000,
 }
 
@@ -269,7 +268,7 @@ def resolve_config(test_id: str, overrides: dict | None = None) -> dict:
     cfg = dict(DEFAULTS)
     cfg["t_max"] = case.t_max
     cfg["seed"] = case.seed
-    cfg.update(overrides)
+    cfg.update(overrides, x_min=-1.0, x_max=1.0)  # every case's data is on [-1, 1]
     if "c" not in overrides:
         cfg["c"] = max(cfg["c"], min_c(cfg["t_max"]))
     cfg["test_id"] = test_id

@@ -18,6 +18,29 @@ from mfg_forecast.objective import Objective
 FAST = ["--tol", "1e-2", "--max-iters", "300"]
 FLAG = r"(?<![\w-])--[a-z][a-z0-9-]*"
 
+FUNCTIONAL = ["--lambda", "--c", "--a", "--d", "--alpha"]
+GRID = ["--gamma", "--dx", "--dt", "--t-max"]
+CASE_DATA = ["--noise", "--seed", "--kernel"]
+STOPPING = ["--tol", "--max-iters"]
+SUBCOMMAND_FLAGS = {
+    "run": ["--test", "--out", *FUNCTIONAL, *GRID, *CASE_DATA, *STOPPING],
+    "sweep": ["--test", "--param", "--values", "--out", *FUNCTIONAL, *GRID,
+              *CASE_DATA, *STOPPING],
+    "check-gradient": ["--test", "--fd-seed", "--out", *FUNCTIONAL, *GRID,
+                       *CASE_DATA],
+    "check-carleman": ["--quasi", "--lambda-max", "--out", "--c", *GRID],
+    "export-case": ["--test", "--out", *GRID, *CASE_DATA],
+}
+
+
+def _subparsers() -> dict:
+    return next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _flags_of(command: str) -> set:
+    return set(_subparsers()[command]._option_string_actions) - {"-h", "--help"}
+
 
 def test_parse_run_defaults():
     cfg = parse_config(["run", "--test", "T1_1", "--out", "x"])
@@ -61,6 +84,22 @@ def test_run_zero_noise_flag(tmp_path):
     assert cfg["noise"] == 0.0
 
 
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+def test_each_subcommand_takes_exactly_its_flags(command):
+    assert sorted(_flags_of(command)) == sorted(SUBCOMMAND_FLAGS[command])
+
+
+def test_run_prints_steps_and_counts_states(tmp_path, capsys):
+    # the start state is trace row 0: five steps leave six rows, and
+    # summary.json's iterations counts the rows
+    out = tmp_path / "t12"
+    code = main(["run", "--test", "T1_2", "--max-iters", "5", "--tol", "1e-30",
+                 "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().out.startswith("T1_2: budget after 5 steps, ")
+    assert json.loads((out / "summary.json").read_text())["iterations"] == 6
+
+
 def test_run_budget_exhaustion_is_numerical_failure(tmp_path):
     out = tmp_path / "t12b"
     code = main(["run", "--test", "T1_2", "--out", str(out),
@@ -75,13 +114,13 @@ def test_run_invalid_parameter_is_numerical_failure(tmp_path):
     assert code == EXIT_NUMERICAL
 
 
-@pytest.mark.parametrize("command", [
+BAD_VALUE_COMMANDS = [
     ["run", "--test", "T1_2"],
     ["export-case", "--test", "T2_1"],
     ["check-gradient", "--test", "T2_1"],
     ["check-carleman", "--lambda-max", "2"],
-])
-@pytest.mark.parametrize("flag, value, message", [
+]
+BAD_VALUES = [
     ("--tol", "inf", "tol must lie in (0, 1), got inf"),
     ("--tol", "nan", "tol must lie in (0, 1), got nan"),
     ("--lambda", "nan", "lam must be positive, got nan"),
@@ -100,7 +139,16 @@ def test_run_invalid_parameter_is_numerical_failure(tmp_path):
     ("--noise", "nan", "noise level must be nonnegative, got nan"),
     ("--noise", "inf", "noise level must be finite, got inf"),
     ("--seed", "-1", "noise seed must be nonnegative, got -1"),
-])
+]
+
+
+# each bad value on every command that takes its flag
+@pytest.mark.parametrize("command, flag, value, message", [
+    pytest.param(argv, flag, value, message,
+                 id=f"{flag}-{value}-{message}-command{i}")
+    for flag, value, message in BAD_VALUES
+    for i, argv in enumerate(BAD_VALUE_COMMANDS)
+    if flag in SUBCOMMAND_FLAGS[argv[0]]])
 def test_bad_values_exit_2_naming_the_parameter(tmp_path, capsys, command, flag,
                                                 value, message):
     # every command checks the resolved configuration before it writes
@@ -231,7 +279,7 @@ def test_sweep_records_a_failing_value_and_continues(tmp_path, capsys):
 
 
 def test_removed_optimizer_config_keys_are_rejected():
-    for key in ("step0", "method"):
+    for key in ("step0", "method", "x_min", "x_max"):
         with pytest.raises(ValueError, match="unknown override keys"):
             experiments.resolve_config("T1_1", {key: 1.0})
 
@@ -248,6 +296,19 @@ def test_removed_optimizer_config_keys_are_rejected():
     (["check-gradient"], ["--states", "2"]),
     (["check-gradient"], ["--directions", "6"]),
     (["check-carleman"], ["--lambda-min", "1"]),
+    # a prefix of a flag is refused, not read as the flag
+    (["run", "--test", "T1_2"], ["--lam", "2"]),
+    (["run", "--test", "T1_2"], ["--max-it", "3"]),
+] + [
+    # flags a subcommand does not read; check-carleman's --lambda is also a
+    # prefix of its --lambda-max
+    (["check-gradient"], [flag, "3"]) for flag in STOPPING
+] + [
+    (["export-case", "--test", "T2_1"], [flag, "3"])
+    for flag in FUNCTIONAL + STOPPING
+] + [
+    (["check-carleman"], [flag, "3"])
+    for flag in ["--lambda", "--a", "--d", "--alpha", *CASE_DATA, *STOPPING]
 ])
 def test_removed_flags_are_usage_errors(tmp_path, capsys, command, flags):
     out = tmp_path / "x"
@@ -258,20 +319,40 @@ def test_removed_flags_are_usage_errors(tmp_path, capsys, command, flags):
 
 
 def test_readme_flags_are_accepted():
-    # every --flag the README names is an option of some subcommand, apart
-    # from pip's and the removed ones the README lists, which are refused
+    # every --flag the README names is shown with its subcommand: in an
+    # example command, in a code span that starts with the subcommand, or in
+    # the subcommand's row of the flags table, which lists all of its flags.
+    # The subcommand takes each one, apart from those of the "Removed
+    # options" paragraph, which it refuses; the one flag that paragraph
+    # names without a subcommand is refused by all of them
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")
-    removed = set(re.findall(FLAG, next(
-        para for para in readme.split("\n\n") if para.startswith("Removed options"))))
-    assert removed == {"--config", "--states", "--directions", "--lambda-min"}
-    subparsers = next(a for a in _build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction)).choices
-    accepted = {flag for p in subparsers.values() for flag in p._option_string_actions}
-    named = set(re.findall(FLAG, readme)) - removed - {"--no-build-isolation"}
-    assert "--lambda-max" in named
-    assert named - accepted == set()
-    assert removed & accepted == set()
+    taken = {name: _flags_of(name) for name in _subparsers()}
+    parts = readme.split("```")
+    examples = [line.split("#")[0].split()[1:] for block in parts[1::2]
+                for line in block.splitlines() if line.startswith("mfg-forecast ")]
+    assert {command for command, *_ in examples} == set(taken)
+    for command, *args in examples:
+        assert set(re.findall(FLAG, " ".join(args))) <= taken[command], args
+    row = r"^\| `([a-z-]+)` \| `(--[^`]*)` \|$"
+    prose = "".join(parts[0::2])
+    table = {command: set(flags.split())
+             for command, flags in re.findall(row, prose, flags=re.M)}
+    assert table == taken
+    span = re.compile(rf"`((?:{'|'.join(taken)})\s[^`]*)`")
+    removed_seen = False
+    for para in re.sub(row, "", prose, flags=re.M).split("\n\n"):
+        removed = para.startswith("Removed options")
+        removed_seen |= removed
+        for shown in span.findall(para):
+            command, *args = shown.split()
+            flags = set(re.findall(FLAG, " ".join(args)))
+            wrong = flags & taken[command] if removed else flags - taken[command]
+            assert wrong == set(), shown
+        bare = set(re.findall(FLAG, span.sub("", para)))
+        assert bare == ({"--config"} if removed else set()), para
+    assert removed_seen
+    assert all("--config" not in flags for flags in taken.values())
 
 
 @pytest.mark.parametrize("param", ["max_iters", "seed"])
@@ -435,17 +516,6 @@ def test_check_carleman_cli(tmp_path):
         ["constant"] * 3 + ["unresolved"]
     assert payload["reports"][3]["fitted_c"] is None
     assert payload["reports"][3]["pass"] is False
-
-
-def test_check_carleman_output_depends_on_no_seed(tmp_path):
-    # the noise seed is the only seed left on the command; the estimate
-    # never sees the noisy data, so it leaves the output unchanged
-    outs = [tmp_path / "a", tmp_path / "b"]
-    for out, seed in zip(outs, ("1", "2")):
-        assert main(["check-carleman", "--quasi", "--lambda-max", "3", "--seed",
-                     seed, "--out", str(out)]) == EXIT_OK
-    name = "quasi_carleman_sweep.json"
-    assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_check_carleman_quasi_cli(tmp_path):

@@ -5,8 +5,9 @@
 BASE and HEAD are checkouts of this repository.  The commands are those of
 the canned, refined and verify workloads at shift 0 (``perfbench/workloads.py``
 of HEAD), ``run --test T1_1_extended``, the README's noise-free T2_2 run,
-lambda sweep and kernel sweep, and ``export-case`` of T1_1 and T1_2 on the
-161x81 refinement grid.  Each
+lambda sweep and kernel sweep, ``export-case`` of T1_1 and T1_2 on the
+161x81 refinement grid, and ``--help`` of each subcommand (at COLUMNS=100,
+so a change to any command's flags shows).  Each
 tree runs them from its own ``src/`` in OUT/base or OUT/head, and each
 command's exit code and printed output go to ``<name>.log`` beside its
 output directory, so they are compared too.  Prints how many files were
@@ -43,12 +44,14 @@ def commands(head: Path) -> list:
                            "--values", "1,-1", "--out", "readme-kernel"]),
     ] + [(f"refined-export-{t}", ["export-case", "--test", t, "--dx", "0.0125",
                                   "--dt", "0.0125", "--out", f"refined-export-{t}"])
-         for t in ("T1_1", "T1_2")]
+         for t in ("T1_1", "T1_2")] + [
+        (f"help-{c}", [c, "--help"])
+        for c in ("run", "sweep", "check-gradient", "check-carleman", "export-case")]
 
 
 def run_all(tree: Path, out: Path, argvs: list) -> None:
     out.mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), COLUMNS="100")
     for name, argv in argvs:
         proc = subprocess.run([sys.executable, "-m", "mfg_forecast.cli", *argv],
                               cwd=out, env=env, capture_output=True, text=True)
