@@ -53,18 +53,22 @@ in one such call.
 
 The same exactness gives the Jacobian of the residuals with respect to
 the free nodes (t > 0): (r(z + E) - r(z - E))/2 = J E for any E.  Each
-column reaches the rows within two nodes in x and, through d_dt, the rows
-of its own node at nearby times, so the columns of one field whose nodes
-agree in (i mod 5, j mod 3) touch disjoint rows.  E = 1 on such a colour
-group gives all of its columns at once: 30 groups, two stacked residual
-states each, give the whole Jacobian.  The constant kernel, which couples
-every density node of one time, is left out (evaluated with K = 0).  The
+column reaches the rows within two nodes in x at its own time and,
+through d_dt, the rows of its own x up to two times away, so two columns
+of one field share a row only at one time with |di| <= 4, or with
+1 <= |dj| <= 2 and |di| <= 2.  The columns of one field whose nodes agree
+in (i + 3 j) mod 9 therefore touch disjoint rows (a colouring in the
+sense of Curtis, Powell and Reid, 1974).  E = 1 on such a colour group
+gives all of its columns at once: 18 groups, two stacked residual states
+each, give the whole Jacobian.  The constant kernel, which couples every
+density node of one time, is left out (evaluated with K = 0).  The
 preconditioner (``hessian_diag``) is the block diagonal, in time, of the
 kernel-free Gauss-Newton matrix 2 (J^T W J + alpha H) at the state it is
 given (the optimizer builds it at the start and again whenever its steps
 stay short): one block per free time slice, unknowns ordered by time, then
 x, with u and m interleaved per node, so that all blocks are one
-symmetric band of half-width 8, factored by LAPACK.
+symmetric band of half-width 8, factored by LAPACK.  The band takes one
+product per x offset over the columns laid out slot by slot.
 """
 
 from __future__ import annotations
@@ -83,11 +87,11 @@ from mfg_forecast.model import ProblemSpec
 
 # Nodes per field in one stacked evaluation of the finite-difference oracle
 # (four line points times a chunk of directions) and of the coloured
-# Jacobian (two states per colour group); bounds their memory.  Its
-# stack-sized temporaries (64 KiB at most) are small enough that freeing
-# them does not trim the C heap for the next chunk to fault in again: at
-# 16384 a 21x11 check took thousands of minor page faults, here fewer
-# than ten.
+# Jacobian (two states per colour group: 9 of the 18 groups per call at
+# 21x11, one at 161x81); bounds their memory.  Its stack-sized temporaries
+# (64 KiB at most) are small enough that freeing them does not trim the C
+# heap for the next chunk to fault in again: at 16384 a 21x11 check took
+# thousands of minor page faults, here fewer than ten.
 FD_STACK_NODES = 8192
 FD_STATES = 10  # random states of the finite-difference oracle
 FD_DIRECTIONS = 50  # random unit directions at each state
@@ -95,8 +99,11 @@ FD_DIRECTIONS = 50  # random unit directions at each state
 _PER_STATE = "...ij,...ij->..."  # einsum of <a, b> for each state of a stack
 
 # The Jacobian's colouring: a free column of field f at node (i, j) is in
-# group (f, i % X_COLOURS, j % T_COLOURS).
-X_COLOURS, T_COLOURS = 5, 3
+# group (f, (i + SHEAR * j) % COLOURS).  Two columns of one field share a
+# row only at one time with |di| <= 4, or with 1 <= |dj| <= 2 and
+# |di| <= 2; di + 3 dj is then never a multiple of 9 unless both are 0.
+COLOURS, SHEAR = 9, 3
+T_PERIOD = COLOURS // SHEAR  # a colour's period in t at one x
 # The rows a column (i, j) can reach, in each residual: (i + dk, j + dl) for
 # the slots (dk, dl) below.  The first five, at the column's own time, are
 # the x slots; the last four, at its own x, reach other times through d_dt.
@@ -181,22 +188,17 @@ class BandFactor:
 
 @lru_cache(maxsize=None)
 def _colour_groups(nx: int, nt: int) -> tuple:
-    """The non-empty colour groups of the free columns, each as (f, xs, ts,
-    rows, times): its columns are field f at the nodes z[f][xs, ts];
-    ``rows`` (1, n_x, 9) and ``times`` (n_t, 1, 9) index every slot's row in
-    a residual array zero-padded by two nodes on each side."""
-    groups = []
-    for f in range(2):
-        for a in range(X_COLOURS):
-            for b in range(T_COLOURS):
-                i = np.arange(a, nx, X_COLOURS)
-                j = np.arange(b or T_COLOURS, nt, T_COLOURS)  # t > 0 only
-                if i.size and j.size:
-                    groups.append((f, slice(a, None, X_COLOURS),
-                                   slice(j[0], None, T_COLOURS),
-                                   i[None, :, None] + 2 + SLOT_DK,
-                                   j[:, None, None] + 2 + SLOT_DL))
-    return tuple(groups)
+    """The non-empty colour groups of the free columns, as (fields, a).
+
+    Pad the nodes to a lattice of whole periods, node (i, j) =
+    (COLOURS p + a', T_PERIOD q + b): its colour is (a' + SHEAR b) % COLOURS.
+    Group g holds the free nodes of field ``fields[g]`` whose a' is
+    ``a[g, b]`` for their b, three strided sub-lattices.
+    """
+    free = (np.arange(nx)[:, None] + SHEAR * np.arange(1, nt)) % COLOURS
+    colours = np.tile(np.unique(free), 2)
+    fields = np.repeat([0, 1], colours.size // 2)
+    return fields, (colours[:, None] - SHEAR * np.arange(T_PERIOD)) % COLOURS
 
 
 class Objective:
@@ -267,46 +269,74 @@ class Objective:
                 raise ValueError(f"objective term {name} is non-finite")
         return ObjectiveBreakdown(j1, j2, j3, j1 + j2 + j3, z, r1, r2, ux, h)
 
-    def _coloured_columns(self, z: np.ndarray, scale=None) -> np.ndarray:
+    def _coloured_columns(self, z: np.ndarray, factor=0.5) -> np.ndarray:
         """The kernel-free Jacobian of both residuals at z by coloured exact
-        differences, column by column: an array (nt - 1, nx, 2, 2, 9)
-        whose entry [j - 1, i, f, k, s] is dR_k / dz[f, i, j] at the row
-        (i + SLOT_DK[s], j + SLOT_DL[s]), zero where that row is off the
-        grid or does not depend on the node.  ``scale``, shaped like z,
-        multiplies each residual row first.
+        differences, column by column: an array (2, 2, 9, nt - 1, nx),
+        slot-major, whose entry [f, k, s, j - 1, i] is dR_k / dz[f, i, j]
+        at the row (i + SLOT_DK[s], j + SLOT_DL[s]), zero where that row is
+        off the grid or does not depend on the node, times ``factor``.
+        ``factor``, a number or an array shaped like z, multiplies each
+        residual row of r(z + E) - r(z - E): the default gives J E.
 
         The groups' states go to ``model.residuals`` in stacks of at most
-        ``FD_STACK_NODES`` nodes per field (one group at least).
+        ``FD_STACK_NODES`` nodes per field (one group at least), and each
+        stack's columns are gathered at once, on ``_colour_groups``'s
+        lattice.
         """
         grid = self.spec.grid
         nx, nt = grid.nx, grid.nt
         spec = dataclasses.replace(self.spec, kernel=0.0)
-        groups = _colour_groups(nx, nt)
+        fields, a = _colour_groups(nx, nt)
+        n_p, n_q = -(-nx // COLOURS), -(-nt // T_PERIOD)
+        b, slots = np.arange(T_PERIOD), np.arange(SLOT_DK.size)
+        # as few stacks as FD_STACK_NODES allows, of equal size: two of 9
+        # groups at 21x11, not 17 and 1, whose 135 KiB buffer of J E passed
+        # the 128 KiB from which glibc maps an array on its own and raised
+        # the process's peak RSS
         per_call = max(1, FD_STACK_NODES // (2 * nx * nt))
-        columns = np.zeros((nt - 1, nx, 2, 2, SLOT_DK.size))
-        padded = np.zeros((2, nx + 4, nt + 4))  # one group's J E, zero-bordered
-        for start in range(0, len(groups), per_call):
-            chunk = groups[start:start + per_call]
-            n = len(chunk)
-            e = np.zeros((2, n, nx, nt))
-            for k, (f, xs, ts, _, _) in enumerate(chunk):
-                e[f, k, xs, ts] = 1.0
-            points = np.concatenate((z[:, None] + e, z[:, None] - e), axis=1)
+        per_call = -(-fields.size // -(-fields.size // per_call))
+        # the columns on the lattice, [f, k, s, q, b, p, a']; its nodes off
+        # the grid and on the pinned plane hold values that are dropped
+        lattice = np.empty((2, 2, SLOT_DK.size, n_q, T_PERIOD, n_p, COLOURS))
+        # each group's J E, zero-padded by two nodes before and by two or
+        # more after, and a view of its 5 x 5 windows: [g, k, p, a', q, b,
+        # dk + 2, dl + 2] is the row (i + dk, j + dl) of the lattice node (i, j)
+        padded = np.zeros((per_call, 2, COLOURS * n_p + 4,
+                           T_PERIOD * n_q + 4))
+        windows = np.lib.stride_tricks.sliding_window_view(
+            padded, (5, 5), axis=(2, 3)).reshape(
+                padded.shape[0], 2, n_p, COLOURS, n_q, T_PERIOD, 5, 5)
+        for start in range(0, fields.size, per_call):
+            f, ag = fields[start:start + per_call], a[start:start + per_call]
+            n = f.size
+            group = np.arange(n)
+            e = np.zeros((n, n_p, COLOURS, n_q, T_PERIOD))  # [g, p, a', q, b]
+            e[group[:, None], :, ag, :, b] = 1.0
+            e = e.reshape(n, COLOURS * n_p, T_PERIOD * n_q)[:, :nx, :nt]
+            e[:, :, 0] = 0.0  # the pinned plane
+            points = np.empty((2, 2 * n, nx, nt))
+            points[:] = z[:, None]
+            points[f, group] += e
+            points[f, n + group] -= e
             r1, r2, _ = model.residuals(points[0], points[1], spec, self.stencils)
-            je = np.stack((0.5 * (r1[:n] - r1[n:]), 0.5 * (r2[:n] - r2[n:])), axis=1)
-            if scale is not None:
-                je *= scale
-            for k, (f, xs, ts, rows, times) in enumerate(chunk):
-                padded[:, 2:-2, 2:-2] = je[k]
-                free_ts = slice(ts.start - 1, None, ts.step)
-                columns[free_ts, xs, f] = np.moveaxis(padded[:, rows, times], 0, 2)
+            je = padded[:n, :, 2:nx + 2, 2:nt + 2]
+            np.subtract(r1[:n], r1[n:], out=je[:, 0])
+            np.subtract(r2[:n], r2[n:], out=je[:, 1])
+            je *= factor
+            # [g, b, s] pick the group, its sub-lattice and the slot, and
+            # [k, q, p] run over the sub-lattice
+            g, ag, sb = group[:, None, None], ag[:, :, None], b[:, None]
+            lattice[f[:, None, None], :, slots, :, sb, :, ag] = windows[
+                g, :, :, ag, :, sb, SLOT_DK + 2, SLOT_DL + 2].swapaxes(4, 5)
+        columns = lattice.reshape(2, 2, SLOT_DK.size, T_PERIOD * n_q, COLOURS * n_p)
+        columns = columns[:, :, :, 1:nt, :nx]
         # A time slot holds this column's entry where d_dt couples the two
         # times.  Elsewhere (two steps away, but for the one-sided rows at
         # t = 0 and t_max) it may hold another column of the group.
         dtm = np.pad(calculus.diff_matrices(grid)[0], 2)  # zero off the grid
-        j = np.arange(1, nt)[:, None] + 2
-        coupled = dtm[j + SLOT_DL[X_SLOTS:], j] != 0.0  # (nt - 1, 4)
-        columns[..., X_SLOTS:] *= coupled[:, None, None, None, :]
+        j = np.arange(1, nt) + 2
+        coupled = dtm[j + SLOT_DL[X_SLOTS:, None], j] != 0.0  # (4, nt - 1)
+        columns[:, :, X_SLOTS:] *= coupled[:, :, None]
         return columns
 
     def jacobian(self, ev: ObjectiveBreakdown):
@@ -321,14 +351,14 @@ class Objective:
 
         nx, nt = self.spec.grid.nx, self.spec.grid.nt
         n_free = 2 * nx * (nt - 1)
-        values = self._coloured_columns(ev.z)
-        j = np.arange(1, nt)[:, None, None, None, None]
-        i = np.arange(nx)[None, :, None, None, None]
-        k = np.arange(2)[None, None, None, :, None]
-        x, t = i + SLOT_DK, j + SLOT_DL
+        values = self._coloured_columns(ev.z)  # [f, k, s, j - 1, i]
+        f = np.arange(2)[:, None, None, None, None]
+        k = np.arange(2)[:, None, None, None]
+        j = np.arange(1, nt)[:, None]
+        i = np.arange(nx)
+        x, t = i + SLOT_DK[:, None, None], j + SLOT_DL[:, None, None]
         rows = np.broadcast_to(k * (nx * nt) + x * nt + t, values.shape)
-        cols = np.broadcast_to(np.arange(n_free).reshape(nt - 1, nx, 2, 1, 1),
-                               values.shape)
+        cols = np.broadcast_to(2 * ((j - 1) * nx + i) + f, values.shape)
         on_grid = np.broadcast_to((x >= 0) & (x < nx) & (t >= 0) & (t < nt),
                                   values.shape)
         return sparse.csc_matrix(
@@ -344,21 +374,23 @@ class Objective:
         """
         nx, nt = self.spec.grid.nx, self.spec.grid.nt
         # columns of W^(1/2) J0: their products are those of J0^T W J0
-        a = self._coloured_columns(z, np.sqrt(np.stack((self.w1, self.w2))))
+        # (halving is exact, so the 1/2 of J E may join the weight)
+        a = self._coloured_columns(z, 0.5 * np.sqrt(np.stack((self.w1, self.w2))))
         band = np.zeros((nt - 1, nx, 2, BAND_KD + 1))  # [j - 1, i, f, d]
         for di in range(min(X_SLOTS, nx)):
             # columns (i, f) and (i + di, g) of one time share the rows
             # where slot s of the first is slot s - di of the second
             if di == 0:
-                block = np.einsum("jifks,jigks->jifg", a, a)
+                block = np.einsum("fksji,gksji->jifg", a, a)
             else:
-                block = np.einsum("jifks,jigks->jifg", a[:, :nx - di, :, :, di:X_SLOTS],
-                                  a[:, di:, :, :, :X_SLOTS - di])
+                block = np.einsum("fksji,gksji->jifg", a[:, :, di:X_SLOTS, :, :nx - di],
+                                  a[:, :, :X_SLOTS - di, :, di:])
             for f in range(2):
                 for g in range(2):
                     d = 2 * di + g - f
                     if 0 <= d <= BAND_KD:
                         band[:, :nx - di, f, d] = block[..., f, g]
+            del block  # freed before the next offset's product
         # H's entries within one time: wx_i ct_jj on the diagonal and
         # bx[i + di, i] wt_j, per field
         ct, bx = self.stencils.gram_t.matrix, self.stencils.gram_x.matrix

@@ -112,7 +112,7 @@ def test_criterion_06_extended_time_blowup_shape():
     # The diagnostic shape holds at every budget from 500 iterations on
     # (late/mid 3e4 to 7e5, mid min 1.4 to 2.5 against an early mean of
     # 8.9 at 500 to 4000).  The run is at a relative optimality of 5e-5
-    # after 4000 iterations and reaches 1e-5 only after 19700, a limit of
+    # after 4000 iterations and reaches 1e-5 only after 19845, a limit of
     # the L-BFGS optimizer on the doubled weight range: a
     # Gauss-Newton-then-Newton solver ("switch" in ROADMAP.md) passes that
     # ratio, but stalls at 3.5e-8 and takes more than 300 steps without

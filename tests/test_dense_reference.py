@@ -73,6 +73,72 @@ def test_jacobian_is_the_dense_jacobian(dx, dt):
     assert worst <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("nx,nt", [pytest.param(nx, nt, id=f"{nx}x{nt}")
+                                   for nx in range(3, 13)
+                                   for nt in (3, 4, 5, 6, 7, 8, 11)])
+def test_jacobian_is_the_dense_jacobian_on_small_grids(nx, nt):
+    # grids narrower than a colour's period in x, and as short as three
+    # times, where the one-sided time rows reach two steps: every column
+    # equals its own unit-vector difference
+    grid = make_grid(-1, 1, 1, 2 / (nx - 1), 1 / (nt - 1), 0.9)
+    spec, z = _kernel_free_case(grid, 36)
+    obj = Objective(spec, PARAMS)
+    jac = obj.jacobian(obj.value_arrays(z)).toarray()
+    assert np.array_equal(jac, residual_jacobian_dense(z, spec, free_columns(grid)))
+
+
+def _colour_groups_of_a_build(obj, z, monkeypatch):
+    """The perturbation E of each colour group, as a boolean (2, nx, nt)
+    mask, read off the states z + E and z - E that one preconditioner build
+    at z hands to ``model.residuals``; and the number of those calls."""
+    groups, calls, residuals = [], [], model.residuals
+
+    def recorded(u, m, spec, stencils):
+        calls.append(1)
+        n = u.shape[0] // 2
+        e = 0.5 * (np.stack((u[:n], m[:n])) - np.stack((u[n:], m[n:])))
+        assert np.all((np.abs(e) < 1e-9) | (np.abs(e - 1.0) < 1e-9))
+        groups.extend(np.swapaxes(e > 0.5, 0, 1))
+        return residuals(u, m, spec, stencils)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(model, "residuals", recorded)
+        obj.hessian_diag(z)
+    return groups, len(calls)
+
+
+@pytest.mark.parametrize("step,calls", [pytest.param(0.1, 2, id="21x11"),
+                                        pytest.param(0.0125, 18, id="161x81")])
+def test_colour_groups_partition_the_free_nodes(step, calls, monkeypatch):
+    # 18 groups, (f, (i + 3 j) mod 9), each perturbing one field; together
+    # they cover every free node of each field once and no pinned node.
+    # Two stacked calls of 9 groups at 21x11, one group per call at 161x81.
+    grid = _grid(step)
+    spec, z = _kernel_free_case(grid, 37)
+    groups, calls_made = _colour_groups_of_a_build(Objective(spec, PARAMS), z,
+                                                   monkeypatch)
+    assert calls_made == calls
+    assert len(groups) == 18
+    assert all(e[0].any() != e[1].any() for e in groups)  # one field each
+    cover = np.sum(groups, axis=0)
+    assert not cover[:, :, 0].any()
+    assert np.all(cover[:, :, 1:] == 1)
+
+
+@pytest.mark.parametrize("nx,nt", [pytest.param(21, 11, id="21x11"),
+                                   pytest.param(21, 21, id="21x21"),
+                                   pytest.param(8, 3, id="8x3")])
+def test_colour_groups_share_no_row(nx, nt, monkeypatch):
+    # no two columns of one group have a nonzero in the same row of the
+    # dense kernel-free Jacobian, so J E gives each of them apart
+    grid = make_grid(-1, 1, 1, 2 / (nx - 1), 1 / (nt - 1), 0.9)
+    spec, z = _kernel_free_case(grid, 38)
+    nonzero = residual_jacobian_dense(z, spec) != 0.0
+    groups, _ = _colour_groups_of_a_build(Objective(spec, PARAMS), z, monkeypatch)
+    for e in groups:
+        assert nonzero[:, e.ravel()].sum(axis=1).max() == 1
+
+
 @pytest.mark.parametrize("step", STEPS)
 def test_jacobian_gives_the_gradient(step):
     # with K = 0, 2 J0^T W r + 2 alpha H z is the objective's gradient on the

@@ -192,8 +192,8 @@ def test_lbfgs_run_bit_identical_without_evaluation_reuse(params, monkeypatch):
 def test_lbfgs_run_evaluates_each_state_once(params, monkeypatch):
     # one residual evaluation per direct trial plus one at the start; the
     # gradients make none, each line quartic one, at z - p, and each build
-    # of the preconditioner two for its coloured Jacobian: 30 colour groups
-    # of two states, 17 groups per stacked call at 21x11
+    # of the preconditioner two for its coloured Jacobian: 18 colour groups
+    # of two states, 9 groups per stacked call at 21x11
     cfg = experiments.resolve_config("T2_1", {})
     _, spec, _ = experiments._build_problem("T2_1", cfg)
     calls = {"value": 0, "residuals": 0, "quartic": 0, "builds": 0}
