@@ -58,6 +58,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Subcommand(_Parser):
+    """A subcommand's parser, which adds its flags (``_add_flags``) when it
+    first parses a command line or is asked to ``build``: a command line
+    builds the flags of the one subcommand it names."""
+
+    def __init__(self, command: str, **kwargs):
+        super().__init__(**kwargs)
+        self._unbuilt = command
+
+    def build(self) -> None:
+        if self._unbuilt is not None:
+            command, self._unbuilt = self._unbuilt, None
+            _add_flags(self, command)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.build()
+        return super().parse_known_args(args, namespace)
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -94,45 +113,49 @@ def _add_override_flags(p: argparse.ArgumentParser, command: str) -> None:
             p.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
 
 
+_HELP = {
+    "run": "run one canned experiment",
+    "sweep": "run one test across parameter values",
+    "check-gradient": "finite-difference gradient verification",
+    "check-carleman": "exact weighted-inequality constants",
+    "export-case": "write initial data without optimizing",
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """The flags of one subcommand: its own, then the overrides it reads."""
+    if command == "run":
+        p.add_argument("--test", required=True, choices=RUN_IDS)
+        p.add_argument("--out", required=True, help="output directory")
+    elif command == "sweep":
+        p.add_argument("--test", required=True, choices=tuple(CASES))
+        p.add_argument("--param", required=True,
+                       help="override key to sweep (e.g. lambda, alpha, noise)")
+        p.add_argument("--values", required=True,
+                       help="comma-separated values, e.g. 1,2,3,4,5")
+        p.add_argument("--out", required=True)
+    elif command == "check-gradient":
+        p.add_argument("--test", default="T1_1", choices=tuple(CASES))
+        p.add_argument("--fd-seed", type=int, default=7)
+        p.add_argument("--out", required=True, help="output directory")
+    elif command == "check-carleman":
+        p.add_argument("--quasi", action="store_true",
+                       help="check the two-test-function variant")
+        p.add_argument("--lambda-max", type=int, default=50)
+        p.add_argument("--out", required=True, help="output directory")
+    else:  # export-case
+        p.add_argument("--test", required=True, choices=tuple(CASES))
+        p.add_argument("--out", required=True)
+    _add_override_flags(p, command)
+
+
 def _build_parser() -> _Parser:
+    """The top-level parser; each subcommand adds its flags when it parses
+    (``_Subcommand``)."""
     parser = _Parser(prog="mfg-forecast", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
-
-    p_run = sub.add_parser("run", help="run one canned experiment")
-    p_run.add_argument("--test", required=True, choices=RUN_IDS)
-    p_run.add_argument("--out", required=True, help="output directory")
-    _add_override_flags(p_run, "run")
-
-    p_sweep = sub.add_parser("sweep", help="run one test across parameter values")
-    p_sweep.add_argument("--test", required=True, choices=tuple(CASES))
-    p_sweep.add_argument("--param", required=True,
-                         help="override key to sweep (e.g. lambda, alpha, noise)")
-    p_sweep.add_argument("--values", required=True,
-                         help="comma-separated values, e.g. 1,2,3,4,5")
-    p_sweep.add_argument("--out", required=True)
-    _add_override_flags(p_sweep, "sweep")
-
-    p_grad = sub.add_parser("check-gradient",
-                            help="finite-difference gradient verification")
-    p_grad.add_argument("--test", default="T1_1", choices=tuple(CASES))
-    p_grad.add_argument("--fd-seed", type=int, default=7)
-    p_grad.add_argument("--out", required=True, help="output directory")
-    _add_override_flags(p_grad, "check-gradient")
-
-    p_carl = sub.add_parser("check-carleman",
-                            help="exact weighted-inequality constants")
-    p_carl.add_argument("--quasi", action="store_true",
-                        help="check the two-test-function variant")
-    p_carl.add_argument("--lambda-max", type=int, default=50)
-    p_carl.add_argument("--out", required=True, help="output directory")
-    _add_override_flags(p_carl, "check-carleman")
-
-    p_exp = sub.add_parser("export-case",
-                           help="write initial data without optimizing")
-    p_exp.add_argument("--test", required=True, choices=tuple(CASES))
-    p_exp.add_argument("--out", required=True)
-    _add_override_flags(p_exp, "export-case")
-
+    sub = parser.add_subparsers(dest="command", parser_class=_Subcommand)
+    for command, help_text in _HELP.items():
+        sub.add_parser(command, help=help_text, command=command)
     return parser
 
 

@@ -105,7 +105,8 @@ def residuals(u: np.ndarray, m: np.ndarray, spec: ProblemSpec, stencils):
     r1 = stencils.d_dt(u)  # summed in place, in a + b + c order: fewer temporaries
     r1 += stencils.d2_dx2(u)
     r1 += 0.5 * ux * ux
-    r1 += apply_interaction(spec.kernel, spec.grid, m)
+    if spec.kernel:  # a zero kernel adds a zero row
+        r1 += apply_interaction(spec.kernel, spec.grid, m)
     r1 += spec.f_field.values * m
     r2 = stencils.d_dt(m)
     r2 -= stencils.d2_dx2(m)

@@ -27,8 +27,9 @@ Both factors are symmetric and banded, and are built once per grid with
 the stencil products (``calculus.stencil_products``).  One H f per field
 gives the regularizer's value alpha*<f, H f> and its gradient
 2*alpha*H f; the preconditioner reads its same-time entries off ct and bx.
-Each field is applied and reduced on its own (one product and one inner
-product per field), which fixes the order of every floating-point sum.
+Each factor is applied once to the stacked fields, and each field is
+reduced on its own (one inner product per field), which fixes the order of
+every floating-point sum.
 
 The t=0 plane (z[:, :, 0]) holds the given initial data.  The gradient
 here is the full one, column 0 included; the optimizer zeroes that column
@@ -52,15 +53,20 @@ the finite-difference oracle evaluates the line points of many directions
 in one such call.
 
 The same exactness gives the Jacobian of the residuals with respect to
-the free nodes (t > 0): (r(z + E) - r(z - E))/2 = J E for any E.  Each
-column reaches the rows within two nodes in x at its own time and,
-through d_dt, the rows of its own x up to two times away, so two columns
-of one field share a row only at one time with |di| <= 4, or with
-1 <= |dj| <= 2 and |di| <= 2.  The columns of one field whose nodes agree
-in (i + 3 j) mod 9 therefore touch disjoint rows (a colouring in the
-sense of Curtis, Powell and Reid, 1974).  E = 1 on such a colour group
-gives all of its columns at once: 18 groups, two stacked residual states
-each, give the whole Jacobian.  The constant kernel, which couples every
+the free nodes (t > 0): (r(z + E) - r(z - E))/2 = J E for any E.  A
+column reaches rows within two nodes in x at its own time and, through
+d_dt, rows of its own x up to two times away; which of these slots each
+field reaches in each residual is read off ``model.residuals`` once
+(``_reach``): u reaches x -1..+1 and t +-1 in R1 and x -2, 0, +2 in R2,
+m its own node in R1 and x -1..+1 and t +-1 in R2, and both reach t +-2
+where a one-sided row of t = 0 or t_max does.  So two columns of one
+field share a row only at one time with |di| <= 4, or with
+1 <= |dj| <= 2 and |di| <= 1, and the columns of one field whose nodes
+agree in (i + 2 j) mod 6 touch disjoint rows in the slots their field
+reaches (a colouring in the sense of Curtis, Powell and Reid, 1974).
+E = 1 on such a colour group gives all of its columns at once, read from
+those slots only: 12 groups, two stacked residual states each, give the
+whole Jacobian.  The constant kernel, which couples every
 density node of one time, is left out (evaluated with K = 0).  The
 preconditioner (``hessian_diag``) is the block diagonal, in time, of the
 kernel-free Gauss-Newton matrix 2 (J^T W J + alpha H) at the state it is
@@ -83,15 +89,16 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from mfg_forecast import calculus, model
 from mfg_forecast.carleman import ConvexParams, sample_neumann_field
+from mfg_forecast.grid import Field, make_grid
 from mfg_forecast.model import ProblemSpec
 
 # Nodes per field in one stacked evaluation of the finite-difference oracle
 # (four line points times a chunk of directions) and of the coloured
-# Jacobian (two states per colour group: 9 of the 18 groups per call at
-# 21x11, one at 161x81); bounds their memory.  Its stack-sized temporaries
-# (64 KiB at most) are small enough that freeing them does not trim the C
-# heap for the next chunk to fault in again: at 16384 a 21x11 check took
-# thousands of minor page faults, here fewer than ten.
+# Jacobian (two states per colour group: all 12 groups in one call at
+# 21x11, one per call at 161x81); bounds their memory.  Its stack-sized
+# temporaries (64 KiB at most) are small enough that freeing them does not
+# trim the C heap for the next chunk to fault in again: at 16384 a 21x11
+# check took thousands of minor page faults, here fewer than ten.
 FD_STACK_NODES = 8192
 FD_STATES = 10  # random states of the finite-difference oracle
 FD_DIRECTIONS = 50  # random unit directions at each state
@@ -99,16 +106,18 @@ FD_DIRECTIONS = 50  # random unit directions at each state
 _PER_STATE = "...ij,...ij->..."  # einsum of <a, b> for each state of a stack
 
 # The Jacobian's colouring: a free column of field f at node (i, j) is in
-# group (f, (i + SHEAR * j) % COLOURS).  Two columns of one field share a
-# row only at one time with |di| <= 4, or with 1 <= |dj| <= 2 and
-# |di| <= 2; di + 3 dj is then never a multiple of 9 unless both are 0.
-COLOURS, SHEAR = 9, 3
+# group (f, (i + SHEAR * j) % COLOURS).  In the slots its field reaches
+# (``_reach``), two columns of one field share a row only at one time with
+# |di| <= 4, or with 1 <= |dj| <= 2 and |di| <= 1; di + 2 dj is then never a
+# multiple of 6 unless both are 0.
+COLOURS, SHEAR = 6, 2
 T_PERIOD = COLOURS // SHEAR  # a colour's period in t at one x
 # The rows a column (i, j) can reach, in each residual: (i + dk, j + dl) for
 # the slots (dk, dl) below.  The first five, at the column's own time, are
 # the x slots; the last four, at its own x, reach other times through d_dt.
 SLOT_DK = np.array([-2, -1, 0, 1, 2, 0, 0, 0, 0])
 SLOT_DL = np.array([0, 0, 0, 0, 0, -2, -1, 1, 2])
+FAR_SLOTS = np.flatnonzero(np.abs(SLOT_DL) == 2)  # reached from t = 0 and t_max
 X_REACH = 2  # |dk| of the widest x slot
 X_SLOTS = 2 * X_REACH + 1
 # Half-width of the preconditioner's band.  Two columns of one time share a
@@ -201,6 +210,37 @@ def _colour_groups(nx: int, nt: int) -> tuple:
     return fields, (colours[:, None] - SHEAR * np.arange(T_PERIOD)) % COLOURS
 
 
+@lru_cache(maxsize=None)
+def _reach() -> np.ndarray:
+    """The slots each field reaches in each residual: a boolean (2, 2, 9)
+    array, [f, k, s] true where R_k at the row (i + SLOT_DK[s], j +
+    SLOT_DL[s]) depends on z[f, i, j].
+
+    Read off ``model.residuals`` itself, by one exact difference per field
+    at the middle node of a 7 x 7 grid, at a random state with a nonzero
+    source and no kernel.  A middle row's d_dt reaches one time each way;
+    the one-sided rows at t = 0 and t_max reach two, so the two-step time
+    slots open with the one-step ones (``_coloured_columns`` keeps them
+    only where d_dt couples the two times).
+    """
+    n = 2 * X_REACH + 3
+    grid = make_grid(0.0, n - 1.0, n - 1.0, 1.0, 1.0, 0.5)
+    rng = np.random.default_rng(0)
+    source = Field(grid, rng.uniform(1.0, 2.0, (n, n)))
+    spec = model.make_problem_spec(grid, np.zeros(n), np.zeros(n), 0.0, source)
+    e = np.zeros((2, 2, n, n))  # [perturbed field, field, i, j]
+    e[[0, 1], [0, 1], n // 2, n // 2] = 1.0
+    z = rng.uniform(1.0, 2.0, (2, n, n))
+    points = np.concatenate((z + e, z - e)).swapaxes(0, 1)
+    r1, r2, _ = model.residuals(points[0], points[1], spec,
+                                calculus.stencil_products(grid))
+    je = np.stack((r1[:2] - r1[2:], r2[:2] - r2[2:]), axis=1)  # [f, k, i, j]
+    reach = je[:, :, n // 2 + SLOT_DK, n // 2 + SLOT_DL] != 0.0
+    reach[:, :, FAR_SLOTS] = reach[:, :, FAR_SLOTS - np.sign(SLOT_DL[FAR_SLOTS])]
+    reach.setflags(write=False)
+    return reach
+
+
 class Objective:
     """Evaluator bound to one problem and one parameter set.
 
@@ -231,14 +271,13 @@ class Objective:
 
     def _h2_apply(self, z: np.ndarray) -> np.ndarray:
         """H f for each field f of z, so that |f|_H2^2 = <f, H f> and its
-        gradient is 2 H f."""
-        h = np.empty_like(z)
-        for f, hf in zip(z, h):
-            np.multiply(self.wx_col, self.stencils.gram_t(f), out=hf)
-            t = self.stencils.gram_x(f)  # scaled and added in place
-            t *= self.wt_row
-            hf += t
-            del t  # freed before the next field's products
+        gradient is 2 H f; both factors are applied to the stacked fields
+        at once."""
+        h = self.stencils.gram_t(z)  # scaled and summed in place
+        h *= self.wx_col
+        t = self.stencils.gram_x(z)
+        t *= self.wt_row
+        h += t
         return h
 
     # -- public evaluations ---------------------------------------------
@@ -280,24 +319,27 @@ class Objective:
 
         The groups' states go to ``model.residuals`` in stacks of at most
         ``FD_STACK_NODES`` nodes per field (one group at least), and each
-        stack's columns are gathered at once, on ``_colour_groups``'s
-        lattice.
+        stack's columns are gathered at once per field, on
+        ``_colour_groups``'s lattice, from the slots ``_reach`` opens.
         """
         grid = self.spec.grid
         nx, nt = grid.nx, grid.nt
         spec = dataclasses.replace(self.spec, kernel=0.0)
         fields, a = _colour_groups(nx, nt)
+        reach = _reach()
         n_p, n_q = -(-nx // COLOURS), -(-nt // T_PERIOD)
-        b, slots = np.arange(T_PERIOD), np.arange(SLOT_DK.size)
-        # as few stacks as FD_STACK_NODES allows, of equal size: two of 9
-        # groups at 21x11, not 17 and 1, whose 135 KiB buffer of J E passed
-        # the 128 KiB from which glibc maps an array on its own and raised
-        # the process's peak RSS
+        b = np.arange(T_PERIOD)
+        # as few stacks as FD_STACK_NODES allows, of equal size: at 21x11 one
+        # of all 12 groups, whose 86 KiB buffer of J E stays below the 128 KiB
+        # from which glibc maps an array on its own
         per_call = max(1, FD_STACK_NODES // (2 * nx * nt))
         per_call = -(-fields.size // -(-fields.size // per_call))
         # the columns on the lattice, [f, k, s, q, b, p, a']; its nodes off
-        # the grid and on the pinned plane hold values that are dropped
+        # the grid and on the pinned plane hold values that are dropped, and
+        # the slots a field does not reach stay zero: there J E may hold
+        # another column of the group
         lattice = np.empty((2, 2, SLOT_DK.size, n_q, T_PERIOD, n_p, COLOURS))
+        lattice[~reach] = 0.0
         # each group's J E, zero-padded by two nodes before and by two or
         # more after, and a view of its 5 x 5 windows: [g, k, p, a', q, b,
         # dk + 2, dl + 2] is the row (i + dk, j + dl) of the lattice node (i, j)
@@ -323,20 +365,25 @@ class Objective:
             np.subtract(r1[:n], r1[n:], out=je[:, 0])
             np.subtract(r2[:n], r2[n:], out=je[:, 1])
             je *= factor
-            # [g, b, s] pick the group, its sub-lattice and the slot, and
-            # [k, q, p] run over the sub-lattice
-            g, ag, sb = group[:, None, None], ag[:, :, None], b[:, None]
-            lattice[f[:, None, None], :, slots, :, sb, :, ag] = windows[
-                g, :, :, ag, :, sb, SLOT_DK + 2, SLOT_DL + 2].swapaxes(4, 5)
+            for fg in np.unique(f):
+                # [g, b, (k, s)] pick the group, its sub-lattice and an open
+                # slot, and [q, p] run over the sub-lattice
+                g = np.flatnonzero(f == fg)
+                k, slots = np.nonzero(reach[fg])
+                g, ga = g[:, None, None], ag[g][:, :, None]
+                lattice[fg, k, slots, :, b[:, None], :, ga] = windows[
+                    g, k, :, ga, :, b[:, None], SLOT_DK[slots] + 2,
+                    SLOT_DL[slots] + 2].swapaxes(3, 4)
         columns = lattice.reshape(2, 2, SLOT_DK.size, T_PERIOD * n_q, COLOURS * n_p)
         columns = columns[:, :, :, 1:nt, :nx]
-        # A time slot holds this column's entry where d_dt couples the two
-        # times.  Elsewhere (two steps away, but for the one-sided rows at
-        # t = 0 and t_max) it may hold another column of the group.
-        dtm = np.pad(calculus.diff_matrices(grid)[0], 2)  # zero off the grid
+        # A two-step time slot holds this column's entry where d_dt couples
+        # the two times, at the one-sided rows of t = 0 and t_max; elsewhere
+        # it may hold another column of the group.
+        dtm = np.zeros((nt + 4, nt + 4))  # zero off the grid
+        dtm[2:-2, 2:-2] = calculus.diff_matrices(grid)[0]
         j = np.arange(1, nt) + 2
-        coupled = dtm[j + SLOT_DL[X_SLOTS:, None], j] != 0.0  # (4, nt - 1)
-        columns[:, :, X_SLOTS:] *= coupled[:, :, None]
+        for s in FAR_SLOTS:
+            columns[:, :, s, dtm[j + SLOT_DL[s], j] == 0.0] = 0.0
         return columns
 
     def jacobian(self, ev: ObjectiveBreakdown):
@@ -376,6 +423,10 @@ class Objective:
         # columns of W^(1/2) J0: their products are those of J0^T W J0
         # (halving is exact, so the 1/2 of J E may join the weight)
         a = self._coloured_columns(z, 0.5 * np.sqrt(np.stack((self.w1, self.w2))))
+        # H's entries within one time, per field: wx_i ct_jj on the diagonal
+        # and bx[i + di, i] wt_j
+        ct, bx = self.stencils.gram_t.matrix, self.stencils.gram_x.matrix
+        wx, wt = self.wx_col[:, 0], self.wt_row[0, 1:, None]
         band = np.zeros((nt - 1, nx, 2, BAND_KD + 1))  # [j - 1, i, f, d]
         for di in range(min(X_SLOTS, nx)):
             # columns (i, f) and (i + di, g) of one time share the rows
@@ -385,21 +436,19 @@ class Objective:
             else:
                 block = np.einsum("fksji,gksji->jifg", a[:, :, di:X_SLOTS, :, :nx - di],
                                   a[:, :, :X_SLOTS - di, :, di:])
+            terms = [np.diag(ct)[1:, None] * wx] if di == 0 else []
+            terms.append(np.diagonal(bx, -di) * wt)
+            for term in terms:  # added to the pairs f = g, in this order
+                term *= self.alpha
+                for f in range(2):
+                    block[..., f, f] += term
+            block *= 2.0
             for f in range(2):
                 for g in range(2):
                     d = 2 * di + g - f
                     if 0 <= d <= BAND_KD:
                         band[:, :nx - di, f, d] = block[..., f, g]
             del block  # freed before the next offset's product
-        # H's entries within one time: wx_i ct_jj on the diagonal and
-        # bx[i + di, i] wt_j, per field
-        ct, bx = self.stencils.gram_t.matrix, self.stencils.gram_x.matrix
-        wx, wt = self.wx_col[:, 0, None], self.wt_row[0, 1:, None, None]
-        band[:, :, :, 0] += self.alpha * (np.diag(ct)[1:, None, None] * wx)
-        for di in range(min(X_SLOTS, nx)):
-            off = np.diagonal(bx, -di)[:, None] * wt
-            band[:, :nx - di, :, 2 * di] += self.alpha * off
-        band *= 2.0
         return band.reshape(-1, BAND_KD + 1).T
 
     def hessian_diag(self, z: np.ndarray) -> BandFactor:

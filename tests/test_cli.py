@@ -39,7 +39,9 @@ def _subparsers() -> dict:
 
 
 def _flags_of(command: str) -> set:
-    return set(_subparsers()[command]._option_string_actions) - {"-h", "--help"}
+    parser = _subparsers()[command]
+    parser.build()
+    return set(parser._option_string_actions) - {"-h", "--help"}
 
 
 def test_parse_run_defaults():

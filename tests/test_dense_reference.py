@@ -20,7 +20,7 @@ from mfg_forecast.carleman import ConvexParams, sample_neumann_field
 from mfg_forecast.grid import Field, field_from_function, make_grid
 from mfg_forecast.model import build_manufactured_case, make_problem_spec, \
     manufactured_source, solve_fokker_planck
-from mfg_forecast.objective import Objective
+from mfg_forecast.objective import FAR_SLOTS, SLOT_DK, SLOT_DL, Objective, _reach
 
 from dense_reference import field_from_function_per_node, free_columns, \
     h2_matrix, h10_norm_gamma_dense, residual_jacobian_dense, \
@@ -91,6 +91,7 @@ def _colour_groups_of_a_build(obj, z, monkeypatch):
     """The perturbation E of each colour group, as a boolean (2, nx, nt)
     mask, read off the states z + E and z - E that one preconditioner build
     at z hands to ``model.residuals``; and the number of those calls."""
+    _reach()  # probed once per process, before the calls are recorded
     groups, calls, residuals = [], [], model.residuals
 
     def recorded(u, m, spec, stencils):
@@ -107,18 +108,19 @@ def _colour_groups_of_a_build(obj, z, monkeypatch):
     return groups, len(calls)
 
 
-@pytest.mark.parametrize("step,calls", [pytest.param(0.1, 2, id="21x11"),
-                                        pytest.param(0.0125, 18, id="161x81")])
+@pytest.mark.parametrize("step,calls", [pytest.param(0.1, 1, id="21x11"),
+                                        pytest.param(0.0125, 12, id="161x81")])
 def test_colour_groups_partition_the_free_nodes(step, calls, monkeypatch):
-    # 18 groups, (f, (i + 3 j) mod 9), each perturbing one field; together
+    # 12 groups, (f, (i + 2 j) mod 6), each perturbing one field; together
     # they cover every free node of each field once and no pinned node.
-    # Two stacked calls of 9 groups at 21x11, one group per call at 161x81.
+    # One stacked call of all 12 groups at 21x11, one group per call at
+    # 161x81.
     grid = _grid(step)
     spec, z = _kernel_free_case(grid, 37)
     groups, calls_made = _colour_groups_of_a_build(Objective(spec, PARAMS), z,
                                                    monkeypatch)
     assert calls_made == calls
-    assert len(groups) == 18
+    assert len(groups) == 12
     assert all(e[0].any() != e[1].any() for e in groups)  # one field each
     cover = np.sum(groups, axis=0)
     assert not cover[:, :, 0].any()
@@ -137,6 +139,46 @@ def test_colour_groups_share_no_row(nx, nt, monkeypatch):
     groups, _ = _colour_groups_of_a_build(Objective(spec, PARAMS), z, monkeypatch)
     for e in groups:
         assert nonzero[:, e.ravel()].sum(axis=1).max() == 1
+
+
+def test_reach_is_the_dense_jacobian_pattern_at_interior_nodes():
+    # at a node whose slots' rows are all interior rows of d_dx and d_dt
+    # (three steps from each edge), the slots where a column of the dense
+    # Jacobian is nonzero are the probed reach, but for the two-step time
+    # slots, which only the one-sided rows reach and which open with the
+    # one-step ones
+    grid = make_grid(-1, 1, 1, 0.2, 0.1, 0.6)
+    spec, z = _kernel_free_case(grid, 39)
+    nx, nt = grid.nx, grid.nt
+    jac = residual_jacobian_dense(z, spec).reshape(2, nx, nt, 2, nx, nt)
+    reach, near = _reach(), np.abs(SLOT_DL) < 2
+    assert np.array_equal(reach[:, :, FAR_SLOTS],
+                          reach[:, :, FAR_SLOTS - np.sign(SLOT_DL[FAR_SLOTS])])
+    for i in range(3, nx - 3):
+        for j in range(3, nt - 3):
+            pattern = jac[:, i + SLOT_DK, j + SLOT_DL, :, i, j].T != 0.0  # [f, k, s]
+            assert np.array_equal(pattern[:, :, near], reach[:, :, near])
+            assert not pattern[:, :, ~near].any()
+
+
+@pytest.mark.parametrize("nx,nt", [pytest.param(21, 11, id="21x11"),
+                                   pytest.param(7, 3, id="7x3"),
+                                   pytest.param(4, 6, id="4x6")])
+def test_dense_jacobian_nonzeros_lie_in_open_slots(nx, nt):
+    # every nonzero of the dense Jacobian, boundary and pinned nodes
+    # included, is at a slot its field reaches in its residual; a two-step
+    # time slot only at the one-sided rows of t = 0 and t_max
+    grid = make_grid(-1, 1, 1, 2 / (nx - 1), 1 / (nt - 1), 0.9)
+    spec, z = _kernel_free_case(grid, 40)
+    jac = residual_jacobian_dense(z, spec)
+    k, i, j, f, ci, cj = np.unravel_index(np.flatnonzero(jac),
+                                          (2, nx, nt, 2, nx, nt))
+    match = (i - ci == SLOT_DK[:, None]) & (j - cj == SLOT_DL[:, None])
+    assert match.any(axis=0).all()
+    slot = match.argmax(axis=0)
+    assert _reach()[f, k, slot].all()
+    far = np.isin(slot, FAR_SLOTS)
+    assert np.all((j[far] == 0) | (j[far] == nt - 1))
 
 
 @pytest.mark.parametrize("step", STEPS)

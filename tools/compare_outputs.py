@@ -1,13 +1,16 @@
 """Run the benchmark's commands on two source trees and compare every output.
 
-    python3 tools/compare_outputs.py BASE HEAD OUT
+    python3 tools/compare_outputs.py BASE HEAD OUT [--shift K]
 
 BASE and HEAD are checkouts of this repository.  The commands are those of
-the canned, refined and verify workloads at shift 0 (``perfbench/workloads.py``
-of HEAD), ``run --test T1_1_extended``, the README's noise-free T2_2 run,
+the canned, refined and verify workloads at shift K, 0 by default, which is
+added to every shipped noise and finite-difference seed
+(``perfbench/workloads.py`` of HEAD; T2_1's solve is chaotic in round-off,
+so a change that keeps the outputs needs checking at more than one shift),
+``run --test T1_1_extended``, the README's noise-free T2_2 run,
 lambda sweep and kernel sweep, ``export-case`` of T1_1 and T1_2 on the
-161x81 refinement grid, and ``--help`` of each subcommand (at COLUMNS=100,
-so a change to any command's flags shows).  Each
+161x81 refinement grid, and ``--help`` of the program and of each
+subcommand (at COLUMNS=100, so a change to any command's flags shows).  Each
 tree runs them from its own ``src/`` in OUT/base or OUT/head, and each
 command's exit code and printed output go to ``<name>.log`` beside its
 output directory, so they are compared too.  Prints how many files were
@@ -24,13 +27,13 @@ import sys
 from pathlib import Path
 
 
-def commands(head: Path) -> list:
+def commands(head: Path, shift: int) -> list:
     sys.path[:0] = [str(head / "perfbench"), str(head / "src")]
     import workloads
 
     out = []
     for w in workloads.WORKLOADS:
-        for op in workloads.workload_ops(w, 0):
+        for op in workloads.workload_ops(w, shift):
             name = f"{w}-{op.name}".replace(" ", "-")
             out.append((name, op.argv(Path(name))))
     return out + [
@@ -46,7 +49,8 @@ def commands(head: Path) -> list:
                                   "--dt", "0.0125", "--out", f"refined-export-{t}"])
          for t in ("T1_1", "T1_2")] + [
         (f"help-{c}", [c, "--help"])
-        for c in ("run", "sweep", "check-gradient", "check-carleman", "export-case")]
+        for c in ("run", "sweep", "check-gradient", "check-carleman", "export-case")] + [
+        ("help", ["--help"])]
 
 
 def run_all(tree: Path, out: Path, argvs: list) -> None:
@@ -69,9 +73,11 @@ def main(argv: list) -> int:
     p = argparse.ArgumentParser(description="Compare the outputs of two trees.")
     for name in ("base", "head", "out"):
         p.add_argument(name, type=lambda a: Path(a).resolve())
+    p.add_argument("--shift", type=int, default=0,
+                   help="added to every seed of the workloads' commands")
     args = p.parse_args(argv)
     base, head, outputs = args.base, args.head, args.out
-    argvs = commands(head)
+    argvs = commands(head, args.shift)
     for label, tree in (("base", base), ("head", head)):
         run_all(tree, outputs / label, argvs)
     left, right = files(outputs / "base"), files(outputs / "head")
