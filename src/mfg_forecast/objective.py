@@ -66,7 +66,10 @@ agree in (i + 2 j) mod 6 touch disjoint rows in the slots their field
 reaches (a colouring in the sense of Curtis, Powell and Reid, 1974).
 E = 1 on such a colour group gives all of its columns at once, read from
 those slots only: 12 groups, two stacked residual states each, give the
-whole Jacobian.  The constant kernel, which couples every
+whole Jacobian.  One field at a time, the J E of its six groups go into
+one zero-padded buffer, and each slot the field reaches is then one
+gather from it: every free node reads that slot's row in its own
+colour's J E.  The constant kernel, which couples every
 density node of one time, is left out (evaluated with K = 0).  The
 preconditioner (``hessian_diag``) is the block diagonal, in time, of the
 kernel-free Gauss-Newton matrix 2 (J^T W J + alpha H) at the state it is
@@ -94,11 +97,14 @@ from mfg_forecast.model import ProblemSpec
 
 # Nodes per field in one stacked evaluation of the finite-difference oracle
 # (four line points times a chunk of directions) and of the coloured
-# Jacobian (two states per colour group: all 12 groups in one call at
-# 21x11, one per call at 161x81); bounds their memory.  Its stack-sized
-# temporaries (64 KiB at most) are small enough that freeing them does not
-# trim the C heap for the next chunk to fault in again: at 16384 a 21x11
-# check took thousands of minor page faults, here fewer than ten.
+# Jacobian (two states per colour group, up to the six groups of one field
+# per call: all six at 21x11, 4 + 2 at 41x21, one at 161x81); bounds their
+# memory.  Its stack-sized temporaries (64 KiB at most) are small enough
+# that freeing them does not trim the C heap for the next chunk to fault in
+# again: at 16384 a 21x11 check took thousands of minor page faults, here
+# fewer than ten.  The Jacobian's buffer of one field's J E does not scale
+# with it: 36 KiB at 21x11 is below the 128 KiB from which glibc maps an
+# array on its own, 1.35 MB at 161x81 is not.
 FD_STACK_NODES = 8192
 FD_STATES = 10  # random states of the finite-difference oracle
 FD_DIRECTIONS = 50  # random unit directions at each state
@@ -111,7 +117,6 @@ _PER_STATE = "...ij,...ij->..."  # einsum of <a, b> for each state of a stack
 # |di| <= 4, or with 1 <= |dj| <= 2 and |di| <= 1; di + 2 dj is then never a
 # multiple of 6 unless both are 0.
 COLOURS, SHEAR = 6, 2
-T_PERIOD = COLOURS // SHEAR  # a colour's period in t at one x
 # The rows a column (i, j) can reach, in each residual: (i + dk, j + dl) for
 # the slots (dk, dl) below.  The first five, at the column's own time, are
 # the x slots; the last four, at its own x, reach other times through d_dt.
@@ -193,21 +198,6 @@ class BandFactor:
         out = np.zeros_like(v)
         out[:, :, 1:] = x.reshape(v.shape[2] - 1, v.shape[1], 2).transpose(2, 1, 0)
         return out
-
-
-@lru_cache(maxsize=None)
-def _colour_groups(nx: int, nt: int) -> tuple:
-    """The non-empty colour groups of the free columns, as (fields, a).
-
-    Pad the nodes to a lattice of whole periods, node (i, j) =
-    (COLOURS p + a', T_PERIOD q + b): its colour is (a' + SHEAR b) % COLOURS.
-    Group g holds the free nodes of field ``fields[g]`` whose a' is
-    ``a[g, b]`` for their b, three strided sub-lattices.
-    """
-    free = (np.arange(nx)[:, None] + SHEAR * np.arange(1, nt)) % COLOURS
-    colours = np.tile(np.unique(free), 2)
-    fields = np.repeat([0, 1], colours.size // 2)
-    return fields, (colours[:, None] - SHEAR * np.arange(T_PERIOD)) % COLOURS
 
 
 @lru_cache(maxsize=None)
@@ -317,65 +307,47 @@ class Objective:
         ``factor``, a number or an array shaped like z, multiplies each
         residual row of r(z + E) - r(z - E): the default gives J E.
 
-        The groups' states go to ``model.residuals`` in stacks of at most
-        ``FD_STACK_NODES`` nodes per field (one group at least), and each
-        stack's columns are gathered at once per field, on
-        ``_colour_groups``'s lattice, from the slots ``_reach`` opens.
+        One field at a time, its groups go to ``model.residuals`` in stacks
+        of at most ``FD_STACK_NODES`` nodes per field (one group at least),
+        and their J E into one buffer zero-padded by two nodes; each slot
+        that ``_reach`` opens for the field is then one gather from it.  The
+        columns are filled as (2, 2, 9, nx, nt - 1) and returned swapped.
         """
         grid = self.spec.grid
         nx, nt = grid.nx, grid.nt
         spec = dataclasses.replace(self.spec, kernel=0.0)
-        fields, a = _colour_groups(nx, nt)
         reach = _reach()
-        n_p, n_q = -(-nx // COLOURS), -(-nt // T_PERIOD)
-        b = np.arange(T_PERIOD)
-        # as few stacks as FD_STACK_NODES allows, of equal size: at 21x11 one
-        # of all 12 groups, whose 86 KiB buffer of J E stays below the 128 KiB
-        # from which glibc maps an array on its own
-        per_call = max(1, FD_STACK_NODES // (2 * nx * nt))
-        per_call = -(-fields.size // -(-fields.size // per_call))
-        # the columns on the lattice, [f, k, s, q, b, p, a']; its nodes off
-        # the grid and on the pinned plane hold values that are dropped, and
+        colour = (np.arange(nx)[:, None] + SHEAR * np.arange(nt)) % COLOURS
+        colour[:, 0] = COLOURS  # the pinned plane is in no group
+        per_call = min(COLOURS, max(1, FD_STACK_NODES // (2 * nx * nt)))
+        je = np.zeros((COLOURS, 2, nx + 4, nt + 4))  # [c, k, x + 2, t + 2]
+        step = np.array(je.strides) // je.itemsize
+        # each free node's own row in its colour's J E, [i, j - 1], and the
+        # distance from it to the row of slot s in residual k
+        node = (colour[:, 1:] * step[0] + (np.arange(nx)[:, None] + 2) * step[2]
+                + (np.arange(1, nt) + 2) * step[3])
+        offset = (np.arange(2)[:, None] * step[1] + SLOT_DK * step[2]
+                  + SLOT_DL * step[3])
         # the slots a field does not reach stay zero: there J E may hold
         # another column of the group
-        lattice = np.empty((2, 2, SLOT_DK.size, n_q, T_PERIOD, n_p, COLOURS))
-        lattice[~reach] = 0.0
-        # each group's J E, zero-padded by two nodes before and by two or
-        # more after, and a view of its 5 x 5 windows: [g, k, p, a', q, b,
-        # dk + 2, dl + 2] is the row (i + dk, j + dl) of the lattice node (i, j)
-        padded = np.zeros((per_call, 2, COLOURS * n_p + 4,
-                           T_PERIOD * n_q + 4))
-        windows = np.lib.stride_tricks.sliding_window_view(
-            padded, (5, 5), axis=(2, 3)).reshape(
-                padded.shape[0], 2, n_p, COLOURS, n_q, T_PERIOD, 5, 5)
-        for start in range(0, fields.size, per_call):
-            f, ag = fields[start:start + per_call], a[start:start + per_call]
-            n = f.size
-            group = np.arange(n)
-            e = np.zeros((n, n_p, COLOURS, n_q, T_PERIOD))  # [g, p, a', q, b]
-            e[group[:, None], :, ag, :, b] = 1.0
-            e = e.reshape(n, COLOURS * n_p, T_PERIOD * n_q)[:, :nx, :nt]
-            e[:, :, 0] = 0.0  # the pinned plane
-            points = np.empty((2, 2 * n, nx, nt))
-            points[:] = z[:, None]
-            points[f, group] += e
-            points[f, n + group] -= e
-            r1, r2, _ = model.residuals(points[0], points[1], spec, self.stencils)
-            je = padded[:n, :, 2:nx + 2, 2:nt + 2]
-            np.subtract(r1[:n], r1[n:], out=je[:, 0])
-            np.subtract(r2[:n], r2[n:], out=je[:, 1])
-            je *= factor
-            for fg in np.unique(f):
-                # [g, b, (k, s)] pick the group, its sub-lattice and an open
-                # slot, and [q, p] run over the sub-lattice
-                g = np.flatnonzero(f == fg)
-                k, slots = np.nonzero(reach[fg])
-                g, ga = g[:, None, None], ag[g][:, :, None]
-                lattice[fg, k, slots, :, b[:, None], :, ga] = windows[
-                    g, k, :, ga, :, b[:, None], SLOT_DK[slots] + 2,
-                    SLOT_DL[slots] + 2].swapaxes(3, 4)
-        columns = lattice.reshape(2, 2, SLOT_DK.size, T_PERIOD * n_q, COLOURS * n_p)
-        columns = columns[:, :, :, 1:nt, :nx]
+        columns = np.zeros((2, 2, SLOT_DK.size, nx, nt - 1))
+        for f in range(2):
+            for c in range(0, COLOURS, per_call):
+                n = min(per_call, COLOURS - c)
+                e = colour == np.arange(c, c + n)[:, None, None]
+                points = np.empty((2, 2 * n, nx, nt))
+                points[:] = z[:, None]
+                points[f, :n] += e
+                points[f, n:] -= e
+                r1, r2 = model.residuals(points[0], points[1], spec, self.stencils)[:2]
+                stack = je[c:c + n, :, 2:nx + 2, 2:nt + 2]
+                np.subtract(r1[:n], r1[n:], out=stack[:, 0])
+                np.subtract(r2[:n], r2[n:], out=stack[:, 1])
+                stack *= factor
+                del r1, r2  # freed before the next call, where the build peaks
+            for k, s in zip(*np.nonzero(reach[f])):
+                je.take(node + offset[k, s], out=columns[f, k, s])
+        columns = columns.swapaxes(3, 4)
         # A two-step time slot holds this column's entry where d_dt couples
         # the two times, at the one-sided rows of t = 0 and t_max; elsewhere
         # it may hold another column of the group.

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from mfg_forecast import calculus, experiments, model
+from mfg_forecast import calculus, experiments, model, objective
 from mfg_forecast.calculus import h10_norm_gamma
 from mfg_forecast.carleman import ConvexParams, sample_neumann_field
 from mfg_forecast.grid import Field, field_from_function, make_grid
@@ -90,41 +90,60 @@ def test_jacobian_is_the_dense_jacobian_on_small_grids(nx, nt):
 def _colour_groups_of_a_build(obj, z, monkeypatch):
     """The perturbation E of each colour group, as a boolean (2, nx, nt)
     mask, read off the states z + E and z - E that one preconditioner build
-    at z hands to ``model.residuals``; and the number of those calls."""
+    at z hands to ``model.residuals``; and, per call, the fields its groups
+    perturb."""
     _reach()  # probed once per process, before the calls are recorded
     groups, calls, residuals = [], [], model.residuals
 
     def recorded(u, m, spec, stencils):
-        calls.append(1)
         n = u.shape[0] // 2
         e = 0.5 * (np.stack((u[:n], m[:n])) - np.stack((u[n:], m[n:])))
         assert np.all((np.abs(e) < 1e-9) | (np.abs(e - 1.0) < 1e-9))
         groups.extend(np.swapaxes(e > 0.5, 0, 1))
+        calls.append(set(np.flatnonzero((e > 0.5).any(axis=(1, 2, 3)))))
         return residuals(u, m, spec, stencils)
 
     with monkeypatch.context() as mp:
         mp.setattr(model, "residuals", recorded)
         obj.hessian_diag(z)
-    return groups, len(calls)
+    return groups, calls
 
 
-@pytest.mark.parametrize("step,calls", [pytest.param(0.1, 1, id="21x11"),
+@pytest.mark.parametrize("step,calls", [pytest.param(0.1, 2, id="21x11"),
+                                        pytest.param(0.05, 4, id="41x21"),
                                         pytest.param(0.0125, 12, id="161x81")])
 def test_colour_groups_partition_the_free_nodes(step, calls, monkeypatch):
     # 12 groups, (f, (i + 2 j) mod 6), each perturbing one field; together
     # they cover every free node of each field once and no pinned node.
-    # One stacked call of all 12 groups at 21x11, one group per call at
-    # 161x81.
+    # The groups of one field go to each stacked call: all six at 21x11,
+    # 4 + 2 at 41x21, one group per call at 161x81.
     grid = _grid(step)
     spec, z = _kernel_free_case(grid, 37)
-    groups, calls_made = _colour_groups_of_a_build(Objective(spec, PARAMS), z,
-                                                   monkeypatch)
-    assert calls_made == calls
+    groups, fields = _colour_groups_of_a_build(Objective(spec, PARAMS), z,
+                                               monkeypatch)
+    assert len(fields) == calls
+    assert all(len(f) == 1 for f in fields)
     assert len(groups) == 12
     assert all(e[0].any() != e[1].any() for e in groups)  # one field each
     cover = np.sum(groups, axis=0)
     assert not cover[:, :, 0].any()
     assert np.all(cover[:, :, 1:] == 1)
+
+
+def test_band_independent_of_the_stacking(monkeypatch):
+    # 1, 2, 4 and 6 colour groups per stacked call at 21x11 (two states
+    # of 21x11 nodes each): 12, 6, 4 and 2 calls give the same band, bit
+    # for bit
+    grid = _grid(0.1)
+    spec, z = _kernel_free_case(grid, 41)
+    obj = Objective(spec, PARAMS)
+    bands = []
+    for per_call, calls in ((1, 12), (2, 6), (4, 4), (6, 2)):
+        monkeypatch.setattr(objective, "FD_STACK_NODES",
+                            per_call * 2 * grid.nx * grid.nt)
+        bands.append(obj.gauss_newton_band(z))
+        assert len(_colour_groups_of_a_build(obj, z, monkeypatch)[1]) == calls
+    assert all(np.array_equal(band, bands[-1]) for band in bands)
 
 
 @pytest.mark.parametrize("nx,nt", [pytest.param(21, 11, id="21x11"),
@@ -198,6 +217,7 @@ def test_jacobian_gives_the_gradient(step):
 
 @pytest.mark.parametrize("dx,dt", [pytest.param(0.1, 0.1, id="21x11"),
                                    pytest.param(0.1, 0.05, id="21x21"),
+                                   pytest.param(0.05, 0.05, id="41x21"),
                                    pytest.param(0.0125, 0.0125, id="161x81")])
 def test_hessian_diag_matches_dense_formula(dx, dt):
     # the band is the time-slice blocks of 2 (J0^T W J0 + alpha H), the

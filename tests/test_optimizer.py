@@ -192,8 +192,8 @@ def test_lbfgs_run_bit_identical_without_evaluation_reuse(params, monkeypatch):
 def test_lbfgs_run_evaluates_each_state_once(params, monkeypatch):
     # one residual evaluation per direct trial plus one at the start; the
     # gradients make none, each line quartic one, at z - p, and each build
-    # of the preconditioner one for its coloured Jacobian: 12 colour groups
-    # of two states, all in one stacked call at 21x11
+    # of the preconditioner two for its coloured Jacobian: 12 colour groups
+    # of two states, one stacked call per field at 21x11
     _reach()  # probed once per process, before the calls are counted
     cfg = experiments.resolve_config("T2_1", {})
     _, spec, _ = experiments._build_problem("T2_1", cfg)
@@ -216,7 +216,7 @@ def test_lbfgs_run_evaluates_each_state_once(params, monkeypatch):
     assert calls["quartic"] > 0
     assert calls["builds"] == result.trace.preconditioner_builds > 1
     assert calls["residuals"] == \
-        calls["value"] + calls["quartic"] + calls["builds"]
+        calls["value"] + calls["quartic"] + 2 * calls["builds"]
 
 
 def test_lbfgs_run_unchanged_by_stacked_values(params, monkeypatch):
