@@ -1,10 +1,12 @@
 import math
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from mfg_forecast.grid import Field, field_from_function, make_grid, \
+from mfg_forecast.experiments import run_test
+from mfg_forecast.grid import Field, _format_lines, field_from_function, make_grid, \
     write_field_csv
 
 
@@ -190,3 +192,56 @@ def test_csv_bytes_match_per_row_formatter(tmp_path):
     _write_field_csv_per_row(f, reference)
     assert path.read_bytes() == reference.read_bytes()
     assert np.array_equal(_loaded_values(path, g), f.values)
+
+
+def _exact_ties(rng):
+    """Doubles whose exact decimal has 18 significant digits, the last a 5.
+
+    m / 2**j with m odd is m 5**j / 10**j, whose digits are those of m 5**j
+    and end in 5; m 5**j in [1e17, 1e18) gives 18 of them.
+    """
+    ties = []
+    for j in range(2, 26):
+        low, high = -(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53)
+        m = rng.integers(low // 2, (high - 1) // 2, 2500) * 2 + 1
+        ties.append(m[(m >= low) & (m < high)] / 2.0 ** j)
+    ties = np.concatenate(ties)
+    return np.where(rng.random(ties.size) < 0.5, ties, -ties)
+
+
+def test_bulk_digits_match_python_format():
+    # write_field_csv's conversion against f"{v:.17g}" (the RuntimeWarning
+    # filter of the suite turns any warning of the conversion into an error)
+    rng = np.random.default_rng(28)
+    signs = rng.choice([-1.0, 1.0], 100_000)
+    spread = signs * 10.0 ** rng.uniform(-8, 18, 100_000)
+    ties = _exact_ties(rng)
+    digits = [Decimal(v).as_tuple().digits for v in ties.tolist()]
+    assert all(len(d) == 18 and d[-1] == 5 for d in digits)
+    powers = 10.0 ** np.arange(-20, 25)
+    bits = rng.integers(0, 2 ** 64, 20_000, dtype=np.uint64).view(np.float64)
+    subnormal = rng.integers(1, 2 ** 52, 1000, dtype=np.uint64).view(np.float64)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e-6, 1e17]
+    values = np.concatenate([spread, ties, powers, np.nextafter(powers, 0),
+                             np.nextafter(powers, np.inf), bits[np.isfinite(bits)],
+                             subnormal, special])
+    rows = _format_lines(values)
+    assert rows[rows != 0].tobytes().decode().splitlines() == [
+        f"{v:.17g}" for v in values.tolist()]
+
+
+@pytest.mark.parametrize("test_id", ["T1_1", "T1_2"])
+def test_refined_fields_match_per_row_formatter(tmp_path, test_id):
+    # The 161x81 fields a refined run writes, byte for byte; T1_2's u_true
+    # holds 324 values from 6e-18 to 4e-17, which are formatted one at a time.
+    report = run_test(test_id, dx=0.0125, dt=0.0125)
+    truth = report.truth
+    fields = {"u_true": truth.u_true, "m_true": truth.m_true,
+              "source_f": truth.spec.f_field,
+              "u_pred": Field(report.grid, report.predicted[0])}
+    for name, field in fields.items():
+        path, reference = tmp_path / f"{name}.csv", tmp_path / f"{name}.reference.csv"
+        write_field_csv(field, path)
+        _write_field_csv_per_row(field, reference)
+        assert path.read_bytes() == reference.read_bytes(), name
