@@ -11,12 +11,15 @@ Subcommands:
 
 Values resolve as built-in defaults, then command-line flags.  A command
 takes the flags of the values it reads: run and sweep all fourteen,
-check-gradient all but the stopping rule (--tol, --max-iters), export-case
-the grid and the case data, check-carleman the grid and the weight's
-shift --c.  Any other flag is a usage error, and so is a prefix of a flag.
-So are removed flags: --config (a key=value file), check-gradient's
---states and --directions (the check always takes 10 states x 50
-directions) and check-carleman's --lambda-min (sweeps start at lambda 1).
+check-gradient all but the stopping rule (--tol, --max-iters) and the
+recovery window's --gamma, export-case the grid (--gamma, --dx, --dt,
+--t-max) and the case data, check-carleman the grid's steps and horizon and
+the weight's shift --c.  Any other flag is a usage error, and so is a prefix
+of a flag.  So are removed flags: --config (a key=value file),
+check-gradient's --gamma, --states and --directions (the check always takes
+10 states x 50 directions) and check-carleman's --gamma and --lambda-min
+(sweeps start at lambda 1).  A command line is parsed by one parser: the
+named subcommand's, or the program's when it names none.
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O failure.
 """
 
@@ -58,25 +61,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class _Subcommand(_Parser):
-    """A subcommand's parser, which adds its flags (``_add_flags``) when it
-    first parses a command line or is asked to ``build``: a command line
-    builds the flags of the one subcommand it names."""
-
-    def __init__(self, command: str, **kwargs):
-        super().__init__(**kwargs)
-        self._unbuilt = command
-
-    def build(self) -> None:
-        if self._unbuilt is not None:
-            command, self._unbuilt = self._unbuilt, None
-            _add_flags(self, command)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self.build()
-        return super().parse_known_args(args, namespace)
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -95,7 +79,7 @@ _OVERRIDE_FLAGS = (
     ("--a", "a", float, "balancing exponent", _FUNCTIONAL),
     ("--d", "d", float, "density-residual weight", _FUNCTIONAL),
     ("--alpha", "alpha", float, "regularization weight", _FUNCTIONAL),
-    ("--gamma", "gamma", float, "early-time fraction", _GRID),
+    ("--gamma", "gamma", float, "early-time fraction", _SOLVES + ("export-case",)),
     ("--dx", "dx", float, "spatial step", _GRID),
     ("--dt", "dt", float, "temporal step", _GRID),
     ("--t-max", "t_max", float, "time horizon", _GRID),
@@ -150,23 +134,25 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
 
 
 def _build_parser() -> _Parser:
-    """The top-level parser; each subcommand adds its flags when it parses
-    (``_Subcommand``)."""
+    """The top-level parser, for a command line that names no subcommand:
+    its flagless subparsers list the subcommands in its help and refuse an
+    unknown one."""
     parser = _Parser(prog="mfg-forecast", description=__doc__)
-    sub = parser.add_subparsers(dest="command", parser_class=_Subcommand)
+    sub = parser.add_subparsers(dest="command")
     for command, help_text in _HELP.items():
-        sub.add_parser(command, help=help_text, command=command)
+        sub.add_parser(command, help=help_text)
     return parser
 
 
 def parse_config(argv) -> RunConfig:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    if ns.command is None:
-        raise UsageError("a subcommand is required (run, sweep, check-gradient, "
-                         "check-carleman, export-case)")
-    options = vars(ns).copy()
-    return RunConfig(options.pop("command"), options)
+    """One parser per command line: the named subcommand's, else the top
+    level's, which prints help or refuses the line."""
+    if not argv or argv[0] not in _HELP:
+        _build_parser().parse_args(argv)
+        raise UsageError(f"a subcommand is required ({', '.join(_HELP)})")
+    parser = _Parser(prog=f"mfg-forecast {argv[0]}")
+    _add_flags(parser, argv[0])
+    return RunConfig(argv[0], vars(parser.parse_args(argv[1:])))
 
 
 def _overrides_from(options: dict) -> dict:

@@ -12,23 +12,24 @@ import pytest
 import mfg_forecast
 from mfg_forecast import experiments
 from mfg_forecast.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, \
-    UsageError, _build_parser, main, parse_config
+    UsageError, _add_flags, _build_parser, _Parser, main, parse_config
 from mfg_forecast.objective import Objective
 
 FAST = ["--tol", "1e-2", "--max-iters", "300"]
 FLAG = r"(?<![\w-])--[a-z][a-z0-9-]*"
 
 FUNCTIONAL = ["--lambda", "--c", "--a", "--d", "--alpha"]
-GRID = ["--gamma", "--dx", "--dt", "--t-max"]
+STEPS = ["--dx", "--dt", "--t-max"]
+GRID = ["--gamma", *STEPS]
 CASE_DATA = ["--noise", "--seed", "--kernel"]
 STOPPING = ["--tol", "--max-iters"]
 SUBCOMMAND_FLAGS = {
     "run": ["--test", "--out", *FUNCTIONAL, *GRID, *CASE_DATA, *STOPPING],
     "sweep": ["--test", "--param", "--values", "--out", *FUNCTIONAL, *GRID,
               *CASE_DATA, *STOPPING],
-    "check-gradient": ["--test", "--fd-seed", "--out", *FUNCTIONAL, *GRID,
+    "check-gradient": ["--test", "--fd-seed", "--out", *FUNCTIONAL, *STEPS,
                        *CASE_DATA],
-    "check-carleman": ["--quasi", "--lambda-max", "--out", "--c", *GRID],
+    "check-carleman": ["--quasi", "--lambda-max", "--out", "--c", *STEPS],
     "export-case": ["--test", "--out", *GRID, *CASE_DATA],
 }
 
@@ -39,8 +40,8 @@ def _subparsers() -> dict:
 
 
 def _flags_of(command: str) -> set:
-    parser = _subparsers()[command]
-    parser.build()
+    parser = _Parser()
+    _add_flags(parser, command)
     return set(parser._option_string_actions) - {"-h", "--help"}
 
 
@@ -64,6 +65,49 @@ def test_parse_rejects_unknown_test():
 def test_usage_error_exit_code(capsys):
     assert main(["run", "--test", "T1_1"]) == EXIT_USAGE  # missing --out
     assert "usage error" in capsys.readouterr().err
+
+
+VALID_LINES = {
+    "run": ["--test", "T1_1", "--out", "x"],
+    "sweep": ["--test", "T1_1", "--param", "lambda", "--values", "1", "--out", "x"],
+    "check-gradient": ["--out", "x"],
+    "check-carleman": ["--out", "x"],
+    "export-case": ["--test", "T1_1", "--out", "x"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(VALID_LINES))
+def test_a_subcommand_line_builds_one_parser(monkeypatch, command):
+    built = []
+    init = _Parser.__init__
+
+    def counting_init(self, **kwargs):
+        built.append(kwargs)
+        init(self, **kwargs)
+
+    monkeypatch.setattr(_Parser, "__init__", counting_init)
+    assert parse_config([command, *VALID_LINES[command]]).command == command
+    assert built == [{"prog": f"mfg-forecast {command}"}]
+
+
+@pytest.mark.parametrize("command", [[], *([c] for c in sorted(SUBCOMMAND_FLAGS))],
+                         ids=lambda command: " ".join(command) or "program")
+def test_help_exits_zero_naming_the_command(capsys, command):
+    # a subcommand's help lists exactly the flags it takes
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: {' '.join(['mfg-forecast', *command])} [-h]")
+    if command:
+        flags = set(re.findall(FLAG, out)) - {"--help"}
+        assert sorted(flags) == sorted(SUBCOMMAND_FLAGS[command[0]])
+
+
+def test_a_leading_flag_is_refused_by_name(capsys):
+    # the line names no subcommand first, so the top-level parser refuses it
+    assert main(["--bogus", "run"]) == EXIT_USAGE
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 def test_run_writes_artifacts_and_exits_zero(tmp_path, capsys):
@@ -304,13 +348,14 @@ def test_removed_optimizer_config_keys_are_rejected():
 ] + [
     # flags a subcommand does not read; check-carleman's --lambda is also a
     # prefix of its --lambda-max
-    (["check-gradient"], [flag, "3"]) for flag in STOPPING
+    (["check-gradient"], [flag, "3"]) for flag in ["--gamma", *STOPPING]
 ] + [
     (["export-case", "--test", "T2_1"], [flag, "3"])
     for flag in FUNCTIONAL + STOPPING
 ] + [
     (["check-carleman"], [flag, "3"])
-    for flag in ["--lambda", "--a", "--d", "--alpha", *CASE_DATA, *STOPPING]
+    for flag in ["--lambda", "--a", "--d", "--alpha", "--gamma", *CASE_DATA,
+                 *STOPPING]
 ])
 def test_removed_flags_are_usage_errors(tmp_path, capsys, command, flags):
     out = tmp_path / "x"
