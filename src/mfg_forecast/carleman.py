@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,8 +152,10 @@ class EstimateCheckReport:
                 "status": self.status, "pass": self.passed, "kind": self.kind}
 
 
+@lru_cache(maxsize=None)
 def _neumann_space(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The factors of the smooth Neumann fields, (modes, powers).
+    """The factors of the smooth Neumann fields, (modes, powers); cached per
+    grid and read-only.
 
     Rows of ``modes`` are the cosine modes 0.._N_MODES in x (each Neumann on
     the grid by construction); rows of ``powers`` are t^0..t^_T_DEGREE.
@@ -164,6 +167,8 @@ def _neumann_space(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     modes = np.array([np.cos(k * math.pi * (xs - grid.x_min) / length)
                       for k in range(_N_MODES + 1)])
     powers = np.vstack([grid.t_nodes()**p for p in range(_T_DEGREE + 1)])
+    for factor in (modes, powers):
+        factor.setflags(write=False)
     return modes, powers
 
 

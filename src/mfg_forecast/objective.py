@@ -96,15 +96,17 @@ from mfg_forecast.grid import Field, make_grid
 from mfg_forecast.model import ProblemSpec
 
 # Nodes per field in one stacked evaluation of the finite-difference oracle
-# (four line points times a chunk of directions) and of the coloured
-# Jacobian (two states per colour group, up to the six groups of one field
-# per call: all six at 21x11, 4 + 2 at 41x21, one at 161x81); bounds their
-# memory.  Its stack-sized temporaries (64 KiB at most) are small enough
-# that freeing them does not trim the C heap for the next chunk to fault in
-# again: at 16384 a 21x11 check took thousands of minor page faults, here
-# fewer than ten.  The Jacobian's buffer of one field's J E does not scale
-# with it: 36 KiB at 21x11 is below the 128 KiB from which glibc maps an
-# array on its own, 1.35 MB at 161x81 is not.
+# (four line points times a chunk of the directions drawn, in one block,
+# for one state) and of the coloured Jacobian (two states per colour group,
+# up to the six groups of one field per call: all six at 21x11, 4 + 2 at
+# 41x21, one at 161x81); bounds their memory.  Its stack-sized temporaries
+# (64 KiB at most) are small enough that freeing them does not trim the C
+# heap for the next chunk to fault in again: at 16384 a 21x11 check took
+# thousands of minor page faults, here fewer than ten.  The Jacobian's
+# buffer of one field's J E does not scale with it: 36 KiB at 21x11 is
+# below the 128 KiB from which glibc maps an array on its own, 1.35 MB at
+# 161x81 is not.  Nor does the oracle's block of one state's directions,
+# 185 kB at 21x11.
 FD_STACK_NODES = 8192
 FD_STATES = 10  # random states of the finite-difference oracle
 FD_DIRECTIONS = 50  # random unit directions at each state
@@ -491,9 +493,11 @@ def gradient_fd_check(spec: ProblemSpec, params: ConvexParams, seed: int = 7) ->
     plane, step h = 1e-2*(1 + max|state|).  The residuals are quadratic in
     (u, m), so J is a quartic polynomial along any line and the five-point
     derivative (8(J(h) - J(-h)) - (J(2h) - J(-2h))) / (12h) carries no
-    truncation error; the large step keeps round-off small.  The four line
-    points of a chunk of directions are evaluated as one stack of states of
-    at most ``FD_STACK_NODES`` nodes per field (one direction at least).
+    truncation error; the large step keeps round-off small.  Each state's
+    directions are drawn as one block, and their analytic derivatives taken
+    together; the four line points of a chunk of them are evaluated as one
+    stack of states of at most ``FD_STACK_NODES`` nodes per field (one
+    direction at least).
     Returns the worst relative disagreement over all ``FD_STATES`` x
     ``FD_DIRECTIONS`` (state, direction) pairs, NaN when any reading is NaN,
     so a reading that could not be made fails the gate.
@@ -508,22 +512,23 @@ def gradient_fd_check(spec: ProblemSpec, params: ConvexParams, seed: int = 7) ->
         g = obj.value_and_gradient_arrays(obj.value_arrays(z))
         h = 1e-2 * (1.0 + np.abs(z).max())
         steps = np.array([h, -h, 2 * h, -2 * h])[:, None, None, None]
+        # all of the state's directions in one draw, direction by direction,
+        # (u, m) each, then viewed field first; sums per field, so every
+        # direction and analytic derivative is that of one at a time
+        d = rng.standard_normal((FD_DIRECTIONS, 2, grid.nx, grid.nt)).swapaxes(0, 1)
+        d[..., 0] = 0.0
+        scale = np.sqrt(np.sum(d[0]**2, axis=(1, 2)) + np.sum(d[1]**2, axis=(1, 2)))
+        d /= scale[:, None, None]
+        analytic = (np.sum(g[0] * d[0], axis=(1, 2)) +
+                    np.sum(g[1] * d[1], axis=(1, 2)))
+        j = np.empty((4, FD_DIRECTIONS))  # J at the four line points of each
         for start in range(0, FD_DIRECTIONS, chunk):
-            # drawn direction by direction, (u, m) each, then viewed field
-            # first; sums per field, so every direction and analytic
-            # derivative is that of one at a time
-            d = rng.standard_normal((min(chunk, FD_DIRECTIONS - start), 2,
-                                     grid.nx, grid.nt)).swapaxes(0, 1)
-            d[..., 0] = 0.0
-            scale = np.sqrt(np.sum(d[0]**2, axis=(1, 2)) + np.sum(d[1]**2, axis=(1, 2)))
-            d /= scale[:, None, None]
-            analytic = (np.sum(g[0] * d[0], axis=(1, 2)) +
-                        np.sum(g[1] * d[1], axis=(1, 2)))
-            # the four line points of each direction: (2, 4, chunk, nx, nt)
-            j = obj.value_arrays(z[:, None, None] + steps * d[:, None]).total
-            fd = (8.0 * (j[0] - j[1]) - (j[2] - j[3])) / (12 * h)
-            rel = np.abs(analytic - fd) / (np.abs(analytic) + 1e-12)
-            worst = np.maximum(worst, rel.max())  # max() would drop a NaN
+            # the line points of a chunk of directions: (2, 4, chunk, nx, nt)
+            cut = slice(start, start + chunk)
+            j[:, cut] = obj.value_arrays(z[:, None, None] + steps * d[:, None, cut]).total
+        fd = (8.0 * (j[0] - j[1]) - (j[2] - j[3])) / (12 * h)
+        rel = np.abs(analytic - fd) / (np.abs(analytic) + 1e-12)
+        worst = np.maximum(worst, rel.max())  # max() would drop a NaN
     return {"max_rel_error": float(worst), "n_states": FD_STATES,
             "n_directions": FD_DIRECTIONS, "seed": seed,
             "step_rule": "five-point, 1e-2*(1+max|state|)"}

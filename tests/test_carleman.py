@@ -168,6 +168,20 @@ def test_sampled_fields_have_vanishing_boundary_slope():
     assert 6.0 <= coarse / fine <= 10.0
 
 
+def test_neumann_space_is_cached_and_read_only():
+    grid = make_grid(-1, 1, 1, 0.1, 0.1, 0.6)
+    modes, powers = carleman._neumann_space(grid)
+    again = carleman._neumann_space(make_grid(-1, 1, 1, 0.1, 0.1, 0.6))
+    assert again[0] is modes and again[1] is powers
+    assert not modes.flags.writeable and not powers.flags.writeable
+    # the cached factors draw the same field as factors built per call
+    vals = sample_neumann_field(grid, np.random.default_rng(0))
+    assert vals.shape == (21, 11)
+    assert vals[0, 0] == 2.428880233849211
+    assert vals[10, 5] == -0.21425823404793665
+    assert vals[20, 10] == -2.9397615754515356
+
+
 def test_least_multiplier_branches():
     # smallest k >= 0 with a + k*b >= 0, on pencils with known answers
     eye = np.eye(2)

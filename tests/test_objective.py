@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfg_forecast import calculus, model, objective
+from mfg_forecast import calculus, experiments, model, objective
 from mfg_forecast.carleman import ConvexParams, sample_neumann_field
 from mfg_forecast.grid import Field, make_grid
 from mfg_forecast.model import make_problem_spec
@@ -10,6 +10,7 @@ from mfg_forecast.optimizer import OptimizerConfig, make_start, minimize
 import mfg_forecast.optimizer as optimizer
 
 from convexity_reference import convexity_probe, h2_quadratic
+from fd_check_reference import max_rel_error_by_chunk
 from h2_reference import h2_norm_discrete
 
 
@@ -426,6 +427,29 @@ def test_gradient_fd_check_independent_of_chunk_size(params, t11_case, monkeypat
     grid = t11_case.spec.grid
     monkeypatch.setattr(objective, "FD_STACK_NODES", 4 * grid.nx * grid.nt)
     assert gradient_fd_check(t11_case.spec, params, seed=7) == report
+
+
+@pytest.mark.parametrize("test,step", [("T1_1", 0.1), ("T2_1", 0.1), ("T1_1", 0.05)])
+@pytest.mark.parametrize("seed", [7, 8, 42])
+def test_gradient_fd_check_matches_chunked_reference(test, step, seed):
+    # one block of directions per state reads the same report, bit for bit,
+    # as drawing and reducing them chunk by chunk: chunks of 8 directions at
+    # 21x11, of 2 at 41x21
+    cfg = experiments.resolve_config(test, {"dx": step, "dt": step})
+    _, spec, _ = experiments._build_problem(test, cfg)
+    params = experiments.convex_params(cfg)
+    report = gradient_fd_check(spec, params, seed=seed)
+    assert report["max_rel_error"] == max_rel_error_by_chunk(spec, params, seed)
+
+
+def test_direction_block_is_the_chunked_stream():
+    # the oracle relies on numpy drawing a block of normals element by
+    # element: 50 directions at once are six chunks of 8 and one of 2
+    shape = (2, 21, 11)
+    block = np.random.default_rng(3).standard_normal((50, *shape))
+    rng = np.random.default_rng(3)
+    chunks = [rng.standard_normal((n, *shape)) for n in (8,) * 6 + (2,)]
+    assert np.array_equal(block, np.concatenate(chunks))
 
 
 # -- the objective is a pure evaluator ---------------------------------------

@@ -9,7 +9,9 @@ added to every shipped noise and finite-difference seed
 so a change that keeps the outputs needs checking at more than one shift),
 ``run --test T1_1_extended``, the README's noise-free T2_2 run,
 lambda sweep and kernel sweep, ``export-case`` of T1_1 and T1_2 on the
-161x81 refinement grid, and ``--help`` of the program and of each
+161x81 refinement grid, ``check-gradient`` of T1_1 on 41x21 and of T1_2 on
+81x41 (whose stacks hold 2 and 1 of the oracle's directions, where the
+21x11 checks hold 8), and ``--help`` of the program and of each
 subcommand (at COLUMNS=100, so a change to any command's flags shows).  Each
 tree runs them from its own ``src/`` in OUT/base or OUT/head, and each
 command's exit code and printed output go to ``<name>.log`` beside its
@@ -48,6 +50,12 @@ def commands(head: Path, shift: int) -> list:
     ] + [(f"refined-export-{t}", ["export-case", "--test", t, "--dx", "0.0125",
                                   "--dt", "0.0125", "--out", f"refined-export-{t}"])
          for t in ("T1_1", "T1_2")] + [
+        (f"fine-gradient-{t}", ["check-gradient", "--test", t, "--dx", step,
+                                "--dt", step,
+                                "--seed", str(workloads.CASE_SEEDS[t] + shift),
+                                "--fd-seed", str(workloads.FD_SEED + shift),
+                                "--out", f"fine-gradient-{t}"])
+        for t, step in (("T1_1", "0.05"), ("T1_2", "0.025"))] + [
         (f"help-{c}", [c, "--help"])
         for c in ("run", "sweep", "check-gradient", "check-carleman", "export-case")] + [
         ("help", ["--help"])]
