@@ -303,7 +303,7 @@ def _build_problem(test_id: str, cfg: dict):
         f_field = truth.spec.f_field
     else:
         truth = f_field = None
-        xs = grid.x_nodes()
+        xs = grid.x_nodes().tolist()
         u0_clean = np.array([case.u0_fn(x) for x in xs])
         m0_clean = np.array([case.m0_fn(x) for x in xs])
     u0 = add_noise(u0_clean, NoiseSpec(cfg["noise"], cfg["seed"]))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -115,14 +116,16 @@ class Field:
 
 
 def field_from_function(grid: Grid, g: Callable[[float, float], float]) -> Field:
-    """Sample g(x, t) at every (np.float64) node, one row of x at a time.
+    """Sample g(x, t) at every node, one row of x at a time.
 
+    The nodes are plain Python floats (``tolist`` of the node arrays), with
+    the values of the np.float64 nodes, so g does plain float arithmetic.
     Rejects (ValueError) if g returns a non-finite value; the message names
     the first such node, its value, x and t.
     """
-    ts = list(grid.t_nodes())  # iterating a list does not re-box each node
+    ts = grid.t_nodes().tolist()
     vals = np.empty((grid.nx, grid.nt))
-    for i, x in enumerate(grid.x_nodes()):
+    for i, x in enumerate(grid.x_nodes().tolist()):
         vals[i] = [g(x, t) for t in ts]
     return Field(grid, vals)
 
@@ -278,14 +281,23 @@ def _padded(strings: list[str], justify) -> np.ndarray:
                          f"V{width}")
 
 
+@lru_cache(maxsize=None)
+def _coordinates(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The x and t coordinates of a grid's CSV lines, each followed by its
+    comma, padded (see write_field_csv); cached per grid and read-only."""
+    return (_padded([f"{x:.17g}," for x in grid.x_nodes().tolist()], bytes.rjust),
+            _padded([f"{t:.17g}," for t in grid.t_nodes().tolist()], bytes.ljust))
+
+
 def write_field_csv(field: Field, path) -> None:
     """Write `x,t,value` rows, grouped by time slice, 17 significant digits.
 
     Every number is written exactly as `format(v, ".17g")`, so it reads
-    back bit for bit.  Each coordinate is formatted once per file by
-    Python.  The values go out a block of whole time slices at a time: each
-    line is a row of bytes (x right-justified against t, then the value and
-    its newline), padded with zero bytes that the write drops.
+    back bit for bit.  Each coordinate is formatted by Python once per
+    grid (``_coordinates``, cached).  The values go out a block of whole
+    time slices at a time: each line is a row of bytes (x right-justified
+    against t, then the value and its newline), padded with zero bytes
+    that the write drops, and the bytes left are written as they are.
 
     A value with 1e-6 < |v| < 1e17 or a zero is converted in bulk, exactly:
     - X = floor(log10 |v|), corrected by one until the exact product
@@ -304,22 +316,21 @@ def write_field_csv(field: Field, path) -> None:
     Every other value goes through `format(v, ".17g")` one at a time.
     """
     grid = field.grid
-    xs = _padded([f"{x:.17g}," for x in grid.x_nodes().tolist()], bytes.rjust)
-    ts = _padded([f"{t:.17g}," for t in grid.t_nodes().tolist()], bytes.ljust)
+    xs, ts = _coordinates(grid)
     per_block = max(1, _BLOCK_VALUES // grid.nx)
     lines = np.empty((min(per_block, grid.nt), grid.nx),
                      [("x", xs.dtype), ("t", ts.dtype), ("value", f"V{_VALUE_BYTES}")])
     lines["x"] = xs
     columns = field.values.T
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,t,value\n")
+    with open(path, "wb") as fh:
+        fh.write(b"x,t,value\n")
         for j in range(0, grid.nt, per_block):
             block = lines[:min(per_block, grid.nt - j)]
             block["t"] = ts[j:j + per_block, None]
             block["value"] = _format_lines(columns[j:j + per_block].ravel()).view(
                 block.dtype["value"]).reshape(block.shape)
             text = block.view(np.uint8)
-            fh.write(str(text[text != 0].data, "ascii"))
+            fh.write(text[text != 0])
 
 
 def write_table_csv(path, header: str, rows) -> None:

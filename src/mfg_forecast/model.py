@@ -97,21 +97,33 @@ def residuals(u: np.ndarray, m: np.ndarray, spec: ProblemSpec, stencils):
     """The two system residuals (R1, R2) and u_x at every node.
 
     ``u`` and ``m`` are (nx, nt) fields or stacks of them, (..., nx, nt);
-    the results have their shape.  ``stencils`` is
-    ``calculus.stencil_products`` of the spec grid, passed in so callers
-    that hold it pay nothing extra.
+    the results have their shape.  One of them may be a single (nx, nt)
+    field next to a (k, nx, nt) stack of the other: its terms are computed
+    once and broadcast over the stack, so R1 and R2 have the stack's shape
+    and u_x has u's.  Every sum keeps its order, so each state's R1 and R2
+    are bit for bit those of a one-state call.
+    ``stencils`` is ``calculus.stencil_products`` of the spec grid, passed
+    in so callers that hold it pay nothing extra.
     """
     ux = stencils.d_dx(u)
     r1 = stencils.d_dt(u)  # summed in place, in a + b + c order: fewer temporaries
     r1 += stencils.d2_dx2(u)
     r1 += 0.5 * ux * ux
     if spec.kernel:  # a zero kernel adds a zero row
-        r1 += apply_interaction(spec.kernel, spec.grid, m)
-    r1 += spec.f_field.values * m
+        r1 = _add(r1, apply_interaction(spec.kernel, spec.grid, m))
+    r1 = _add(r1, spec.f_field.values * m)
     r2 = stencils.d_dt(m)
     r2 -= stencils.d2_dx2(m)
-    r2 += stencils.d_dx(m * ux)
+    r2 = _add(r2, stencils.d_dx(m * ux))
     return r1, r2, ux
+
+
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b, in place unless b is a stack over the single field a."""
+    if b.ndim > a.ndim:
+        return a + b
+    a += b
+    return a
 
 
 def residual_adjoint(g1: np.ndarray, g2: np.ndarray, ux: np.ndarray,
@@ -217,8 +229,9 @@ def _neumann_violation(u_fn: Callable[[float, float], float], grid: Grid) -> flo
     """Max |u_x| at the two spatial boundaries, from the continuous function."""
     eps = 1e-6
     worst = 0.0
+    ts = grid.t_nodes().tolist()
     for x in (grid.x_min, grid.x_max):
-        for t in grid.t_nodes():
+        for t in ts:
             worst = max(worst, abs(u_fn(x + eps, t) - u_fn(x - eps, t)) / (2 * eps))
     return worst
 
@@ -239,7 +252,7 @@ def build_manufactured_case(u_fn: Callable[[float, float], float],
             f"chosen u has boundary slope {violation:.3e}; zero-flux "
             "boundary conditions require u_x = 0 at the spatial endpoints")
     u_true = field_from_function(grid, u_fn)
-    m0 = np.array([m0_fn(x) for x in grid.x_nodes()], dtype=float)
+    m0 = np.array([m0_fn(x) for x in grid.x_nodes().tolist()], dtype=float)
     m_true = solve_fokker_planck(u_true, m0)
     spec = ProblemSpec(grid, kernel, manufactured_source(u_true, m_true, kernel),
                        u_true.values[:, 0], m_true.values[:, 0])

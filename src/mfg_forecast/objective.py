@@ -66,7 +66,9 @@ agree in (i + 2 j) mod 6 touch disjoint rows in the slots their field
 reaches (a colouring in the sense of Curtis, Powell and Reid, 1974).
 E = 1 on such a colour group gives all of its columns at once, read from
 those slots only: 12 groups, two stacked residual states each, give the
-whole Jacobian.  One field at a time, the J E of its six groups go into
+whole Jacobian.  Only the perturbed field is stacked: the other goes to
+``model.residuals`` once, as a single field, and its terms are computed
+once per call.  One field at a time, the J E of its six groups go into
 one zero-padded buffer, and each slot the field reaches is then one
 gather from it: every free node reads that slot's row in its own
 colour's J E.  The constant kernel, which couples every
@@ -97,16 +99,16 @@ from mfg_forecast.model import ProblemSpec
 
 # Nodes per field in one stacked evaluation of the finite-difference oracle
 # (four line points times a chunk of the directions drawn, in one block,
-# for one state) and of the coloured Jacobian (two states per colour group,
-# up to the six groups of one field per call: all six at 21x11, 4 + 2 at
-# 41x21, one at 161x81); bounds their memory.  Its stack-sized temporaries
-# (64 KiB at most) are small enough that freeing them does not trim the C
-# heap for the next chunk to fault in again: at 16384 a 21x11 check took
-# thousands of minor page faults, here fewer than ten.  The Jacobian's
-# buffer of one field's J E does not scale with it: 36 KiB at 21x11 is
-# below the 128 KiB from which glibc maps an array on its own, 1.35 MB at
-# 161x81 is not.  Nor does the oracle's block of one state's directions,
-# 185 kB at 21x11.
+# for one state) and of the perturbed field in the coloured Jacobian's (two
+# states per colour group, up to the six groups of one field per call: all
+# six at 21x11, 4 + 2 at 41x21, one at 161x81); bounds their memory.  Its
+# stack-sized temporaries (64 KiB at most) are small enough that freeing
+# them does not trim the C heap for the next chunk to fault in again: at
+# 16384 a 21x11 check took thousands of minor page faults, here fewer than
+# ten.  The Jacobian's buffer of one field's J E does not scale with it:
+# 36 KiB at 21x11 is below the 128 KiB from which glibc maps an array on
+# its own, 1.35 MB at 161x81 is not.  Nor does the oracle's block of one
+# state's directions, 185 kB at 21x11.
 FD_STACK_NODES = 8192
 FD_STATES = 10  # random states of the finite-difference oracle
 FD_DIRECTIONS = 50  # random unit directions at each state
@@ -310,10 +312,11 @@ class Objective:
         residual row of r(z + E) - r(z - E): the default gives J E.
 
         One field at a time, its groups go to ``model.residuals`` in stacks
-        of at most ``FD_STACK_NODES`` nodes per field (one group at least),
-        and their J E into one buffer zero-padded by two nodes; each slot
-        that ``_reach`` opens for the field is then one gather from it.  The
-        columns are filled as (2, 2, 9, nx, nt - 1) and returned swapped.
+        of z[f] +- E of at most ``FD_STACK_NODES`` nodes (one group at
+        least), next to the other field of z, unstacked, and their J E into
+        one buffer zero-padded by two nodes; each slot that ``_reach`` opens
+        for the field is then one gather from it.  The columns are filled
+        as (2, 2, 9, nx, nt - 1) and returned swapped.
         """
         grid = self.spec.grid
         nx, nt = grid.nx, grid.nt
@@ -337,11 +340,13 @@ class Objective:
             for c in range(0, COLOURS, per_call):
                 n = min(per_call, COLOURS - c)
                 e = colour == np.arange(c, c + n)[:, None, None]
-                points = np.empty((2, 2 * n, nx, nt))
-                points[:] = z[:, None]
-                points[f, :n] += e
-                points[f, n:] -= e
-                r1, r2 = model.residuals(points[0], points[1], spec, self.stencils)[:2]
+                points = np.empty((2 * n, nx, nt))
+                points[:] = z[f]
+                points[:n] += e
+                points[n:] -= e
+                # the other field, unmoved, goes in once as a single field
+                u, m = (points, z[1]) if f == 0 else (z[0], points)
+                r1, r2 = model.residuals(u, m, spec, self.stencils)[:2]
                 stack = je[c:c + n, :, 2:nx + 2, 2:nt + 2]
                 np.subtract(r1[:n], r1[n:], out=stack[:, 0])
                 np.subtract(r2[:n], r2[n:], out=stack[:, 1])

@@ -91,13 +91,16 @@ def _colour_groups_of_a_build(obj, z, monkeypatch):
     """The perturbation E of each colour group, as a boolean (2, nx, nt)
     mask, read off the states z + E and z - E that one preconditioner build
     at z hands to ``model.residuals``; and, per call, the fields its groups
-    perturb."""
+    perturb.  The build hands the unmoved field over unstacked, as one
+    (nx, nt) field; it is broadcast over the stack before E is read."""
     _reach()  # probed once per process, before the calls are recorded
     groups, calls, residuals = [], [], model.residuals
 
     def recorded(u, m, spec, stencils):
-        n = u.shape[0] // 2
-        e = 0.5 * (np.stack((u[:n], m[:n])) - np.stack((u[n:], m[n:])))
+        shape = np.broadcast_shapes(u.shape, m.shape)
+        both = np.stack((np.broadcast_to(u, shape), np.broadcast_to(m, shape)))
+        n = shape[0] // 2
+        e = 0.5 * (both[:, :n] - both[:, n:])
         assert np.all((np.abs(e) < 1e-9) | (np.abs(e - 1.0) < 1e-9))
         groups.extend(np.swapaxes(e > 0.5, 0, 1))
         calls.append(set(np.flatnonzero((e > 0.5).any(axis=(1, 2, 3)))))
@@ -304,6 +307,25 @@ def test_field_sampler_matches_per_node_loop(step, u_fn, m0_fn):
     grid = _grid(step)
     assert np.array_equal(field_from_function(grid, u_fn).values,
                           field_from_function_per_node(grid, u_fn).values)
+
+
+@pytest.mark.parametrize("test_id", ["T1_1", "T1_2", "T2_1", "T2_2", "T3_1"])
+@pytest.mark.parametrize("step", STEPS)
+def test_initial_data_match_float64_nodes(step, test_id):
+    # the case builds sample u0 and m0 on plain float nodes; each value is
+    # bit for bit the function's value at the np.float64 node (_m0_t11 and
+    # compact_bump among them)
+    case = experiments.CASES[test_id]
+    cfg = experiments.resolve_config(test_id, {"dx": step, "dt": step, "noise": 0.0})
+    grid, spec, truth = experiments._build_problem(test_id, cfg)
+    xs = grid.x_nodes()
+    assert isinstance(xs[0], np.float64)
+    assert np.array_equal(spec.m0, [case.m0_fn(x) for x in xs])
+    if truth is None:
+        assert np.array_equal(spec.u0, [case.u0_fn(x) for x in xs])
+    else:
+        assert np.array_equal(truth.u_true.values,
+                              field_from_function_per_node(grid, case.u_fn).values)
 
 
 @pytest.mark.parametrize("u_fn,m0_fn", CASES)

@@ -194,6 +194,21 @@ def test_csv_bytes_match_per_row_formatter(tmp_path):
     assert np.array_equal(_loaded_values(path, g), f.values)
 
 
+def test_csv_coordinates_cached_per_grid(tmp_path):
+    # two fields on two grids, written alternately, each byte for byte the
+    # per-row formatter's: the coordinates cached for one grid never leak
+    # into the other's file
+    rng = np.random.default_rng(31)
+    grids = [make_grid(-1, 1, 1, 0.1, 0.1, 0.6), make_grid(-1, 1, 2, 0.0125, 0.05, 0.5)]
+    fields = [Field(g, rng.standard_normal((g.nx, g.nt))) for g in grids]
+    for k in range(4):
+        field = fields[k % 2]
+        path, reference = tmp_path / f"{k}.csv", tmp_path / f"{k}.reference.csv"
+        write_field_csv(field, path)
+        _write_field_csv_per_row(field, reference)
+        assert path.read_bytes() == reference.read_bytes()
+
+
 def _exact_ties(rng):
     """Doubles whose exact decimal has 18 significant digits, the last a 5.
 

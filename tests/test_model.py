@@ -127,6 +127,33 @@ def test_residuals_drift_oracle(step):
     assert err2 < 0.5 * math.pi**4 * (2 * step)**2 * 2.0 / 12
 
 
+@pytest.mark.parametrize("kernel", [0.0, 1.0])
+@pytest.mark.parametrize("step", [pytest.param(0.1, id="21x11"),
+                                  pytest.param(0.05, id="41x21"),
+                                  pytest.param(0.0125, id="161x81")])
+def test_residuals_broadcast_a_single_field_over_a_stack(step, kernel):
+    # u stacked next to one m, and m stacked next to one u: each state's
+    # R1, R2 and u_x are bit for bit those of a one-state call, on the
+    # working grid (one dense product per stencil) and on 161x81 (blocked
+    # products)
+    grid = make_grid(-1, 1, 1, step, step, 0.6)
+    rng = np.random.default_rng(43)
+    f = Field(grid, rng.standard_normal((grid.nx, grid.nt)))
+    spec = make_problem_spec(grid, np.zeros(grid.nx), np.zeros(grid.nx), kernel, f)
+    stencils = calculus.stencil_products(grid)
+    stack = rng.standard_normal((3, grid.nx, grid.nt))
+    single = rng.standard_normal((grid.nx, grid.nt))
+    for moved in range(2):
+        args = (stack, single) if moved == 0 else (single, stack)
+        stacked = residuals(*args, spec, stencils)
+        assert all(r.shape == stack.shape for r in stacked[:2])
+        for s in range(len(stack)):
+            state = (stack[s], single) if moved == 0 else (single, stack[s])
+            one = residuals(*state, spec, stencils)
+            for got, expected in zip(stacked, one):
+                assert np.array_equal(np.broadcast_to(got, stack.shape)[s], expected)
+
+
 def test_fp_residual_shape_mismatch(grid):
     # fields off the spec grid are refused by the stencil products
     other = make_grid(-1, 1, 1, 0.2, 0.1, 0.6)

@@ -11,7 +11,9 @@ so a change that keeps the outputs needs checking at more than one shift),
 lambda sweep and kernel sweep, ``export-case`` of T1_1 and T1_2 on the
 161x81 refinement grid, ``check-gradient`` of T1_1 on 41x21 and of T1_2 on
 81x41 (whose stacks hold 2 and 1 of the oracle's directions, where the
-21x11 checks hold 8), and ``--help`` of the program and of each
+21x11 checks hold 8), ``run --test T1_2`` on 41x21 (whose coloured
+Jacobian stacks 4 + 2 colour groups per field, where 21x11 stacks all six
+and 161x81 one), and ``--help`` of the program and of each
 subcommand (at COLUMNS=100, so a change to any command's flags shows).  Each
 tree runs them from its own ``src/`` in OUT/base or OUT/head, and each
 command's exit code and printed output go to ``<name>.log`` beside its
@@ -56,6 +58,9 @@ def commands(head: Path, shift: int) -> list:
                                 "--fd-seed", str(workloads.FD_SEED + shift),
                                 "--out", f"fine-gradient-{t}"])
         for t, step in (("T1_1", "0.05"), ("T1_2", "0.025"))] + [
+        ("fine-run-T1_2", ["run", "--test", "T1_2", "--dx", "0.05", "--dt", "0.05",
+                           "--seed", str(workloads.CASE_SEEDS["T1_2"] + shift),
+                           "--out", "fine-run-T1_2"])] + [
         (f"help-{c}", [c, "--help"])
         for c in ("run", "sweep", "check-gradient", "check-carleman", "export-case")] + [
         ("help", ["--help"])]
