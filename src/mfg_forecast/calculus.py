@@ -117,18 +117,23 @@ class BlockedProduct:
             sub = a[rows, span] if self.left else a[rows, span].T
             self.blocks.append((rows, span, np.ascontiguousarray(sub)))
 
-    def __call__(self, f: np.ndarray) -> np.ndarray:
+    def __call__(self, f: np.ndarray, out=None) -> np.ndarray:
+        """The product, written to ``out`` when it is given."""
         if not self.blocks:
-            return self.matrix @ f if self.left else f @ self.matrix
+            if self.left:
+                return np.matmul(self.matrix, f, out=out)
+            return np.matmul(f, self.matrix, out=out)
         if self.left:
-            out = np.empty(f.shape[:-2] + (self.matrix.shape[0], f.shape[-1]))
+            if out is None:
+                out = np.empty(f.shape[:-2] + (self.matrix.shape[0], f.shape[-1]))
             for rows, span, sub in self.blocks:
                 if sub is None:
                     out[..., rows, :] = 0.0
                 else:
                     np.matmul(sub, f[..., span, :], out=out[..., rows, :])
         else:
-            out = np.empty(f.shape[:-1] + (self.matrix.shape[1],))
+            if out is None:
+                out = np.empty(f.shape[:-1] + (self.matrix.shape[1],))
             for cols, span, sub in self.blocks:
                 if sub is None:
                     out[..., cols] = 0.0

@@ -148,9 +148,9 @@ def relative_cost_curve(z: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     if z.shape != (2, grid.nx, grid.nt):
         raise ValueError("state must live on the spec grid")
     u, m = z
-    r1, r2, _ = model.residuals(u, m, spec, calculus.stencil_products(grid))
+    squared = model.residuals(z, spec, calculus.stencil_products(grid))[0] ** 2
     wx = calculus.weights_x(grid)
-    numerator = wx @ (r1**2 + r2**2)  # (nt,)
+    numerator = wx @ (squared[0] + squared[1])  # (nt,)
     denominator = float(wx @ (u[:, 0] ** 2 + m[:, 0] ** 2))
     if denominator <= 0.0:
         raise ValueError("zero initial data; the relative cost is undefined")

@@ -10,12 +10,12 @@ The residuals of the 1-D working form:
     hjb residual:  u_t + u_xx + (u_x)^2/2 + K * int m(y,t) dy + f*m
     fp residual:   m_t - m_xx + d/dx( m * u_x )
 
-``residuals`` is the one place these two are stated.  The objective (its
-value, and the coloured Jacobian of its preconditioner), the
-relative-cost diagnostic, the manufactured-case builder and the
-manufactured source (-R1/m with f = 0) all call it.  The only other code
-that knows their terms is here too: ``residual_adjoint``, the adjoint the
-objective's gradient applies.
+``residuals`` is the one place these two are stated, as one array R laid
+out like the state z (R[0] = R1, R[1] = R2).  The objective, the
+relative-cost diagnostic and the manufactured case and source (-R1/m with
+f = 0) all call it.  The only other code that knows their terms is here
+too: ``residual_adjoint``, which the objective's gradient applies to
+G = dJ/dR, laid out like R.
 
 The whole coupled system is never time-marched: the u-equation is unstable
 forward in time, which is exactly why the convexification route exists.
@@ -93,57 +93,63 @@ def apply_interaction(kernel: float, grid: Grid, m_values: np.ndarray) -> np.nda
     return kernel * (wx @ m_values)[..., None, :]
 
 
-def residuals(u: np.ndarray, m: np.ndarray, spec: ProblemSpec, stencils):
-    """The two system residuals (R1, R2) and u_x at every node.
+def residuals(z, spec: ProblemSpec, stencils):
+    """R = (R1, R2), laid out like z, and u_x at every node.
 
-    ``u`` and ``m`` are (nx, nt) fields or stacks of them, (..., nx, nt);
-    the results have their shape.  One of them may be a single (nx, nt)
-    field next to a (k, nx, nt) stack of the other: its terms are computed
-    once and broadcast over the stack, so R1 and R2 have the stack's shape
-    and u_x has u's.  Every sum keeps its order, so each state's R1 and R2
-    are bit for bit those of a one-state call.
-    ``stencils`` is ``calculus.stencil_products`` of the spec grid, passed
-    in so callers that hold it pay nothing extra.
+    ``z`` is one state array (2, ..., nx, nt), whose two fields go through
+    d_dt and d2_dx2 together, or a pair (u, m) of which one may be a single
+    (nx, nt) field next to a (k, nx, nt) stack of the other, its terms
+    computed once and broadcast.  R has the broadcast shape behind its
+    residual axis; u_x has u's.  Every sum keeps its order (in place where
+    it can: fewer temporaries), so each state's R and u_x are bit for bit
+    those of a one-state call.  ``stencils`` is ``calculus.stencil_products``
+    of the spec grid, passed in so callers that hold it pay nothing extra.
     """
+    u, m = z[0], z[1]  # indexed: unpacking an array iterates it, at a cost
     ux = stencils.d_dx(u)
-    r1 = stencils.d_dt(u)  # summed in place, in a + b + c order: fewer temporaries
-    r1 += stencils.d2_dx2(u)
+    if isinstance(z, np.ndarray):
+        r = stencils.d_dt(z)
+        dxx = stencils.d2_dx2(z)
+        r1, r2 = out1, out2 = r[0], r[1]
+        r1 += dxx[0]
+        r2 -= dxx[1]
+    else:  # a sum goes to R at its first term of R's shape, a single field's last
+        shape = u.shape if u.ndim >= m.ndim else m.shape
+        r = np.empty((2,) + shape)
+        out1, out2 = r[0], r[1]
+        r1 = stencils.d_dt(u, out1 if u.shape == shape else None)
+        r1 += stencils.d2_dx2(u)
+        r2 = stencils.d_dt(m, out2 if m.shape == shape else None)
+        r2 -= stencils.d2_dx2(m)
     r1 += 0.5 * ux * ux
     if spec.kernel:  # a zero kernel adds a zero row
-        r1 = _add(r1, apply_interaction(spec.kernel, spec.grid, m))
-    r1 = _add(r1, spec.f_field.values * m)
-    r2 = stencils.d_dt(m)
-    r2 -= stencils.d2_dx2(m)
-    r2 = _add(r2, stencils.d_dx(m * ux))
-    return r1, r2, ux
+        r1 = np.add(r1, apply_interaction(spec.kernel, spec.grid, m), out1)
+    np.add(r1, spec.f_field.values * m, out1)
+    np.add(r2, stencils.d_dx(m * ux), out2)
+    return r, ux
 
 
-def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a + b, in place unless b is a stack over the single field a."""
-    if b.ndim > a.ndim:
-        return a + b
-    a += b
-    return a
-
-
-def residual_adjoint(g1: np.ndarray, g2: np.ndarray, ux: np.ndarray,
-                     m: np.ndarray, spec: ProblemSpec, stencils):
-    """J^T (g1, g2) as (gu, gm) fields: the adjoint, in the plain nodal
-    inner product, of the residuals' Jacobian J at the state (u, m) whose
-    residuals gave ``ux``, applied to one (nx, nt) multiplier per residual.
+def residual_adjoint(g: np.ndarray, ux: np.ndarray, m: np.ndarray,
+                     spec: ProblemSpec, stencils) -> np.ndarray:
+    """J^T g, shaped like z: the adjoint, in the plain nodal inner product,
+    of the residuals' Jacobian J at the state (u, m) whose residuals gave
+    ``ux``, applied to multipliers g laid out like one state's R.
     """
     s = stencils
-    # R1: adjoints of d_dt, d2_dx2, the gradient square, the interaction
-    # integral, and the f*m coupling.
-    gu = (s.d_dt_adjoint(g1) + s.d2_dx2_adjoint(g1) + s.d_dx_adjoint(ux * g1))
-    wx = calculus.weights_x(spec.grid)
-    gm = spec.kernel * np.outer(wx, g1.sum(axis=0)) + spec.f_field.values * g1
-    # R2: adjoints of d_dt, d2_dx2 and the flux-form divergence, in both
-    # arguments.
-    dxt_g2 = s.d_dx_adjoint(g2)
+    out = s.d_dt_adjoint(g)  # (gu, gm), summed in place
+    dxx = s.d2_dx2_adjoint(g)
+    gu, gm = out[0], out[1]
+    # u: R1's d_dt, d2_dx2 and gradient square, R2's divergence; m: R2's
+    # d_dt, d2_dx2 and divergence, then R1's integral and f*m (b + a = a + b)
+    gu += dxx[0]
+    gu += s.d_dx_adjoint(ux * g[0])
+    dxt_g2 = s.d_dx_adjoint(g[1])
     gu += s.d_dx_adjoint(m * dxt_g2)
-    gm += s.d_dt_adjoint(g2) - s.d2_dx2_adjoint(g2) + ux * dxt_g2
-    return gu, gm
+    gm -= dxx[1]
+    gm += ux * dxt_g2
+    gm += (spec.kernel * np.outer(calculus.weights_x(spec.grid), g[0].sum(axis=0))
+           + spec.f_field.values * g[0])
+    return out
 
 
 def solve_fokker_planck(u: Field, m0: np.ndarray) -> Field:
@@ -185,13 +191,13 @@ def solve_fokker_planck(u: Field, m0: np.ndarray) -> Field:
     return Field(grid, m.T)  # a C-order copy: products of it round as before
 
 
-def manufactured_source(u: Field, m: Field, kernel: float) -> Field:
-    """Source f making the hjb residual vanish identically at the nodes.
+def manufactured_source(u: Field, m: Field, kernel: float):
+    """Source f making the hjb residual vanish identically at the nodes,
 
         f = -(1/m) * [ u_t + u_xx + (u_x)^2/2 + int K m dy ],
 
-    that is -R1/m for the source-free problem.  Requires m strictly
-    positive (min above 1e-8).
+    that is -R1/m for the source-free problem, and that problem's R.
+    Requires m strictly positive (min above 1e-8).
     """
     grid = u.grid
     if m.grid != grid:
@@ -202,8 +208,8 @@ def manufactured_source(u: Field, m: Field, kernel: float) -> Field:
             f"density touches {mmin:.3e} (floor {POSITIVITY_FLOOR:.0e}); "
             "source construction would divide by a vanishing density")
     source_free = make_problem_spec(grid, u.values[:, 0], m.values[:, 0], kernel)
-    r1 = residuals(u.values, m.values, source_free, calculus.stencil_products(grid))[0]
-    return Field(grid, -r1 / m.values)
+    r = residuals((u.values, m.values), source_free, calculus.stencil_products(grid))[0]
+    return Field(grid, -r[0] / m.values), r
 
 
 @dataclass(frozen=True)
@@ -254,13 +260,12 @@ def build_manufactured_case(u_fn: Callable[[float, float], float],
     u_true = field_from_function(grid, u_fn)
     m0 = np.array([m0_fn(x) for x in grid.x_nodes().tolist()], dtype=float)
     m_true = solve_fokker_planck(u_true, m0)
-    spec = ProblemSpec(grid, kernel, manufactured_source(u_true, m_true, kernel),
-                       u_true.values[:, 0], m_true.values[:, 0])
-    r1, r2, _ = residuals(u_true.values, m_true.values, spec,
-                          calculus.stencil_products(grid))
+    f, r = manufactured_source(u_true, m_true, kernel)
+    spec = ProblemSpec(grid, kernel, f, u_true.values[:, 0], m_true.values[:, 0])
+    r[0] += f.values * m_true.values  # R1 ends in + f m; R2 has no f
     return ManufacturedCase(u_true, m_true, spec,
-                            calculus.l2_norm_qt(Field(grid, r1)),
-                            calculus.l2_norm_qt(Field(grid, r2)), label)
+                            calculus.l2_norm_qt(Field(grid, r[0])),
+                            calculus.l2_norm_qt(Field(grid, r[1])), label)
 
 
 def write_case(case: ManufacturedCase, outdir) -> None:

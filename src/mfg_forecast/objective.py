@@ -6,12 +6,12 @@ scalar being minimized is
     J(z) = balance * int [ R1^2 + q*d*R2^2 ] * cwf^2
            + alpha * ( |u|_H2^2 + |m|_H2^2 )
 
-with R1, R2 the two system residuals (stated once, in
-``model.residuals``), cwf the time-decaying exponential
+with R = (R1, R2) the two system residuals as one array laid out like z
+(stated once, in ``model.residuals``), cwf the time-decaying exponential
 weight, balance = exp(-2*a*c^lam), and |f|_H2^2 the discrete H2 norm: the
 summed squared L2 norms of f, d_dt f, d_dx f and d2_dx2 f over the
-cylinder, with the calculus module's stencils and trapezoid weights.  The
-gradient, 2*w*R through ``model.residual_adjoint`` plus 2*alpha*H z,
+cylinder.  With W = stack(w1, w2), the weights of R1^2 and R2^2, the
+gradient, G = 2 W R through ``model.residual_adjoint`` plus 2*alpha*H z,
 differentiates this discrete expression exactly, so the optimizer's descent
 directions are consistent with the objective to machine precision; finite
 differences are kept only as a verification oracle.
@@ -36,7 +36,7 @@ here is the full one, column 0 included; the optimizer zeroes that column
 before it steps, so the pinned data never move.
 
 ``value_arrays`` returns an evaluation: the breakdown of J together with
-the state and the intermediates R1, R2, u_x and H z.  The gradient and
+the state and the intermediates R, u_x and H z.  The gradient and
 the line quartic take evaluations, so a caller that already holds the
 evaluation at a point hands it over instead of having it recomputed.
 
@@ -45,7 +45,7 @@ R(z + xi p) = R(z) + xi a + xi^2 b exactly, with a = (R(z+p) - R(z-p))/2
 and b = (R(z+p) + R(z-p))/2 - R(z), and J(z + xi p) is a quartic in xi.
 ``line_quartic`` builds its coefficients from the evaluations at z and at
 the unit trial z + p, with H p = H(z+p) - H z, and one residual call at
-z - p.
+z - p; a, b, W a and W b are formed on R, each inner product per residual.
 
 ``model.residuals`` and ``value_arrays`` also take stacks of states, with
 the field axis first, (2, ..., nx, nt), and reduce each term per state;
@@ -87,7 +87,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
@@ -180,8 +180,7 @@ class ObjectiveBreakdown:
     j3: float
     total: float
     z: np.ndarray = dataclass_field(compare=False, repr=False)
-    r1: np.ndarray = dataclass_field(compare=False, repr=False)
-    r2: np.ndarray = dataclass_field(compare=False, repr=False)
+    r: np.ndarray = dataclass_field(compare=False, repr=False)  # R1, R2 stacked
     ux: np.ndarray = dataclass_field(compare=False, repr=False)
     h: np.ndarray = dataclass_field(compare=False, repr=False)  # H z, per field
 
@@ -226,9 +225,8 @@ def _reach() -> np.ndarray:
     e[[0, 1], [0, 1], n // 2, n // 2] = 1.0
     z = rng.uniform(1.0, 2.0, (2, n, n))
     points = np.concatenate((z + e, z - e)).swapaxes(0, 1)
-    r1, r2, _ = model.residuals(points[0], points[1], spec,
-                                calculus.stencil_products(grid))
-    je = np.stack((r1[:2] - r1[2:], r2[:2] - r2[2:]), axis=1)  # [f, k, i, j]
+    r = model.residuals(points, spec, calculus.stencil_products(grid))[0]
+    je = (r[:, :2] - r[:, 2:]).swapaxes(0, 1)  # [f, k, i, j]
     reach = je[:, :, n // 2 + SLOT_DK, n // 2 + SLOT_DL] != 0.0
     reach[:, :, FAR_SLOTS] = reach[:, :, FAR_SLOTS - np.sign(SLOT_DL[FAR_SLOTS])]
     reach.setflags(write=False)
@@ -252,14 +250,12 @@ class Objective:
                 f"params.t_max={params.t_max} does not match grid t_max={grid.t_max}")
         self.spec = spec
         self.stencils = calculus.stencil_products(grid)
-        wx, wt = calculus.weights_x(grid), calculus.weights_t(grid)
-        wq = np.outer(wx, wt)
-        profile = params.weight_profile(grid.t_nodes())
-        self.w1 = wq * profile[None, :]
-        self.w2 = self.w1 * (params.q * params.d)
+        # tiled to (nx, nt), so a stack of fields is scaled in one contiguous loop
+        self.wx_tile = np.repeat(calculus.weights_x(grid)[:, None], grid.nt, axis=1)
+        self.wt_tile = np.repeat(calculus.weights_t(grid)[None, :], grid.nx, axis=0)
+        w1 = self.wx_tile * self.wt_tile * params.weight_profile(grid.t_nodes())
+        self.w = np.multiply.outer((1.0, params.q * params.d), w1)  # W = (w1, w2)
         self.alpha = params.alpha
-        self.wx_col = wx[:, None]
-        self.wt_row = wt[None, :]
 
     # -- pieces ---------------------------------------------------------
 
@@ -268,9 +264,9 @@ class Objective:
         gradient is 2 H f; both factors are applied to the stacked fields
         at once."""
         h = self.stencils.gram_t(z)  # scaled and summed in place
-        h *= self.wx_col
+        h *= self.wx_tile
         t = self.stencils.gram_x(z)
-        t *= self.wt_row
+        t *= self.wt_tile
         h += t
         return h
 
@@ -284,23 +280,21 @@ class Objective:
         take the evaluation of one state; its caller keeps ``z`` unchanged
         while the evaluation is in use.
         """
-        u, m = z
-        r1, r2, ux = model.residuals(u, m, self.spec, self.stencils)
+        r, ux = model.residuals(z, self.spec, self.stencils)
         h = self._h2_apply(z)
         stacked = z.ndim > 3
         if stacked:  # one inner product per state, over the last two axes
-            j1 = np.einsum(_PER_STATE, self.w1 * r1, r1)
-            j2 = np.einsum(_PER_STATE, self.w2 * r2, r2)
-            j3 = self.alpha * (np.einsum(_PER_STATE, u, h[0]) +
-                               np.einsum(_PER_STATE, m, h[1]))
+            wr = np.expand_dims(self.w, tuple(range(1, z.ndim - 2))) * r
+            inner = partial(np.einsum, _PER_STATE)
         else:
-            j1 = calculus.inner(self.w1 * r1, r1)
-            j2 = calculus.inner(self.w2 * r2, r2)
-            j3 = self.alpha * (calculus.inner(u, h[0]) + calculus.inner(m, h[1]))
+            wr, inner = self.w * r, calculus.inner
+        j1 = inner(wr[0], r[0])  # one inner product per residual and field
+        j2 = inner(wr[1], r[1])
+        j3 = self.alpha * (inner(z[0], h[0]) + inner(z[1], h[1]))
         for name, v in (("j1", j1), ("j2", j2), ("j3", j3)):
             if not (np.isfinite(v).all() if stacked else math.isfinite(v)):
                 raise ValueError(f"objective term {name} is non-finite")
-        return ObjectiveBreakdown(j1, j2, j3, j1 + j2 + j3, z, r1, r2, ux, h)
+        return ObjectiveBreakdown(j1, j2, j3, j1 + j2 + j3, z, r, ux, h)
 
     def _coloured_columns(self, z: np.ndarray, factor=0.5) -> np.ndarray:
         """The kernel-free Jacobian of both residuals at z by coloured exact
@@ -345,13 +339,13 @@ class Objective:
                 points[:n] += e
                 points[n:] -= e
                 # the other field, unmoved, goes in once as a single field
-                u, m = (points, z[1]) if f == 0 else (z[0], points)
-                r1, r2 = model.residuals(u, m, spec, self.stencils)[:2]
+                pair = (points, z[1]) if f == 0 else (z[0], points)
+                r = model.residuals(pair, spec, self.stencils)[0]
                 stack = je[c:c + n, :, 2:nx + 2, 2:nt + 2]
-                np.subtract(r1[:n], r1[n:], out=stack[:, 0])
-                np.subtract(r2[:n], r2[n:], out=stack[:, 1])
+                for k in (0, 1):  # per residual: faster than one strided write
+                    np.subtract(r[k, :n], r[k, n:], out=stack[:, k])
                 stack *= factor
-                del r1, r2  # freed before the next call, where the build peaks
+                del r  # freed before the next call, where the build peaks
             for k, s in zip(*np.nonzero(reach[f])):
                 je.take(node + offset[k, s], out=columns[f, k, s])
         columns = columns.swapaxes(3, 4)
@@ -369,7 +363,7 @@ class Objective:
         """J0, the kernel-free Jacobian of (R1, R2) with respect to the free
         nodes (t > 0) at the state ``ev`` evaluated, as a
         ``scipy.sparse`` CSC matrix.  Rows are R1 then R2, each in C order
-        (those of ``np.stack((r1, r2)).ravel()``); columns are the free
+        (those of ``R.ravel()``); columns are the free
         nodes in the preconditioner's order: by time, then x, with u and m
         interleaved per node.
         """
@@ -401,11 +395,11 @@ class Objective:
         nx, nt = self.spec.grid.nx, self.spec.grid.nt
         # columns of W^(1/2) J0: their products are those of J0^T W J0
         # (halving is exact, so the 1/2 of J E may join the weight)
-        a = self._coloured_columns(z, 0.5 * np.sqrt(np.stack((self.w1, self.w2))))
+        a = self._coloured_columns(z, 0.5 * np.sqrt(self.w))
         # H's entries within one time, per field: wx_i ct_jj on the diagonal
         # and bx[i + di, i] wt_j
         ct, bx = self.stencils.gram_t.matrix, self.stencils.gram_x.matrix
-        wx, wt = self.wx_col[:, 0], self.wt_row[0, 1:, None]
+        wx, wt = self.wx_tile[:, 0], self.wt_tile[0, 1:, None]
         band = np.zeros((nt - 1, nx, 2, BAND_KD + 1))  # [j - 1, i, f, d]
         for di in range(min(X_SLOTS, nx)):
             # columns (i, f) and (i + di, g) of one time share the rows
@@ -446,12 +440,9 @@ class Objective:
     def value_and_gradient_arrays(self, ev: ObjectiveBreakdown) -> np.ndarray:
         """The exact partials of J, one per node value, at the state that
         ``ev`` evaluated (from ``value_arrays``); shaped like z."""
-        g1 = self.w1 * ev.r1
-        g1 *= 2.0  # dJ/dr1 = 2*w1*r1, doubled in place to spare an array
-        g2 = self.w2 * ev.r2
-        g2 *= 2.0
-        g = np.stack(model.residual_adjoint(g1, g2, ev.ux, ev.z[1], self.spec,
-                                            self.stencils))
+        g = self.w * ev.r
+        g *= 2.0  # dJ/dR = 2 W R, doubled in place to spare an array
+        g = model.residual_adjoint(g, ev.ux, ev.z[1], self.spec, self.stencils)
         g += (2.0 * self.alpha) * ev.h
         if not np.isfinite(g).all():
             raise ValueError("objective gradient is non-finite")
@@ -468,18 +459,16 @@ class Objective:
         """
         d01 = d02 = d11 = d12 = d22 = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            u, m = at_z.z - p
-            r1m, r2m, _ = model.residuals(u, m, self.spec, self.stencils)
-            for w, r0, rp, rm in ((self.w1, at_z.r1, at_unit.r1, r1m),
-                                  (self.w2, at_z.r2, at_unit.r2, r2m)):
-                a = 0.5 * (rp - rm)
-                b = 0.5 * (rp + rm) - r0
-                wa, wb = w * a, w * b
-                d01 += calculus.inner(wa, r0)
-                d02 += calculus.inner(wb, r0)
-                d11 += calculus.inner(wa, a)
-                d12 += calculus.inner(wa, b)
-                d22 += calculus.inner(wb, b)
+            rm = model.residuals(at_z.z - p, self.spec, self.stencils)[0]
+            a = 0.5 * (at_unit.r - rm)
+            b = 0.5 * (at_unit.r + rm) - at_z.r
+            wa, wb = self.w * a, self.w * b
+            for wak, wbk, r0k, ak, bk in zip(wa, wb, at_z.r, a, b):  # R1 first
+                d01 += calculus.inner(wak, r0k)
+                d02 += calculus.inner(wbk, r0k)
+                d11 += calculus.inner(wak, ak)
+                d12 += calculus.inner(wak, bk)
+                d22 += calculus.inner(wbk, bk)
             # the regularizer is quadratic: H p = H(z+p) - H z
             hp = at_unit.h - at_z.h
             d01 += self.alpha * (calculus.inner(p[0], at_z.h[0]) +
@@ -528,9 +517,10 @@ def gradient_fd_check(spec: ProblemSpec, params: ConvexParams, seed: int = 7) ->
                     np.sum(g[1] * d[1], axis=(1, 2)))
         j = np.empty((4, FD_DIRECTIONS))  # J at the four line points of each
         for start in range(0, FD_DIRECTIONS, chunk):
-            # the line points of a chunk of directions: (2, 4, chunk, nx, nt)
+            # a chunk's line points (2, 4, chunk, nx, nt), C order: each field one block
             cut = slice(start, start + chunk)
-            j[:, cut] = obj.value_arrays(z[:, None, None] + steps * d[:, None, cut]).total
+            points = np.add(z[:, None, None], steps * d[:, None, cut], order="C")
+            j[:, cut] = obj.value_arrays(points).total
         fd = (8.0 * (j[0] - j[1]) - (j[2] - j[3])) / (12 * h)
         rel = np.abs(analytic - fd) / (np.abs(analytic) + 1e-12)
         worst = np.maximum(worst, rel.max())  # max() would drop a NaN

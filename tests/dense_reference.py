@@ -71,8 +71,8 @@ def residual_jacobian_dense(z, spec, columns=None):
         steps[np.arange(chunk.size), chunk] = 1.0
         steps = steps.reshape(chunk.size, *z.shape)
         points = np.concatenate((z + steps, z - steps)).swapaxes(0, 1)
-        r1, r2, _ = model.residuals(points[0], points[1], spec, stencils)
-        r = np.stack((r1, r2), axis=1).reshape(2 * chunk.size, z.size)
+        r = model.residuals(points, spec, stencils)[0]
+        r = r.swapaxes(0, 1).reshape(2 * chunk.size, z.size)
         out[:, start:start + chunk.size] = (0.5 * (r[:chunk.size] - r[chunk.size:])).T
     return out
 

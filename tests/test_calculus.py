@@ -231,8 +231,11 @@ def test_blocked_products_match_dense_on_refined_grid():
             got, want = product(f), _dense(product, f)
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
-        # a stack is applied state by state
+        # a stack is applied state by state, and written to ``out`` alike
         assert np.array_equal(product(stack)[1], product(stack[1])), name
+        out = np.empty((2,) + stack.shape)
+        product(stack, out[1])
+        assert np.array_equal(out[1], product(stack)), name
 
 
 def test_blocked_product_writes_zeros_for_an_all_zero_block():
@@ -257,6 +260,9 @@ def test_one_block_products_are_the_dense_products_bit_for_bit(grid):
             product = getattr(products, name)
             assert product.blocks == []
             assert np.array_equal(product(f), _dense(product, f)), name
+            out = np.empty((2,) + f.shape)  # written to a plane of a larger array
+            product(f, out[1])
+            assert np.array_equal(out[1], _dense(product, f)), name
     dtm, dxm, dxxm = calculus.diff_matrices(grid)
     assert products.d_dt.matrix.base is dtm  # f @ Dt^T, as the residuals used
     assert products.d_dx_adjoint.matrix.base is dxm

@@ -10,6 +10,7 @@ from mfg_forecast.model import ProblemSpec, build_manufactured_case, \
     apply_interaction, make_problem_spec, manufactured_source, residuals, \
     solve_fokker_planck, write_case
 import mfg_forecast.experiments as experiments
+import mfg_forecast.model as model
 
 from mass_reference import integrate_x
 
@@ -58,9 +59,8 @@ def test_interaction_term_gaussian_bump_unit_mass(grid):
 
 
 def _residuals(u, m, spec):
-    """R1 and R2 of two Fields, from model.residuals."""
-    r1, r2, _ = residuals(u.values, m.values, spec, calculus.stencil_products(spec.grid))
-    return r1, r2
+    """R = (R1, R2) of two Fields, from model.residuals."""
+    return residuals((u.values, m.values), spec, calculus.stencil_products(spec.grid))[0]
 
 
 def test_hjb_residual_zero_state_zero_source(grid):
@@ -112,8 +112,7 @@ def test_residuals_drift_oracle(step):
     grid = make_grid(-1, 1, 1, step, step, 0.6)
     spec = _const_spec(grid, kernel_value=1.0, m0=0.5)
     u = field_from_function(grid, lambda x, t: math.cos(math.pi * x) * (1.0 + t))
-    r1, r2, _ = residuals(u.values, constant_field(grid, 0.5).values, spec,
-                          calculus.stencil_products(grid))
+    r1, r2 = _residuals(u, constant_field(grid, 0.5), spec)
     x, t = np.meshgrid(grid.x_nodes(), grid.t_nodes(), indexing="ij")
     cos, sin, s = np.cos(math.pi * x), np.sin(math.pi * x), 1.0 + t
     exact1 = cos - math.pi**2 * cos * s + 0.5 * math.pi**2 * sin**2 * s**2 + 1.0
@@ -132,26 +131,34 @@ def test_residuals_drift_oracle(step):
                                   pytest.param(0.05, id="41x21"),
                                   pytest.param(0.0125, id="161x81")])
 def test_residuals_broadcast_a_single_field_over_a_stack(step, kernel):
-    # u stacked next to one m, and m stacked next to one u: each state's
-    # R1, R2 and u_x are bit for bit those of a one-state call, on the
-    # working grid (one dense product per stencil) and on 161x81 (blocked
-    # products)
+    # one state array, a stack of states, u stacked next to one m, m stacked
+    # next to one u, and two stacks as a pair: each state's R1, R2 (both
+    # planes of R) and u_x are bit for bit those of a one-state call, on
+    # the working grid (one dense product per stencil) and on 161x81
+    # (blocked products); and the one-state array and pair agree
     grid = make_grid(-1, 1, 1, step, step, 0.6)
     rng = np.random.default_rng(43)
     f = Field(grid, rng.standard_normal((grid.nx, grid.nt)))
     spec = make_problem_spec(grid, np.zeros(grid.nx), np.zeros(grid.nx), kernel, f)
     stencils = calculus.stencil_products(grid)
-    stack = rng.standard_normal((3, grid.nx, grid.nt))
-    single = rng.standard_normal((grid.nx, grid.nt))
-    for moved in range(2):
-        args = (stack, single) if moved == 0 else (single, stack)
-        stacked = residuals(*args, spec, stencils)
-        assert all(r.shape == stack.shape for r in stacked[:2])
-        for s in range(len(stack)):
-            state = (stack[s], single) if moved == 0 else (single, stack[s])
-            one = residuals(*state, spec, stencils)
-            for got, expected in zip(stacked, one):
-                assert np.array_equal(np.broadcast_to(got, stack.shape)[s], expected)
+    stack = rng.standard_normal((2, 3, grid.nx, grid.nt))
+    single = rng.standard_normal((2, grid.nx, grid.nt))
+    one = residuals(single, spec, stencils)
+    for got, expected in zip(one, residuals(tuple(single), spec, stencils)):
+        assert np.array_equal(got, expected)
+    calls = [(stack, stack), (tuple(stack), stack),
+             ((stack[0], single[1]), np.stack((stack[0], np.broadcast_to(
+                 single[1], stack[0].shape)))),
+             ((single[0], stack[1]), np.stack((np.broadcast_to(
+                 single[0], stack[1].shape), stack[1])))]
+    for z, states in calls:
+        r, ux = residuals(z, spec, stencils)
+        assert r.shape == stack.shape
+        ux = np.broadcast_to(ux, stack[0].shape)
+        for s in range(stack.shape[1]):
+            expected_r, expected_ux = residuals(states[:, s].copy(), spec, stencils)
+            assert np.array_equal(r[:, s], expected_r)
+            assert np.array_equal(ux[s], expected_ux)
 
 
 def test_fp_residual_shape_mismatch(grid):
@@ -198,7 +205,7 @@ def test_fokker_planck_self_convergence_first_order_in_dt():
 def test_manufactured_source_closed_form(grid):
     # u = 0, K = 1, m = 0.5: the interaction term is 1, so f = -2.
     f = manufactured_source(constant_field(grid, 0.0), constant_field(grid, 0.5),
-                            1.0)
+                            1.0)[0]
     assert np.allclose(f.values, -2.0, atol=1e-12)
 
 
@@ -209,7 +216,7 @@ def test_manufactured_source_cancels_hjb_residual(grid):
         rng = np.random.default_rng(1)
         u = Field(grid, sample_neumann_field(grid, rng))
         m = Field(grid, 0.5 + 0.1 * np.abs(sample_neumann_field(grid, rng)))
-        f = manufactured_source(u, m, kernel)
+        f = manufactured_source(u, m, kernel)[0]
         spec = ProblemSpec(grid, kernel, f, u.values[:, 0], m.values[:, 0])
         assert np.abs(_residuals(u, m, spec)[0]).max() < 1e-12
 
@@ -218,6 +225,22 @@ def test_manufactured_source_cancels_hjb_residual(grid):
         res = _residuals(case.u_true, case.m_true, case.spec)[0]
         assert np.abs(res).max() < 1e-12
         assert case.hjb_residual_norm < 1e-12
+
+
+@pytest.mark.parametrize("step", [pytest.param(0.1, id="21x11"),
+                                  pytest.param(0.0125, id="161x81")])
+def test_build_case_takes_source_and_norms_from_one_residual_call(step, monkeypatch):
+    # f and both recorded norms come from one residual call, and the norms
+    # equal those of the residuals at the case's own spec (source included)
+    grid = make_grid(-1, 1, 1, step, step, 0.6)
+    calls, residuals_fn = [], model.residuals
+    monkeypatch.setattr(model, "residuals",
+                        lambda *args: calls.append(args) or residuals_fn(*args))
+    case = build_manufactured_case(experiments._u_t11, experiments._m0_t11, 1.0, grid)
+    assert len(calls) == 1
+    r = _residuals(case.u_true, case.m_true, case.spec)
+    assert case.hjb_residual_norm == calculus.l2_norm_qt(Field(grid, r[0]))
+    assert case.fp_residual_norm == calculus.l2_norm_qt(Field(grid, r[1]))
 
 
 def test_manufactured_source_rejects_vanishing_density(grid):

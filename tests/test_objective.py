@@ -12,6 +12,7 @@ import mfg_forecast.optimizer as optimizer
 from convexity_reference import convexity_probe, h2_quadratic
 from fd_check_reference import max_rel_error_by_chunk
 from h2_reference import h2_norm_discrete
+from quartic_reference import line_quartic_per_residual
 
 
 @pytest.fixture()
@@ -281,7 +282,7 @@ def test_hessian_diag_regularizer_matches_four_term_formula(fine_grid, params,
     spec = make_problem_spec(fine_grid, np.zeros(fine_grid.nx),
                              np.full(fine_grid.nx, 0.5), 1.0)
     obj = Objective(spec, params)
-    assert not obj.w1.any() and not obj.w2.any()
+    assert not obj.w.any()
     rng = np.random.default_rng(14)
     state = _random_state(fine_grid, rng)
     nx, nt = fine_grid.nx, fine_grid.nt
@@ -367,15 +368,16 @@ def test_stacked_evaluation_matches_per_state(grid, params, t11_case,
     spec = t11_case.spec if kernel == "constant" else negative_kernel_spec
     z = _stack(grid, 29)
     obj = Objective(spec, params)
-    stacked = model.residuals(z[0], z[1], spec, obj.stencils)
+    stacked = model.residuals(z, spec, obj.stencils)
     breakdown = obj.value_arrays(z)
     assert breakdown.total.shape == (2, 3)
     for index in np.ndindex(2, 3):
         one = z[(slice(None), *index)]
-        single = model.residuals(one[0], one[1], spec, obj.stencils)
-        for got, expected in zip(stacked, single):
-            assert got[index].shape == expected.shape
-            np.testing.assert_allclose(got[index], expected, rtol=1e-13,
+        single = model.residuals(one, spec, obj.stencils)
+        for got, expected in ((stacked[0][(slice(None), *index)], single[0]),
+                              (stacked[1][index], single[1])):
+            assert got.shape == expected.shape
+            np.testing.assert_allclose(got, expected, rtol=1e-13,
                                        atol=1e-13 * np.abs(expected).max())
         expected = obj.value_arrays(one)
         for part in ("j1", "j2", "j3", "total"):
@@ -533,3 +535,22 @@ def test_line_quartic_reproduces_objective_along_line(params, t11_case,
             direct = obj.value_arrays(z + xi * p).total - j0
             assert abs(quartic.phi(xi) - direct) <= 1e-10 * j0
             assert abs(direct) <= quartic.size(xi)
+
+
+@pytest.mark.parametrize("kernel", [0.0, 1.0, -1.0])
+@pytest.mark.parametrize("step", [pytest.param(0.1, id="21x11"),
+                                  pytest.param(0.05, id="41x21")])
+def test_line_quartic_equals_per_residual_reference(params, step, kernel):
+    # the quartic decides which line-search trials are skipped, and is
+    # written to no file: its coefficients and norms, formed on the stacked
+    # R, are bit for bit those of one residual at a time
+    grid = make_grid(-1, 1, 1, step, step, 0.6)
+    rng = np.random.default_rng(44)
+    f = Field(grid, rng.standard_normal((grid.nx, grid.nt)))
+    spec = make_problem_spec(grid, np.zeros(grid.nx), np.zeros(grid.nx), kernel, f)
+    obj = Objective(spec, params)
+    for seed in (45, 46, 47):
+        z, p = _line_case(grid, seed)
+        quartic = obj.line_quartic(obj.value_arrays(z), obj.value_arrays(z + p), p)
+        assert (quartic.coefficients, quartic.norms) == \
+            line_quartic_per_residual(obj, z, p)

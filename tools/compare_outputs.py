@@ -8,7 +8,9 @@ added to every shipped noise and finite-difference seed
 (``perfbench/workloads.py`` of HEAD; T2_1's solve is chaotic in round-off,
 so a change that keeps the outputs needs checking at more than one shift),
 ``run --test T1_1_extended``, the README's noise-free T2_2 run,
-lambda sweep and kernel sweep, ``export-case`` of T1_1 and T1_2 on the
+lambda sweep and kernel sweep, ``run --test T2_2 --kernel 0`` (the only
+run whose value path takes the residuals' zero-kernel branch),
+``export-case`` of T1_1 and T1_2 on the
 161x81 refinement grid, ``check-gradient`` of T1_1 on 41x21 and of T1_2 on
 81x41 (whose stacks hold 2 and 1 of the oracle's directions, where the
 21x11 checks hold 8), ``run --test T1_2`` on 41x21 (whose coloured
@@ -49,6 +51,9 @@ def commands(head: Path, shift: int) -> list:
                           "--values", "1,2,3,4,5", "--out", "readme-sweep"]),
         ("readme-kernel", ["sweep", "--test", "T2_2", "--param", "kernel",
                            "--values", "1,-1", "--out", "readme-kernel"]),
+        ("run-T2_2-kernel-0", ["run", "--test", "T2_2", "--kernel", "0",
+                               "--seed", str(workloads.CASE_SEEDS["T2_2"] + shift),
+                               "--out", "run-T2_2-kernel-0"]),
     ] + [(f"refined-export-{t}", ["export-case", "--test", t, "--dx", "0.0125",
                                   "--dt", "0.0125", "--out", f"refined-export-{t}"])
          for t in ("T1_1", "T1_2")] + [
